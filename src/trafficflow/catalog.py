@@ -74,6 +74,14 @@ class GridRegion:
     def ts(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.nt)
 
+    def interior(self, nx: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
+        """Probe axes over the 10%..90% box, clear of the region's edges."""
+        xs = np.linspace(self.x0 + 0.1 * (self.x1 - self.x0),
+                         self.x1 - 0.1 * (self.x1 - self.x0), nx)
+        ts = np.linspace(self.t0 + 0.1 * (self.t1 - self.t0),
+                         self.t1 - 0.1 * (self.t1 - self.t0), nt)
+        return xs, ts
+
 
 # mshape -> (M, M', M'', M''')
 KINK_SHAPES: dict[str, tuple] = {
@@ -493,10 +501,7 @@ def _grid_max_residual(mp: ModelParams, sampler: SolutionSampler,
 
 def _fd_refinement_points(region: GridRegion, n: int = 5) -> list:
     """Interior probe points (10%..90% of the box) for the FD cross-check."""
-    xs = np.linspace(region.x0 + 0.1 * (region.x1 - region.x0),
-                     region.x1 - 0.1 * (region.x1 - region.x0), n)
-    ts = np.linspace(region.t0 + 0.1 * (region.t1 - region.t0),
-                     region.t1 - 0.1 * (region.t1 - region.t0), n)
+    xs, ts = region.interior(n, n)
     return [(float(x), float(t)) for x in xs for t in ts]
 
 

@@ -341,7 +341,7 @@ def cmd_simulate(args, argv) -> int:
     params = {"ic": args.ic, "scheme": args.scheme, "nx": args.nx, "cfl": args.cfl,
               "bc": args.bc, "A": args.A, "D": args.D, "t0": t0, "t_end": t_end,
               "snap": snaps, "x0": float(grid.x0), "x1": float(grid.x0 + grid.span),
-              "out": str(out), "format": args.format}
+              "out": str(out)}
     _emit("simulate", argv, params, files)
     return EXIT_OK
 
@@ -433,10 +433,7 @@ def cmd_conserve(args, argv) -> int:
     region = _region_from_args(args, entry, mp)
     sampler = entry.sampler(mp)
     # Keep the FD stencils of the divergence probe inside the region interior.
-    xs = np.linspace(region.x0 + 0.1 * (region.x1 - region.x0),
-                     region.x1 - 0.1 * (region.x1 - region.x0), args.nx)
-    ts = np.linspace(region.t0 + 0.1 * (region.t1 - region.t0),
-                     region.t1 - 0.1 * (region.t1 - region.t0), args.nt)
+    xs, ts = region.interior(args.nx, args.nt)
     rows = []
     for t in ts:
         for x in xs:
@@ -554,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--surface", nargs=2, metavar=("XSPEC", "TSPEC"), default=None,
                     help="exact-entry surface emission, e.g. x:-5:5:101 t:0.5:3:101")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("csv",), default="csv")
 
     sp = sub.add_parser("lie", help="Lie algebra queries")
     lsub = sp.add_subparsers(dest="lie_cmd", required=True)
@@ -631,10 +627,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
-    except (ParseError, DomainError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_DOMAIN
-    except ValueError as e:
+    except (ParseError, ValueError) as e:  # DomainError is a ValueError
         sys.stderr.write(f"error: {e}\n")
         return EXIT_DOMAIN
     except SolverError as e:

@@ -273,7 +273,7 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
     if w.w1 != 0.0 and w.w3 != 0.0:
         # l1, l2 invariant; eps2 clears w2, then eps4 clears w4.
         eps2 = w.w2 / w.w1
-        eps4 = (w.w2 * 0.0 - eps2 * w.w3 + w.w4) / w.w1
+        eps4 = (w.w4 - eps2 * w.w3) / w.w1
         e = AdjointParams(eps2=eps2, eps4=eps4)
         cls = OptimalClass(family="T3", b=0, l1=w.w1, l2=w.w3)
         return cls, e, 1.0

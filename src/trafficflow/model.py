@@ -41,21 +41,16 @@ class ModelParams:
     tolerated at construction so that pressureless closed forms can be fed
     through the residual operators, and the characteristic operations reject
     it themselves.  D >= 0 selects the viscous (D > 0) or inviscid model.
-    Relaxation is disabled: only the homogeneous case R = 0 is supported.
     """
 
     A: float
     D: float = 0.0
-    relaxation_R: float = 0.0
-    relaxation_tau: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.A) or self.A < 0.0:
             raise ValueError(f"speed variance A must be >= 0 and finite, got {self.A}")
         if not math.isfinite(self.D) or self.D < 0.0:
             raise ValueError(f"viscosity D must be >= 0 and finite, got {self.D}")
-        if self.relaxation_R != 0.0:
-            raise ValueError("relaxation is out of scope: relaxation_R must be 0")
 
     @property
     def sqrt_A(self) -> float:
@@ -158,10 +153,10 @@ def default_fd_step(x: float, t: float) -> float:
     return 1e-3 * max(1.0, abs(x), abs(t))
 
 
-# Central difference weights: (offsets, first-derivative weights, second-derivative weights)
+# Central first-derivative stencils: (offsets, weights)
 _FD_STENCILS = {
-    2: ((-1, 1), (-0.5, 0.5), None),
-    4: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0), None),
+    2: ((-1, 1), (-0.5, 0.5)),
+    4: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
 }
 _FD2_SECOND = ((-1, 0, 1), (1.0, -2.0, 1.0))
 _FD4_SECOND = ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0))
@@ -178,7 +173,7 @@ def fd_partials(s: SolutionSampler, x: float, t: float, order: int = 4,
         raise ValueError("fd order must be 2 or 4")
     if h is None:
         h = default_fd_step(x, t)
-    offsets, w1, _ = _FD_STENCILS[order]
+    offsets, w1 = _FD_STENCILS[order]
     off2, w2 = _FD2_SECOND if order == 2 else _FD4_SECOND
 
     for k in set(offsets) | set(off2):

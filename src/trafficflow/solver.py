@@ -152,10 +152,13 @@ def _flux(rho: np.ndarray, m: np.ndarray, A: float) -> tuple[np.ndarray, np.ndar
 def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
     """One conservative update; dt is set internally from the CFL condition.
 
-    dt = cfl * dx / max(|u| + sqrt(A)), further limited by
-    dx^2 * min(rho) / (2 D) when D > 0, and by dt_max (used to land exactly
-    on snapshot times).  Raises PositivityError if any updated density is
-    non-positive, and SolverError on CFL underflow (dt < 1e-12).
+    dt = cfl * dx / max(|u| + sqrt(A)) when D = 0.  When D > 0 the convective
+    and viscous rates add, dt = cfl / (max(|u| + sqrt(A)) / dx
+    + 2 D / (dx^2 min(rho))), since the explicit diffusion and the scheme's
+    own numerical diffusion share one stability budget.  dt is further
+    limited by dt_max (used to land exactly on snapshot times).  Raises
+    PositivityError if any updated density is non-positive, and SolverError
+    on CFL underflow (dt < 1e-12).
     """
     p = cfg.params
     g = cfg.grid
@@ -165,9 +168,10 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
 
     speed = np.abs(u_e) + c
     max_speed = float(np.max(speed))
-    dt = cfg.cfl * g.dx / max_speed
     if p.D > 0.0:
-        dt = min(dt, g.dx ** 2 * float(np.min(rho_e)) / (2.0 * p.D))
+        dt = cfg.cfl / (max_speed / g.dx + 2.0 * p.D / (g.dx ** 2 * float(np.min(rho_e))))
+    else:
+        dt = cfg.cfl * g.dx / max_speed
     if dt_max is not None:
         dt = min(dt, dt_max)
     if dt < 1e-12:

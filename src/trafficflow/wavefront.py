@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.optimize import bisect
 
 from .model import DomainError, SolutionSampler
 
@@ -61,15 +59,77 @@ class AmplitudeProblem:
             raise ValueError("amplitude problems need a background with analytic partials")
 
 
+def _simpson_panels(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Integral over the first interval of each three-node panel.
+
+    Panel i is (x_i, x_i+1, x_i+2) with steps h_i, h_i+1; the integrand is the
+    parabola through its three values, which allows unequal steps.
+    """
+    h1, h2 = h[:-1], h[1:]
+    r31 = h1 / (h1 + h2)
+    q = r31 * (h1 / h2)
+    return h1 / 6 * ((3 - r31) * y[:-2] + (3 + q + r31) * y[1:-1] - q * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of y over the nodes x (>= 3), from 0 at x[0].
+
+    Even intervals come from the panel they open; odd intervals and the last
+    one come from the panel they close, by running the rule on the reversed
+    nodes.  This is the arithmetic of scipy.integrate.cumulative_simpson with
+    x given and initial=0, so results agree with it bit for bit.
+    """
+    h = np.diff(x)
+    fwd = _simpson_panels(y, h)
+    bwd = _simpson_panels(y[::-1], h[::-1])[::-1]
+    parts = np.empty_like(h)
+    parts[:-1:2] = fwd[::2]
+    parts[1::2] = bwd[::2]
+    parts[-1] = bwd[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
+def _bisect(f, a: float, b: float, xtol: float) -> Optional[float]:
+    """Root of f in [a, b] by bisection, or None when f(a), f(b) share a sign.
+
+    The loop of scipy.optimize.bisect (rtol = 4 eps, at most 100 halvings),
+    so roots agree with it bit for bit.  A NaN value of f raises ValueError.
+    """
+    def value(t: float) -> float:
+        v = f(t)
+        if math.isnan(v):
+            raise ValueError(f"bisection met a NaN at t={t}")
+        return v
+
+    fa, fb = value(a), value(b)
+    if fa * fb > 0.0:
+        return None
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    rtol = 4.0 * np.finfo(float).eps
+    dm = b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = value(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge on [{a}, {b}]")
+
+
 def _lambda2(prob: AmplitudeProblem, x: float, t: float) -> float:
     if not prob.background.domain(x, t):
         raise DomainError(f"characteristic path exits the background domain at (x={x}, t={t})")
     return prob.background.eval(x, t).u + math.sqrt(prob.A)
 
 
-def _rk4_path(prob: AmplitudeProblem, ts: np.ndarray) -> np.ndarray:
+def _rk4_path(prob: AmplitudeProblem, x0: float, ts: np.ndarray) -> np.ndarray:
     xs = np.empty_like(ts)
-    xs[0] = prob.x0
+    xs[0] = x0
     for k in range(len(ts) - 1):
         t, x = float(ts[k]), float(xs[k])
         dt = float(ts[k + 1]) - t
@@ -92,7 +152,7 @@ def characteristic_path(prob: AmplitudeProblem, t_end: float, dt: float):
         raise ValueError("dt must be > 0")
     nsteps = max(1, math.ceil((t_end - prob.t0) / dt - 1e-12))
     ts = np.linspace(prob.t0, t_end, nsteps + 1)
-    return ts, _rk4_path(prob, ts)
+    return ts, _rk4_path(prob, prob.x0, ts)
 
 
 def psi_along(prob: AmplitudeProblem, x: float, t: float) -> float:
@@ -102,6 +162,21 @@ def psi_along(prob: AmplitudeProblem, x: float, t: float) -> float:
     st = prob.background.eval(x, t)
     d = prob.background.partials(x, t)
     return 0.5 * (math.sqrt(prob.A) * d.rho_x / st.rho + 5.0 * d.u_x)
+
+
+def _integrate_along(prob: AmplitudeProblem, x0: float, ts: np.ndarray,
+                     G0: float = 0.0, F0: float = 0.0):
+    """Path from (x0, ts[0]), then Psi, G = G0 + int Psi, E = exp(-G), F = F0 + int E.
+
+    Returns (xs, psi, G, E, F) on the nodes ts, integrated by cumulative Simpson.
+    """
+    xs = _rk4_path(prob, x0, ts)
+    psi = np.array([psi_along(prob, float(x), float(t)) for x, t in zip(xs, ts)])
+    if not np.all(np.isfinite(psi)):
+        raise DomainError("Psi is singular on the integration interval")
+    G = G0 + _cumulative_simpson(psi, ts)
+    E = np.exp(-G)
+    return xs, psi, G, E, F0 + _cumulative_simpson(E, ts)
 
 
 @dataclass
@@ -130,11 +205,7 @@ def _limit_F(prob: AmplitudeProblem, t_end: float, n: int) -> float:
         for mult in (1.0, 2.0, 4.0):
             T = prob.t0 + mult * 4.0 * L
             ts = np.linspace(prob.t0, T, max(n, 4000) + 1)
-            xs = _rk4_path(prob, ts)
-            psi = np.array([psi_along(prob, float(x), float(t)) for x, t in zip(xs, ts)])
-            G = cumulative_simpson(psi, x=ts, initial=0.0)
-            E = np.exp(-G)
-            F = cumulative_simpson(E, x=ts, initial=0.0)
+            F = _integrate_along(prob, prob.x0, ts)[-1]
             vals.append(float(F[-1]))
     except DomainError:
         return math.nan
@@ -163,13 +234,7 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
     if n % 2:
         n += 1
     ts = np.linspace(prob.t0, t_end, n + 1)
-    xs = _rk4_path(prob, ts)
-    psi = np.array([psi_along(prob, float(x), float(t)) for x, t in zip(xs, ts)])
-    if not np.all(np.isfinite(psi)):
-        raise DomainError("Psi is singular on the integration interval")
-    G = cumulative_simpson(psi, x=ts, initial=0.0)
-    E = np.exp(-G)
-    F = cumulative_simpson(E, x=ts, initial=0.0)
+    xs, psi, G, E, F = _integrate_along(prob, prob.x0, ts)
 
     if prob.psi_shift_b is not None:
         pi_c = 3.0 / (2.0 * (prob.t0 + prob.psi_shift_b))
@@ -190,21 +255,12 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
                 if t <= ts[j]:
                     return float(F[j])
                 sub = np.linspace(ts[j], t, 17)
-                xsub = _rk4_path(AmplitudeProblem(prob.background, prob.A,
-                                                  float(xs[j]), float(ts[j]), prob.pi0,
-                                                  prob.psi_shift_b), sub)
-                psis = np.array([psi_along(prob, float(xx), float(tt))
-                                 for xx, tt in zip(xsub, sub)])
-                Gs = G[j] + cumulative_simpson(psis, x=sub, initial=0.0)
-                Es = np.exp(-Gs)
-                return float(F[j] + cumulative_simpson(Es, x=sub, initial=0.0)[-1])
+                return float(_integrate_along(prob, float(xs[j]), sub, G[j], F[j])[-1][-1])
 
-            lo, hi = float(ts[j]), float(ts[j + 1])
-            fn = lambda t: 1.0 + prob.pi0 * F_local(t)
-            if fn(lo) == 0.0:
-                shock_time = lo
-            elif fn(lo) * fn(hi) <= 0.0:
-                shock_time = float(bisect(fn, lo, hi, xtol=1e-12))
+            root = _bisect(lambda t: 1.0 + prob.pi0 * F_local(t),
+                           float(ts[j]), float(ts[j + 1]), xtol=1e-12)
+            if root is not None:
+                shock_time = root
 
     pi = prob.pi0 * E / (1.0 + prob.pi0 * F)
     if math.isfinite(shock_time):

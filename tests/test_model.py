@@ -156,8 +156,6 @@ def test_model_params_validation():
         ModelParams(A=-1.0)
     with pytest.raises(ValueError):
         ModelParams(A=1.0, D=-0.1)
-    with pytest.raises(ValueError):
-        ModelParams(A=1.0, relaxation_R=0.5)
     # A = 0 is tolerated for pressureless closed forms
     assert ModelParams(A=0.0).A == 0.0
 

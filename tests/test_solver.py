@@ -175,6 +175,18 @@ def test_manufactured_convergence_first_order(kind, params, span, t0, t_end):
         assert res.monotone[var]
 
 
+def test_viscous_t1_convergence_first_order():
+    # T1 solves the viscous system for any D (its u_xx vanishes), so the
+    # explicit viscous source must converge at first order like the inviscid runs.
+    mp = ModelParams(A=1.0, D=0.5)
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(mp)
+    base = SolverConfig(grid=Grid.over(0.0, 2.0, 50), params=mp, scheme="rusanov",
+                        bc="dirichlet", dirichlet_sampler=s)
+    res = convergence_order(base, s, [50, 100, 200], 1.0, 1.2)
+    for var in ("rho", "u"):
+        assert 0.8 <= res.orders[var] <= 1.3, (var, res.orders[var])
+
+
 def test_constant_solution_reports_exact():
     s = make_entry("T4", p1=1, b=0).sampler(MP1)
     base = SolverConfig(grid=Grid.over(0.0, 1.0, 50), params=MP1,

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trafficflow.catalog import make_entry
 from trafficflow.model import DomainError, ModelParams, SolutionSampler
-from trafficflow.wavefront import (AmplitudeProblem, amplitude_direct,
-                                   amplitude_quadrature, characteristic_path,
-                                   psi_along)
+from trafficflow.wavefront import (AmplitudeProblem, _bisect, _cumulative_simpson,
+                                   amplitude_direct, amplitude_quadrature,
+                                   characteristic_path, psi_along)
 
 MP1 = ModelParams(A=1.0)
 
@@ -211,3 +215,71 @@ def test_problem_validation():
         amplitude_quadrature(prob, 0.5, n=100)   # t_end <= t0
     with pytest.raises(ValueError):
         characteristic_path(prob, 3.0, -0.1)
+
+
+def _nodes(n, uniform):
+    if uniform:
+        return np.linspace(1.0, 3.5, n)
+    return 1.0 + np.cumsum(np.random.default_rng(n).uniform(0.05, 1.0, n))
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 16, 17, 101])
+def test_cumulative_simpson_matches_scipy(n, uniform):
+    integrate = pytest.importorskip("scipy.integrate")
+    x = _nodes(n, uniform)
+    y = np.exp(-x) * np.sin(3.0 * x) + np.random.default_rng(n + 1).normal(scale=0.1, size=n)
+    assert np.array_equal(_cumulative_simpson(y, x),
+                          integrate.cumulative_simpson(y, x=x, initial=0.0))
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 7, 16])
+def test_cumulative_simpson_exact_on_quadratics(n, uniform):
+    # Every interval comes from a parabola through three nodes, so quadratics
+    # integrate exactly on any node spacing.
+    x = _nodes(n, uniform)
+    got = _cumulative_simpson(2.0 - x + 3.0 * x * x, x)
+    exact = 2.0 * (x - x[0]) - (x * x - x[0] ** 2) / 2.0 + (x ** 3 - x[0] ** 3)
+    assert np.allclose(got, exact, rtol=1e-13, atol=1e-12)
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda t: t ** 3 - 2.0, 0.0, 2.0),
+    (lambda t: math.tanh(t - 0.3), -1.0, 4.0),
+    (lambda t: 1.0 - math.exp(t), -0.5, 0.25),
+    (lambda t: t - 1.0, 1.0, 2.0),       # root at the left end
+    (lambda t: t - 2.0, 1.0, 2.0),       # root at the right end
+])
+def test_bisect_matches_scipy(f, a, b):
+    optimize = pytest.importorskip("scipy.optimize")
+    assert _bisect(f, a, b, xtol=1e-12) == optimize.bisect(f, a, b, xtol=1e-12)
+
+
+def test_bisect_without_sign_change_or_with_nan():
+    assert _bisect(lambda t: t * t + 1.0, -1.0, 1.0, xtol=1e-12) is None
+    with pytest.raises(ValueError):
+        _bisect(lambda t: math.nan if t > 0.5 else -1.0, 0.0, 2.0, xtol=1e-12)
+
+
+def test_runtime_imports_no_scipy():
+    # A fresh interpreter: the CLI plus a quadrature with tail-extrapolated
+    # pi_c and a bisected shock time must not pull scipy in.
+    code = (
+        "import sys\n"
+        "import trafficflow.cli\n"
+        "from trafficflow.catalog import make_entry\n"
+        "from trafficflow.model import ModelParams\n"
+        "from trafficflow.wavefront import AmplitudeProblem, amplitude_quadrature\n"
+        "s = make_entry('T3', p1=1.0, b=0.5).sampler(ModelParams(A=1.0))\n"
+        "prob = AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=-2.0)\n"
+        "sol = amplitude_quadrature(prob, 3.0, n=400)\n"
+        "assert sol.shock_time < 3.0 and sol.pi_c > 0.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=env)
+    assert out.stdout.strip() == "[]"
