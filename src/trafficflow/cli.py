@@ -32,7 +32,7 @@ from .conservation import MultiplierConstants, divergence_residual, symmetry_con
 from .lie import (AdjointParams, InfinitesimalParams, LieCoeffs, adjoint_apply,
                   classify_optimal, commutator, group_transform, invariant_ic,
                   invariant_tuple, killing_form)
-from .model import DomainError, ModelParams
+from .model import DomainError, ModelParams, require_all
 from .solver import (Field, Grid, PositivityError, SolverConfig, SolverError,
                      error_norms as solver_error_norms, run)
 from .wavefront import AmplitudeProblem, amplitude_quadrature
@@ -246,13 +246,11 @@ def _surface_mode(args, argv, entry, mp) -> int:
     if set(axes) != {"x", "t"}:
         raise UsageError("--surface needs one x spec and one t spec")
     sampler = entry.sampler(mp)
-    rows = []
-    for t in axes["t"]:
-        for x in axes["x"]:
-            if not sampler.domain(float(x), float(t)):
-                raise DomainError(f"surface point (x={x}, t={t}) outside entry domain")
-            st = sampler.eval(float(x), float(t))
-            rows.append((float(t), float(x), st.rho, st.u))
+    x, t = np.meshgrid(axes["x"], axes["t"])
+    require_all(sampler.domain(x, t), "surface point (x={x}, t={t}) outside entry domain",
+                x=x, t=t)
+    st = sampler.eval(x, t)
+    rows = zip(t.ravel(), x.ravel(), st.rho.ravel(), st.u.ravel())
     out = Path(args.out) if args.out else Path(f"surface_{entry.kind}.csv")
     params = {"ic": args.ic, "A": args.A, "D": args.D,
               "surface": list(args.surface), "out": str(out)}
@@ -433,15 +431,17 @@ def cmd_conserve(args, argv) -> int:
     region = _region_from_args(args, entry, mp)
     sampler = entry.sampler(mp)
     # Keep the FD stencils of the divergence probe inside the region interior.
-    xs, ts = region.interior(args.nx, args.nt)
-    rows = []
-    for t in ts:
-        for x in xs:
-            ux, ut = symmetry_conserved_vector(args.which, c, mp, sampler,
-                                               float(x), float(t), args.h_step)
-            div = divergence_residual(args.which, c, mp, sampler,
-                                      float(x), float(t), args.h_step)
-            rows.append((float(x), float(t), ux, ut, div))
+    x, t = np.meshgrid(*region.interior(args.nx, args.nt))
+    try:
+        ux, ut = symmetry_conserved_vector(args.which, c, mp, sampler, x, t, args.h_step)
+        div = divergence_residual(args.which, c, mp, sampler, x, t, args.h_step)
+    except DomainError:
+        # Report the first point, in C order, whose centre or stencil fails.
+        for xi, ti in zip(x.ravel().tolist(), t.ravel().tolist()):
+            symmetry_conserved_vector(args.which, c, mp, sampler, xi, ti, args.h_step)
+            divergence_residual(args.which, c, mp, sampler, xi, ti, args.h_step)
+        raise
+    rows = zip(x.ravel(), t.ravel(), ux.ravel(), ut.ravel(), div.ravel())
     out = Path(args.out) if args.out else Path(f"conserve_{args.which}.csv")
     params = {"entry": args.entry, "which": args.which, "c": args.c,
               "A": args.A, "D": args.D, "h_step": args.h_step,

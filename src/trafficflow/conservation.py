@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .catalog import KINK_SHAPES
 from .model import (DomainError, ModelParams, Partials, SolutionSampler,
-                    StatePoint, fd_partials, residual_from_partials)
+                    StatePoint, fd_partials, fd_stencil_inside, require_all,
+                    residual_from_partials, step_scale)
 
 __all__ = [
     "MultiplierConstants",
@@ -90,7 +91,7 @@ def _field_partials(s: SolutionSampler, x: float, t: float,
 
 
 def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: SolutionSampler,
-                              x: float, t: float, h_step: float) -> tuple[float, float]:
+                              x, t, h_step: float) -> tuple[float, float]:
     """Defect of the adjoint-system identity under the (h, g) substitution.
 
     Evaluates the published adjoint expressions S1 (variation in u) and S2
@@ -100,38 +101,31 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
 
         d1 = S1 - (l1*R1 + l2*R2),   d2 = S2 - (l3*R1 + l4*R2).
 
-    This is a reporting operation: the defects converge at O(h_step^2) to
-    zero when the identity holds (it does for D = 0) and to the identity's
-    intrinsic defect otherwise.
+    This is a reporting operation, at a point or on (x, t) arrays: the
+    defects converge at O(h_step^2) to zero when the identity holds (it does
+    for D = 0) and to the identity's intrinsic defect otherwise.
     """
     s.require_in_domain(x, t)
-    for (xx, tt) in ((x + h_step, t), (x - h_step, t), (x, t + h_step), (x, t - h_step)):
-        if not s.domain(xx, tt):
-            raise DomainError(f"FD stencil at (x={x}, t={t}) with step {h_step} leaves domain")
+    require_all(fd_stencil_inside(s, x, t, 2, h_step),
+                f"FD stencil at (x={{x}}, t={{t}}) with step {h_step} leaves domain", x=x, t=t)
 
     st, d = _field_partials(s, x, t, h_step)
     rho, u = st.rho, st.u
-
-    def h_of(xx, tt):
-        q = s.eval(xx, tt)
-        return c.c1 * q.u - c.c1 * p.A / q.rho + c.c3
-
-    def g_of(xx, tt):
-        q = s.eval(xx, tt)
-        return (q.rho + q.u) * c.c1 + c.c2
-
-    g0 = g_of(x, t)
-    h_x = (h_of(x + h_step, t) - h_of(x - h_step, t)) / (2.0 * h_step)
-    h_t = (h_of(x, t + h_step) - h_of(x, t - h_step)) / (2.0 * h_step)
-    g_x = (g_of(x + h_step, t) - g_of(x - h_step, t)) / (2.0 * h_step)
-    g_t = (g_of(x, t + h_step) - g_of(x, t - h_step)) / (2.0 * h_step)
-    g_xx = (g_of(x + h_step, t) - 2.0 * g0 + g_of(x - h_step, t)) / h_step ** 2
+    _, g0, l1, l2, l3, l4 = self_adjoint_substitution(c, p, st)
+    xp, xm, tp, tm = (s.eval(x + h_step, t), s.eval(x - h_step, t),
+                      s.eval(x, t + h_step), s.eval(x, t - h_step))
+    (h_xp, g_xp), (h_xm, g_xm), (h_tp, g_tp), (h_tm, g_tm) = (
+        self_adjoint_substitution(c, p, q)[:2] for q in (xp, xm, tp, tm))
+    h_x = (h_xp - h_xm) / (2.0 * h_step)
+    h_t = (h_tp - h_tm) / (2.0 * h_step)
+    g_x = (g_xp - g_xm) / (2.0 * h_step)
+    g_t = (g_tp - g_tm) / (2.0 * h_step)
+    g_xx = (g_xp - 2.0 * g0 + g_xm) / h_step ** 2
     if s.partials is not None:
         rho_xx = (s.partials(x + h_step, t).rho_x
                   - s.partials(x - h_step, t).rho_x) / (2.0 * h_step)
     else:
-        rho_xx = (s.eval(x + h_step, t).rho - 2.0 * rho
-                  + s.eval(x - h_step, t).rho) / h_step ** 2
+        rho_xx = (xp.rho - 2.0 * rho + xm.rho) / h_step ** 2
 
     D, A = p.D, p.A
     S1 = (D * g0 * rho * rho_xx - D * g_xx * rho ** 2 - 2.0 * D * g0 * d.rho_x ** 2
@@ -139,14 +133,13 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
           - rho ** 3 * (h_x * rho + g_x * u + g_t)) / rho ** 3
     S2 = (-h_x * u * rho ** 2 - A * g_x * rho + D * g0 * d.u_xx - h_t * rho ** 2) / rho ** 2
 
-    _, _, l1, l2, l3, l4 = self_adjoint_substitution(c, p, st)
     R1, R2 = residual_from_partials(p, st, d)
     return S1 - (l1 * R1 + l2 * R2), S2 - (l3 * R1 + l4 * R2)
 
 
-def _mixed_u_tx(s: SolutionSampler, x: float, t: float, h_step: float) -> float:
+def _mixed_u_tx(s: SolutionSampler, x, t, h_step: float):
     """Mixed derivative u_tx: t-difference of analytic u_x when available."""
-    k = 1e-4 * max(1.0, abs(x), abs(t))
+    k = 1e-4 * step_scale(x, t)
     if s.partials is not None:
         return (s.partials(x, t + k).u_x - s.partials(x, t - k).u_x) / (2.0 * k)
     h = h_step if h_step > 0 else k
@@ -158,13 +151,14 @@ _WHICH = ("S1", "S2", "S3", "S4")
 
 
 def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams,
-                              s: SolutionSampler, x: float, t: float,
+                              s: SolutionSampler, x, t,
                               h_step: float = 0.0) -> tuple[float, float]:
     """Conserved vector (Ux, Ut) generated by one of the four point symmetries.
 
-    Implements the published rows verbatim.  The mixed derivative u_tx
-    (needed by the viscous parts of the S1 and S2 rows) is obtained by
-    differencing analytic u_x in t when available, else by 2-D differences.
+    Implements the published rows verbatim, at a point or on (x, t) arrays.
+    The mixed derivative u_tx (needed by the viscous parts of the S1 and S2
+    rows) is obtained by differencing analytic u_x in t when available,
+    else by 2-D differences.
     """
     if which not in _WHICH:
         raise ValueError(f"which must be one of {_WHICH}")
@@ -177,17 +171,16 @@ def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams
     g = c1 * (rho + u) + c2
     h = c1 * u - c1 * A / rho + c3
     # Recurring brackets of the published rows.
-    visc = -c1 * D * d.u_x / rho + D * (c1 * u + c2) * d.rho_x / rho ** 2
+    visc = -c1 * D * d.u_x / rho + D * (c1 * u + c2) * d.rho_x / (rho * rho)
     Q = (c1 * u + c3) * u + (c1 * rho + c2) * A / rho
 
+    u_tx = _mixed_u_tx(s, x, t, h_step) if D != 0.0 and which in ("S1", "S2") else 0.0
     if which == "S1":
-        u_tx = _mixed_u_tx(s, x, t, h_step) if D != 0.0 else 0.0
         Ux = (D * (c1 * rho + c1 * u + c2) / rho) * (d.u_x + x * d.u_xx + t * u_tx) \
             + (x * d.u_x + t * d.u_t) * (visc + h * rho + g * u) \
             - (rho + x * d.rho_x + t * d.rho_t) * Q
         Ut = -g * (x * d.u_x + t * d.u_t) - h * (rho + x * d.rho_x + t * d.rho_t)
     elif which == "S2":
-        u_tx = _mixed_u_tx(s, x, t, h_step) if D != 0.0 else 0.0
         Ux = D * g * u_tx / rho + (visc - h * rho - g * u) * d.u_t - d.rho_t * Q
         Ut = -g * d.u_t - h * d.rho_t
     elif which == "S3":
@@ -201,15 +194,15 @@ def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams
 
 
 def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
-                        s: SolutionSampler, x: float, t: float, h_step: float) -> float:
+                        s: SolutionSampler, x, t, h_step: float):
     """Central-difference approximation of D_x(Ux) + D_t(Ut) at (x, t).
 
     Converges to 0 at the finite-difference order on genuinely conserved
     rows evaluated on solutions, and to an O(1) value otherwise.
     """
-    for (xx, tt) in ((x + h_step, t), (x - h_step, t), (x, t + h_step), (x, t - h_step)):
-        if not s.domain(xx, tt):
-            raise DomainError(f"divergence stencil at (x={x}, t={t}) leaves domain")
+    require_all(s.domain(x + h_step, t) & s.domain(x - h_step, t)
+                & s.domain(x, t + h_step) & s.domain(x, t - h_step),
+                "divergence stencil at (x={x}, t={t}) leaves domain", x=x, t=t)
     Uxp, _ = symmetry_conserved_vector(which, c, p, s, x + h_step, t, h_step)
     Uxm, _ = symmetry_conserved_vector(which, c, p, s, x - h_step, t, h_step)
     _, Utp = symmetry_conserved_vector(which, c, p, s, x, t + h_step, h_step)

@@ -329,55 +329,23 @@ def group_transform(i: int, eps: float, s: SolutionSampler) -> SolutionSampler:
     """
     if i not in (1, 2, 3, 4):
         raise ValueError(f"generator index must be 1..4, got {i}")
+    # Dilation a (which also scales the density), boost c, shifts sx and st:
+    # the image at (x, t) is the base at (a x - c t - sx, a t - st).
+    a, c, sx, st = {1: (math.exp(-eps), 0.0, 0.0, 0.0), 2: (1.0, 0.0, 0.0, eps),
+                    3: (1.0, eps, 0.0, 0.0), 4: (1.0, 0.0, eps, 0.0)}[i]
 
-    if i == 1:
-        a = math.exp(-eps)
+    def pullback(x, t):
+        return x * a - (c * t + sx), t * a - st
 
-        def pullback(x, t):
-            return x * a, t * a
+    def ev(x, t):
+        base = s.eval(*pullback(x, t))
+        # Without a boost u is passed on as is: adding 0.0 would turn -0.0 into 0.0.
+        return StatePoint(rho=a * base.rho, u=c + base.u if c else base.u)
 
-        def ev(x, t):
-            base = s.eval(*pullback(x, t))
-            return StatePoint(rho=a * base.rho, u=base.u)
-
-        def pt(x, t):
-            d = s.partials(*pullback(x, t))
-            return Partials(rho_t=a * a * d.rho_t, rho_x=a * a * d.rho_x,
-                            u_t=a * d.u_t, u_x=a * d.u_x, u_xx=a * a * d.u_xx)
-    elif i == 2:
-        def pullback(x, t):
-            return x, t - eps
-
-        def ev(x, t):
-            base = s.eval(*pullback(x, t))
-            return StatePoint(rho=base.rho, u=base.u)
-
-        def pt(x, t):
-            d = s.partials(*pullback(x, t))
-            return Partials(rho_t=d.rho_t, rho_x=d.rho_x, u_t=d.u_t, u_x=d.u_x, u_xx=d.u_xx)
-    elif i == 3:
-        def pullback(x, t):
-            return x - eps * t, t
-
-        def ev(x, t):
-            base = s.eval(*pullback(x, t))
-            return StatePoint(rho=base.rho, u=eps + base.u)
-
-        def pt(x, t):
-            d = s.partials(*pullback(x, t))
-            return Partials(rho_t=d.rho_t - eps * d.rho_x, rho_x=d.rho_x,
-                            u_t=d.u_t - eps * d.u_x, u_x=d.u_x, u_xx=d.u_xx)
-    else:
-        def pullback(x, t):
-            return x - eps, t
-
-        def ev(x, t):
-            base = s.eval(*pullback(x, t))
-            return StatePoint(rho=base.rho, u=base.u)
-
-        def pt(x, t):
-            d = s.partials(*pullback(x, t))
-            return Partials(rho_t=d.rho_t, rho_x=d.rho_x, u_t=d.u_t, u_x=d.u_x, u_xx=d.u_xx)
+    def pt(x, t):
+        d = s.partials(*pullback(x, t))
+        return Partials(rho_t=a * a * d.rho_t - c * d.rho_x, rho_x=a * a * d.rho_x,
+                        u_t=a * d.u_t - c * d.u_x, u_x=a * d.u_x, u_xx=a * a * d.u_xx)
 
     def dom(x, t):
         return s.domain(*pullback(x, t))

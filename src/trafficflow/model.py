@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "require_all",
     "ModelParams",
     "StatePoint",
     "Partials",
@@ -23,6 +24,8 @@ __all__ = [
     "characteristic_speeds",
     "characteristic_eigenvectors",
     "fd_partials",
+    "fd_stencil_inside",
+    "step_scale",
     "default_fd_step",
     "residual_from_partials",
     "pde_residual",
@@ -31,6 +34,26 @@ __all__ = [
 
 class DomainError(ValueError):
     """Raised when an evaluation point (or FD stencil) leaves a sampler's domain."""
+
+    index = None    # on a grid: flat (C-order) index of the first failing point
+
+
+def require_all(ok, message: str, **values) -> None:
+    """Raise DomainError unless ok holds at the point, or at every point of a grid.
+
+    ``message`` is formatted with ``values`` and the grid ``index`` of the first
+    failing point in C order.
+    """
+    if ok if isinstance(ok, (bool, np.bool_)) else ok.all():
+        return
+    shape = np.broadcast_shapes(np.shape(ok), *(np.shape(v) for v in values.values()))
+    flat = int(np.argmin(np.broadcast_to(ok, shape)))
+    i = np.unravel_index(flat, shape)
+    err = DomainError(message.format(index=tuple(map(int, i)),
+                                     **{k: np.broadcast_to(v, shape)[i]
+                                        for k, v in values.items()}))
+    err.index = flat if shape else None
+    raise err
 
 
 @dataclass(frozen=True)
@@ -57,24 +80,45 @@ class ModelParams:
         return math.sqrt(self.A)
 
 
-@dataclass(frozen=True)
+# Value types of a single point; anything else is taken for an array.
+_POINT_TYPES = frozenset((float, int, np.float64))
+_INVALID = {"rho": "density must be finite and > 0, got rho={v}",
+            "u": "velocity must be finite, got u={v}"}
+
+
+def _validated(names, values) -> tuple:
+    """The values, broadcast to one shape on a grid; DomainError unless finite, rho > 0."""
+    where = ""
+    if not _POINT_TYPES.issuperset(map(type, values)):
+        values = np.broadcast_arrays(*values)
+        where = " at grid index {index}"
+    for name, v in zip(names, values):
+        ok = np.isfinite(v) & (v > 0.0) if name == "rho" else np.isfinite(v)
+        require_all(ok, _INVALID.get(name, f"non-finite derivative {name}={{v}}") + where, v=v)
+    return values
+
+
+@dataclass(slots=True)
 class StatePoint:
-    """Pointwise state (rho, u).  Density must be strictly positive."""
+    """State (rho, u) at a point or on a grid.  Density must be strictly positive.
+
+    Floats are checked on a fast path; arrays are broadcast to one shape."""
 
     rho: float
     u: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise DomainError(f"density must be finite and > 0, got rho={self.rho}")
-        if not math.isfinite(self.u):
-            raise DomainError(f"velocity must be finite, got u={self.u}")
+        rho, u = self.rho, self.u
+        if not (type(rho) in _POINT_TYPES and type(u) in _POINT_TYPES
+                and math.isfinite(rho) and rho > 0.0 and math.isfinite(u)):
+            self.rho, self.u = _validated(("rho", "u"), (rho, u))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Partials:
-    """First derivatives of (rho, u) plus u_xx at a point.
+    """First derivatives of (rho, u) plus u_xx at a point or on a grid.
 
+    Like StatePoint, the fields are floats or arrays broadcast to one shape.
     ``method`` records provenance: "analytic" for closed-form derivatives,
     "fd" for central finite differences (with order and step recorded).
     """
@@ -89,13 +133,14 @@ class Partials:
     fd_step: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("rho_t", "rho_x", "u_t", "u_x", "u_xx"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"non-finite derivative {name}={getattr(self, name)}")
+        values = (self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx)
+        if not (_POINT_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))):
+            self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx = \
+                _validated(("rho_t", "rho_x", "u_t", "u_x", "u_xx"), values)
         if self.method == "fd":
             if self.fd_order not in (2, 4):
                 raise ValueError("fd provenance requires order in {2, 4}")
-            if self.fd_step is None or self.fd_step <= 0.0:
+            if self.fd_step is None or not np.all(self.fd_step > 0.0):
                 raise ValueError("fd provenance requires step > 0")
 
 
@@ -103,6 +148,8 @@ class Partials:
 class SolutionSampler:
     """A field (x, t) -> (rho, u), optionally with analytic partials.
 
+    Each callable takes floats, or arrays that broadcast together, and
+    returns floats or arrays of that shape (``domain`` a bool or a mask).
     ``domain`` must be true wherever ``eval`` returns finite values with
     rho > 0.  ``partials`` may be None, in which case residuals fall back to
     finite differences.
@@ -112,9 +159,9 @@ class SolutionSampler:
     domain: Callable[[float, float], bool] = field(default=lambda x, t: True)
     partials: Optional[Callable[[float, float], Partials]] = None
 
-    def require_in_domain(self, x: float, t: float) -> None:
-        if not self.domain(x, t):
-            raise DomainError(f"point (x={x}, t={t}) is outside the sampler domain")
+    def require_in_domain(self, x, t) -> None:
+        require_all(self.domain(x, t), "point (x={x}, t={t}) is outside the sampler domain",
+                    x=x, t=t)
 
 
 def pressure(p: ModelParams, s: StatePoint, u_x: float) -> float:
@@ -148,9 +195,16 @@ def characteristic_eigenvectors(p: ModelParams, s: StatePoint):
     return l1, r1, l2, r2
 
 
-def default_fd_step(x: float, t: float) -> float:
+def step_scale(x, t):
+    """max(1, |x|, |t|): a float at a point, elementwise on arrays."""
+    if isinstance(x, float) and isinstance(t, float):
+        return max(1.0, abs(x), abs(t))
+    return np.maximum(np.maximum(abs(x), abs(t)), 1.0)
+
+
+def default_fd_step(x, t):
     """Scale-adapted central-difference step h = 1e-3 * max(1, |x|, |t|)."""
-    return 1e-3 * max(1.0, abs(x), abs(t))
+    return 1e-3 * step_scale(x, t)
 
 
 # Central first-derivative stencils: (offsets, weights)
@@ -162,12 +216,21 @@ _FD2_SECOND = ((-1, 0, 1), (1.0, -2.0, 1.0))
 _FD4_SECOND = ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0))
 
 
-def fd_partials(s: SolutionSampler, x: float, t: float, order: int = 4,
-                h: Optional[float] = None) -> Partials:
+def fd_stencil_inside(s: SolutionSampler, x, t, order: int, h):
+    """Where the order-2 or order-4 FD stencil of step h lies inside the domain."""
+    off2 = (_FD2_SECOND if order == 2 else _FD4_SECOND)[0]
+    inside = True
+    for k in off2:
+        inside = inside & s.domain(x + k * h, t) & s.domain(x, t + k * h)
+    return inside
+
+
+def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:
     """Central finite-difference partials of a sampler at (x, t).
 
     The full stencil (width 2 or 4 in each direction) must lie inside the
-    sampler domain, otherwise a DomainError is raised.
+    sampler domain, otherwise a DomainError is raised.  Each stencil node
+    is evaluated once, with one sampler call per node for a whole grid.
     """
     if order not in (2, 4):
         raise ValueError("fd order must be 2 or 4")
@@ -175,17 +238,17 @@ def fd_partials(s: SolutionSampler, x: float, t: float, order: int = 4,
         h = default_fd_step(x, t)
     offsets, w1 = _FD_STENCILS[order]
     off2, w2 = _FD2_SECOND if order == 2 else _FD4_SECOND
+    require_all(fd_stencil_inside(s, x, t, order, h),
+                f"order-{order} FD stencil with h={{h}} at (x={{x}}, t={{t}}) leaves the domain",
+                h=h, x=x, t=t)
 
-    for k in set(offsets) | set(off2):
-        if not (s.domain(x + k * h, t) and s.domain(x, t + k * h)):
-            raise DomainError(
-                f"order-{order} FD stencil with h={h} at (x={x}, t={t}) leaves the domain")
-
-    rho_x = sum(w * s.eval(x + k * h, t).rho for k, w in zip(offsets, w1)) / h
-    u_x = sum(w * s.eval(x + k * h, t).u for k, w in zip(offsets, w1)) / h
-    rho_t = sum(w * s.eval(x, t + k * h).rho for k, w in zip(offsets, w1)) / h
-    u_t = sum(w * s.eval(x, t + k * h).u for k, w in zip(offsets, w1)) / h
-    u_xx = sum(w * s.eval(x + k * h, t).u for k, w in zip(off2, w2)) / (h * h)
+    at_x = {k: s.eval(x + k * h, t) for k in off2}
+    at_t = {k: s.eval(x, t + k * h) for k in offsets}
+    rho_x = sum(w * at_x[k].rho for k, w in zip(offsets, w1)) / h
+    u_x = sum(w * at_x[k].u for k, w in zip(offsets, w1)) / h
+    rho_t = sum(w * at_t[k].rho for k, w in zip(offsets, w1)) / h
+    u_t = sum(w * at_t[k].u for k, w in zip(offsets, w1)) / h
+    u_xx = sum(w * at_x[k].u for k, w in zip(off2, w2)) / (h * h)
     return Partials(rho_t=rho_t, rho_x=rho_x, u_t=u_t, u_x=u_x, u_xx=u_xx,
                     method="fd", fd_order=order, fd_step=h)
 
@@ -201,12 +264,13 @@ def residual_from_partials(p: ModelParams, s: StatePoint, d: Partials) -> tuple[
     return r1, r2
 
 
-def pde_residual(p: ModelParams, s: SolutionSampler, x: float, t: float,
-                 method: str = "auto", h: Optional[float] = None) -> tuple[float, float]:
+def pde_residual(p: ModelParams, s: SolutionSampler, x, t,
+                 method: str = "auto", h=None) -> tuple[float, float]:
     """Evaluate the governing-system residuals of a sampler at (x, t).
 
     method: "auto" (analytic partials when available, else order-4 FD),
-    "analytic", "fd2" or "fd4".  Residuals are returned as raw signed values.
+    "analytic", "fd2" or "fd4".  Residuals are returned as raw signed values,
+    floats at a point and arrays on a grid.
     """
     s.require_in_domain(x, t)
     if method == "auto":
@@ -221,6 +285,6 @@ def pde_residual(p: ModelParams, s: SolutionSampler, x: float, t: float,
         raise ValueError(f"unknown derivative method {method!r}")
     state = s.eval(x, t)
     r1, r2 = residual_from_partials(p, state, d)
-    if not (math.isfinite(r1) and math.isfinite(r2)):
-        raise DomainError(f"non-finite residual at (x={x}, t={t}): ({r1}, {r2})")
+    require_all(np.isfinite(r1) & np.isfinite(r2),
+                "non-finite residual at (x={x}, t={t}): ({r1}, {r2})", x=x, t=t, r1=r1, r2=r2)
     return r1, r2

@@ -9,12 +9,12 @@ tests and for generating smooth fields for conservation checks.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .model import DomainError, ModelParams, SolutionSampler
+from .model import DomainError, ModelParams, SolutionSampler, require_all
 
 __all__ = [
     "SolverError",
@@ -220,14 +220,9 @@ def _initial_field(ic: Union[SolutionSampler, Field], grid: Grid, t0: float) -> 
             raise ValueError(f"initial field is at t={ic.t}, run starts at t0={t0}")
         return ic.copy()
     xs = grid.centers()
-    rho = np.empty(grid.nx)
-    u = np.empty(grid.nx)
-    for i, x in enumerate(xs):
-        if not ic.domain(float(x), t0):
-            raise DomainError(f"initial condition undefined at x={x}, t={t0}")
-        st = ic.eval(float(x), t0)
-        rho[i], u[i] = st.rho, st.u
-    return Field(t=t0, rho=rho, u=u)
+    require_all(ic.domain(xs, t0), "initial condition undefined at x={x}, t={t}", x=xs, t=t0)
+    st = ic.eval(xs, t0)
+    return Field(t=t0, rho=st.rho, u=st.u)
 
 
 def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: float,
@@ -279,15 +274,10 @@ def error_norms(f: Field, s: SolutionSampler, grid: Grid) -> dict:
     is second-order consistent and adequate for first-order schemes.
     """
     xs = grid.centers()
-    rho_ref = np.empty(grid.nx)
-    u_ref = np.empty(grid.nx)
-    for i, x in enumerate(xs):
-        if not s.domain(float(x), f.t):
-            raise DomainError(f"sampler undefined at x={x}, t={f.t}")
-        st = s.eval(float(x), f.t)
-        rho_ref[i], u_ref[i] = st.rho, st.u
+    require_all(s.domain(xs, f.t), "sampler undefined at x={x}, t={t}", x=xs, t=f.t)
+    st = s.eval(xs, f.t)
     out = {}
-    for name, got, ref in (("rho", f.rho, rho_ref), ("u", f.u, u_ref)):
+    for name, got, ref in (("rho", f.rho, st.rho), ("u", f.u, st.u)):
         diff = np.abs(got - ref)
         out[name] = (float(np.sum(diff) * grid.dx), float(np.max(diff)))
     return out
@@ -322,9 +312,7 @@ def convergence_order(cfg: SolverConfig, s: SolutionSampler, nx_list: list,
     dxs = []
     for nx in nx_list:
         grid = Grid.over(base.x0, base.x0 + base.span, nx)
-        c = SolverConfig(grid=grid, params=cfg.params, scheme=cfg.scheme, cfl=cfg.cfl,
-                         bc=cfg.bc, dirichlet_sampler=cfg.dirichlet_sampler)
-        traj = run(c, s, t0, t_end)
+        traj = run(replace(cfg, grid=grid), s, t0, t_end)
         norms = error_norms(traj.fields[-1], s, grid)
         for var in errors:
             errors[var].append(norms[var][0])

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DomainError, SolutionSampler
+from .model import DomainError, SolutionSampler, require_all
 
 __all__ = [
     "AmplitudeProblem",
@@ -155,10 +155,10 @@ def characteristic_path(prob: AmplitudeProblem, t_end: float, dt: float):
     return ts, _rk4_path(prob, prob.x0, ts)
 
 
-def psi_along(prob: AmplitudeProblem, x: float, t: float) -> float:
-    """Damping coefficient Psi = (sqrt(A) rho_x / rho + 5 u_x) / 2."""
-    if not prob.background.domain(x, t):
-        raise DomainError(f"(x={x}, t={t}) outside the background domain")
+def psi_along(prob: AmplitudeProblem, x, t):
+    """Damping coefficient Psi = (sqrt(A) rho_x / rho + 5 u_x) / 2, at points or on arrays."""
+    require_all(prob.background.domain(x, t), "(x={x}, t={t}) outside the background domain",
+                x=x, t=t)
     st = prob.background.eval(x, t)
     d = prob.background.partials(x, t)
     return 0.5 * (math.sqrt(prob.A) * d.rho_x / st.rho + 5.0 * d.u_x)
@@ -171,7 +171,7 @@ def _integrate_along(prob: AmplitudeProblem, x0: float, ts: np.ndarray,
     Returns (xs, psi, G, E, F) on the nodes ts, integrated by cumulative Simpson.
     """
     xs = _rk4_path(prob, x0, ts)
-    psi = np.array([psi_along(prob, float(x), float(t)) for x, t in zip(xs, ts)])
+    psi = psi_along(prob, xs, ts)
     if not np.all(np.isfinite(psi)):
         raise DomainError("Psi is singular on the integration interval")
     G = G0 + _cumulative_simpson(psi, ts)
@@ -285,7 +285,8 @@ def amplitude_direct(prob: AmplitudeProblem, t_end: float, dt: float) -> Amplitu
     Independent oracle for ``amplitude_quadrature``.  When |pi| exceeds 1e12
     the trace is truncated and a two-step window around the triggering step
     is reported as the blow-up bracket (the threshold crossing can lag the
-    pole by up to one step).
+    pole by up to one step).  A path that leaves the background domain is no
+    blow-up: it raises DomainError.
     """
     if t_end <= prob.t0:
         raise ValueError("t_end must exceed t0")
@@ -306,7 +307,7 @@ def amplitude_direct(prob: AmplitudeProblem, t_end: float, dt: float) -> Amplitu
             k2x, k2p = rhs(x + 0.5 * h * k1x, pi + 0.5 * h * k1p, t + 0.5 * h)
             k3x, k3p = rhs(x + 0.5 * h * k2x, pi + 0.5 * h * k2p, t + 0.5 * h)
             k4x, k4p = rhs(x + h * k3x, pi + h * k3p, t + h)
-        except (OverflowError, ValueError):
+        except OverflowError:
             return AmplitudeTrace(times=ts[:k + 1], xs=np.array(xs), pi=np.array(pis),
                                   blowup_bracket=(float(ts[max(k - 1, 0)]), float(ts[k + 1])))
         x_new = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
