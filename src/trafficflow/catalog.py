@@ -24,7 +24,7 @@ Families:
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,6 +39,8 @@ __all__ = [
     "CatalogEntry",
     "VerifyReport",
     "KINK_SHAPES",
+    "Family",
+    "FAMILIES",
     "ENTRY_PARAMS",
     "make_entry",
     "verify_entry",
@@ -114,19 +116,6 @@ KINK_SHAPES: dict[str, tuple] = {
     ),
 }
 
-# Required entry parameters, used by the CLI for exhaustive diagnostics.
-ENTRY_PARAMS: dict[str, tuple[str, ...]] = {
-    "T1": ("p1", "p2", "b"),
-    "T2": ("p1", "b"),
-    "T3": ("p1", "b"),
-    "T4": ("p1", "b"),
-    "P522": ("p1", "p2", "e2", "e3", "e4"),
-    "E3ZERO": ("p1", "e1", "e2", "e4"),
-    "KINK": ("mshape", "c1"),
-    "NEGCTRL": (),
-}
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     kind: str
@@ -169,6 +158,8 @@ def _require(cond: bool, msg: str) -> None:
 
 def _filled(value, x, t):
     """A constant in the broadcast shape of (x, t): itself at a point."""
+    if isinstance(x, float) and isinstance(t, float):
+        return value
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
     return np.full(shape, value) if shape else value
 
@@ -464,23 +455,40 @@ def _negctrl() -> CatalogEntry:
                         _eval=ev, _partials=pt, _domain=dom, _default_region=region)
 
 
-_FACTORIES = {
-    "T1": _t1,
-    "T2": _t2,
-    "T3": _t3,
-    "T4": _t4,
-    "P522": _p522,
-    "E3ZERO": _e3zero,
-    "KINK": _kink,
-    "NEGCTRL": _negctrl,
+class Family(NamedTuple):
+    """A catalog family: its entry factory, required keys and one-line summary."""
+
+    factory: Callable[..., CatalogEntry]
+    params: tuple[str, ...]
+    summary: str
+
+
+FAMILIES: dict[str, Family] = {
+    "T1": Family(_t1, ("p1", "p2", "b"),
+                 "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D"),
+    "T2": Family(_t2, ("p1", "b"), "branch family in sqrt((x+b)^2-4At^2); D=0"),
+    "T3": Family(_t3, ("p1", "b"),
+                 "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0"),
+    "T4": Family(_t4, ("p1", "b"), "constants rho=p1/sqrt(A), u=b+sqrt(A); D=0, A>0"),
+    "P522": Family(_p522, ("p1", "p2", "e2", "e3", "e4"),
+                   "pressureless similarity solution; requires A=0, D=0"),
+    "E3ZERO": Family(_e3zero, ("p1", "e1", "e2", "e4"),
+                     "T2 family in (e1 x + e4, e1 t + e2); D=0"),
+    "KINK": Family(_kink, ("mshape", "c1"),
+                   "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); mshape in "
+                   "{sin, sec, cos, gauss}; D=0; status adjudicated by the harness"),
+    "NEGCTRL": Family(_negctrl, (), "rho=x+2, u=1; deliberate non-solution (negative control)"),
 }
+
+# Required entry parameters, used by the CLI for exhaustive diagnostics.
+ENTRY_PARAMS: dict[str, tuple[str, ...]] = {kind: f.params for kind, f in FAMILIES.items()}
 
 
 def make_entry(kind: str, **params) -> CatalogEntry:
     """Build a catalog entry by family name; see ENTRY_PARAMS for required keys."""
-    if kind not in _FACTORIES:
-        raise ValueError(f"unknown catalog entry {kind!r}; known: {sorted(_FACTORIES)}")
-    return _FACTORIES[kind](**params)
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown catalog entry {kind!r}; known: {sorted(FAMILIES)}")
+    return FAMILIES[kind].factory(**params)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import (ENTRY_PARAMS, GridRegion, REFUTED, VERIFIED, make_entry,
+from .catalog import (ENTRY_PARAMS, FAMILIES, GridRegion, REFUTED, VERIFIED, make_entry,
                       verify_entry, verify_sampler)
 from .conservation import MultiplierConstants, divergence_residual, symmetry_conserved_vector
 from .lie import (AdjointParams, InfinitesimalParams, LieCoeffs, adjoint_apply,
@@ -489,20 +489,9 @@ def cmd_catalog(args, argv) -> int:
     if args.catalog_cmd != "list":
         raise UsageError("catalog supports: list")
     lines = []
-    notes = {
-        "T1": "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D",
-        "T2": "branch family in sqrt((x+b)^2-4At^2); D=0",
-        "T3": "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0",
-        "T4": "constants rho=p1/sqrt(A), u=b+sqrt(A); D=0, A>0",
-        "P522": "pressureless similarity solution; requires A=0, D=0",
-        "E3ZERO": "T2 family in (e1 x + e4, e1 t + e2); D=0",
-        "KINK": "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); mshape in "
-                "{sin, sec, cos, gauss}; D=0; status adjudicated by the harness",
-        "NEGCTRL": "rho=x+2, u=1; deliberate non-solution (negative control)",
-    }
-    for kind in sorted(ENTRY_PARAMS):
-        req = ", ".join(ENTRY_PARAMS[kind]) or "(no parameters)"
-        lines.append(f"{kind:8s} params: {req:28s} {notes[kind]}")
+    for kind, fam in sorted(FAMILIES.items()):
+        req = ", ".join(fam.params) or "(no parameters)"
+        lines.append(f"{kind:8s} params: {req:28s} {fam.summary}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

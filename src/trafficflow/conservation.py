@@ -41,9 +41,6 @@ class MultiplierConstants:
     c2: float = 0.0
     c3: float = 0.0
 
-    def is_zero(self) -> bool:
-        return self.c1 == 0.0 and self.c2 == 0.0 and self.c3 == 0.0
-
 
 @dataclass(frozen=True)
 class ConservedPair:
@@ -67,6 +64,11 @@ def basic_conserved(p: ModelParams, s: StatePoint) -> tuple[ConservedPair, Conse
     return mass, mom
 
 
+def _substitution(c: MultiplierConstants, p: ModelParams, s: StatePoint):
+    """(h, g) = (c1*u - c1*A/rho + c3, (rho + u)*c1 + c2), at a point or on arrays."""
+    return c.c1 * s.u - c.c1 * p.A / s.rho + c.c3, (s.rho + s.u) * c.c1 + c.c2
+
+
 def self_adjoint_substitution(c: MultiplierConstants, p: ModelParams, s: StatePoint):
     """Substitution (h, g) certifying nonlinear self-adjointness, plus multipliers.
 
@@ -74,8 +76,7 @@ def self_adjoint_substitution(c: MultiplierConstants, p: ModelParams, s: StatePo
     l1 = -g_rho, l2 = -g_u, l3 = -h_rho, l4 = -h_u.
     Returns (h, g, l1, l2, l3, l4).
     """
-    h = c.c1 * s.u - c.c1 * p.A / s.rho + c.c3
-    g = (s.rho + s.u) * c.c1 + c.c2
+    h, g = _substitution(c, p, s)
     l1 = -c.c1
     l2 = -c.c1
     l3 = -c.c1 * p.A / s.rho ** 2
@@ -115,7 +116,7 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
     xp, xm, tp, tm = (s.eval(x + h_step, t), s.eval(x - h_step, t),
                       s.eval(x, t + h_step), s.eval(x, t - h_step))
     (h_xp, g_xp), (h_xm, g_xm), (h_tp, g_tp), (h_tm, g_tm) = (
-        self_adjoint_substitution(c, p, q)[:2] for q in (xp, xm, tp, tm))
+        _substitution(c, p, q) for q in (xp, xm, tp, tm))
     h_x = (h_xp - h_xm) / (2.0 * h_step)
     h_t = (h_tp - h_tm) / (2.0 * h_step)
     g_x = (g_xp - g_xm) / (2.0 * h_step)
@@ -168,8 +169,7 @@ def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams
     A, D = p.A, p.D
     c1, c2, c3 = c.c1, c.c2, c.c3
 
-    g = c1 * (rho + u) + c2
-    h = c1 * u - c1 * A / rho + c3
+    h, g = _substitution(c, p, st)
     # Recurring brackets of the published rows.
     visc = -c1 * D * d.u_x / rho + D * (c1 * u + c2) * d.rho_x / (rho * rho)
     Q = (c1 * u + c3) * u + (c1 * rho + c2) * A / rho

@@ -141,17 +141,22 @@ def _rk4_path(prob: AmplitudeProblem, x0: float, ts: np.ndarray) -> np.ndarray:
     return xs
 
 
-def characteristic_path(prob: AmplitudeProblem, t_end: float, dt: float):
-    """Integrate dx/dt = u + sqrt(A) from (x0, t0) with classical RK4.
-
-    Returns (ts, xs).  The final step is shortened to land exactly on t_end.
-    """
+def _time_nodes(prob: AmplitudeProblem, t_end: float, dt: float) -> np.ndarray:
+    """Equal steps of at most dt from t0 to t_end, the last node exactly on t_end."""
     if t_end <= prob.t0:
         raise ValueError("t_end must exceed t0")
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     nsteps = max(1, math.ceil((t_end - prob.t0) / dt - 1e-12))
-    ts = np.linspace(prob.t0, t_end, nsteps + 1)
+    return np.linspace(prob.t0, t_end, nsteps + 1)
+
+
+def characteristic_path(prob: AmplitudeProblem, t_end: float, dt: float):
+    """Integrate dx/dt = u + sqrt(A) from (x0, t0) with classical RK4.
+
+    Returns (ts, xs) on equal steps of at most dt, the last node on t_end.
+    """
+    ts = _time_nodes(prob, t_end, dt)
     return ts, _rk4_path(prob, prob.x0, ts)
 
 
@@ -196,26 +201,25 @@ class AmplitudeSolution:
 def _limit_F(prob: AmplitudeProblem, t_end: float, n: int) -> float:
     """Numeric limit of F(t) as t -> inf by Aitken extrapolation on a tail.
 
+    F is read at t0 + 4L, 8L and 16L, L = max(t_end - t0, 10), on one path.
     Returns math.inf when F keeps growing linearly (no damping), and NaN
     when the background domain does not extend far enough to see the tail.
     """
     L = max(t_end - prob.t0, 10.0)
-    vals = []
+    m = -(-max(n, 4000) // 4) * 4      # a multiple of 4, so each mark is a node
+    ts = np.linspace(prob.t0, prob.t0 + 16.0 * L, m + 1)
     try:
-        for mult in (1.0, 2.0, 4.0):
-            T = prob.t0 + mult * 4.0 * L
-            ts = np.linspace(prob.t0, T, max(n, 4000) + 1)
-            F = _integrate_along(prob, prob.x0, ts)[-1]
-            vals.append(float(F[-1]))
+        F = _integrate_along(prob, prob.x0, ts)[-1]
     except DomainError:
         return math.nan
-    d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
+    f1, f2, f3 = (float(F[k]) for k in (m // 4, m // 2, m))
+    d1, d2 = f2 - f1, f3 - f2
     if d2 <= 0.0:
-        return vals[2]
+        return f3
     if d2 >= 0.98 * d1:
         return math.inf
     # geometric-tail sum: remaining increments are d2*r + d2*r^2 + ... with r = d2/d1
-    return vals[2] + d2 * d2 / (d1 - d2)
+    return f3 + d2 * d2 / (d1 - d2)
 
 
 def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) -> AmplitudeSolution:
@@ -262,9 +266,10 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
             if root is not None:
                 shock_time = root
 
-    pi = prob.pi0 * E / (1.0 + prob.pi0 * F)
-    if math.isfinite(shock_time):
-        pi = np.where(ts < shock_time, pi, math.nan)
+    # NaN at and past the shock, where 1 + pi0 F has reached 0: only earlier nodes divide.
+    live = ts < shock_time
+    pi = np.full_like(ts, math.nan)
+    pi[live] = prob.pi0 * E[live] / (1.0 + prob.pi0 * F[live])
     return AmplitudeSolution(times=ts, xs=xs, psi=psi, E=E, F=F, pi=pi,
                              pi_c=pi_c, shock_time=shock_time)
 
@@ -288,10 +293,7 @@ def amplitude_direct(prob: AmplitudeProblem, t_end: float, dt: float) -> Amplitu
     pole by up to one step).  A path that leaves the background domain is no
     blow-up: it raises DomainError.
     """
-    if t_end <= prob.t0:
-        raise ValueError("t_end must exceed t0")
-    nsteps = max(1, math.ceil((t_end - prob.t0) / dt - 1e-12))
-    ts = np.linspace(prob.t0, t_end, nsteps + 1)
+    ts = _time_nodes(prob, t_end, dt)
 
     def rhs(x: float, pi: float, t: float) -> tuple[float, float]:
         lam = _lambda2(prob, x, t)
@@ -299,7 +301,7 @@ def amplitude_direct(prob: AmplitudeProblem, t_end: float, dt: float) -> Amplitu
 
     xs = [prob.x0]
     pis = [prob.pi0]
-    for k in range(nsteps):
+    for k in range(len(ts) - 1):
         t, h = float(ts[k]), float(ts[k + 1] - ts[k])
         x, pi = xs[-1], pis[-1]
         try:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import trafficflow.cli as cli
+from trafficflow.catalog import ENTRY_PARAMS
 from trafficflow.cli import main
 from trafficflow.solver import PositivityError
 
@@ -258,6 +259,11 @@ def test_catalog_list(capsys):
     assert code == 0
     for kind in ("T1", "T2", "T3", "T4", "P522", "E3ZERO", "KINK", "NEGCTRL"):
         assert kind in out
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == sorted(ENTRY_PARAMS)
+    for line in lines:
+        kind, _, rest = line.partition(" params: ")
+        assert rest[:28].rstrip() == (", ".join(ENTRY_PARAMS[kind.strip()]) or "(no parameters)")
 
 
 def _digest(path: Path) -> str:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,41 @@ def test_critical_amplitude_numeric_limit():
     sol3 = amplitude_quadrature(p3, 15.0, n=1000)
     # Psi = 2/t gives E = t^-2, F(inf) = t0 = 1
     assert abs(sol3.pi_c - 1.0) <= 1e-3
+
+
+def test_tail_limit_integrates_one_path():
+    # One path to t0 + 16L supplies F at all three marks: 4 RK4 stages on
+    # 1000 + 4000 steps plus the bisection; three restarted tail paths cost 54,084.
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    evals = 0
+
+    def ev(x, t):
+        nonlocal evals
+        evals += 1
+        return s.eval(x, t)
+
+    counted = SolutionSampler(eval=ev, domain=s.domain, partials=s.partials)
+    prob = AmplitudeProblem(background=counted, A=1.0, x0=0.0, t0=1.0, pi0=-2.0)
+    sol = amplitude_quadrature(prob, 3.0, n=1000)
+    assert evals <= 23000
+    assert abs(sol.pi_c - 0.75) <= 1e-4
+
+
+def test_shock_on_a_node_divides_by_nothing():
+    # T4 has Psi = 0, so F = t - t0 and 1 + pi0 F vanishes on the last node.
+    s = make_entry("T4", p1=1, b=0.5).sampler(MP1)
+    prob = AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=-0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = amplitude_quadrature(prob, 3.0, n=400)
+    assert sol.shock_time == 3.0
+    assert np.isnan(sol.pi[-1]) and np.all(np.isfinite(sol.pi[:-1]))
+
+
+def test_direct_rejects_a_non_positive_step():
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            amplitude_direct(_t1_problem(0.1), 3.0, dt)
 
 
 def test_shock_time_supercritical():
