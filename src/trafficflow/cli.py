@@ -264,8 +264,10 @@ def _field_from_csv(path: Path):
     if header[:3] != ["x", "rho", "u"]:
         raise ParseError(f"IC csv must have header x,rho,u, got {lines[0]!r}")
     xs, rho, u = [], [], []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         vals = [float(v) for v in line.split(",")]
+        if len(vals) < 3:
+            raise ParseError(f"IC csv line {lineno} needs the fields x,rho,u, got {line!r}")
         xs.append(vals[0])
         rho.append(vals[1])
         u.append(vals[2])

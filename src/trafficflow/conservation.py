@@ -200,6 +200,8 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     Converges to 0 at the finite-difference order on genuinely conserved
     rows evaluated on solutions, and to an O(1) value otherwise.
     """
+    if not h_step > 0.0:
+        raise ValueError(f"h_step must be > 0, got {h_step}")
     require_all(s.domain(x + h_step, t) & s.domain(x - h_step, t)
                 & s.domain(x, t + h_step) & s.domain(x, t - h_step),
                 "divergence stencil at (x={x}, t={t}) leaves domain", x=x, t=t)

@@ -55,6 +55,8 @@ class AmplitudeProblem:
     def __post_init__(self):
         if self.A <= 0.0:
             raise ValueError("A must be > 0")
+        if not math.isfinite(self.pi0):
+            raise ValueError(f"pi0 must be finite, got {self.pi0}")
         if self.background.partials is None:
             raise ValueError("amplitude problems need a background with analytic partials")
 
@@ -127,9 +129,9 @@ def _lambda2(prob: AmplitudeProblem, x: float, t: float) -> float:
     return prob.background.eval(x, t).u + math.sqrt(prob.A)
 
 
-def _rk4_path(prob: AmplitudeProblem, x0: float, ts: np.ndarray) -> np.ndarray:
+def _rk4_path(prob: AmplitudeProblem, ts: np.ndarray) -> np.ndarray:
     xs = np.empty_like(ts)
-    xs[0] = x0
+    xs[0] = prob.x0
     for k in range(len(ts) - 1):
         t, x = float(ts[k]), float(xs[k])
         dt = float(ts[k + 1]) - t
@@ -157,7 +159,7 @@ def characteristic_path(prob: AmplitudeProblem, t_end: float, dt: float):
     Returns (ts, xs) on equal steps of at most dt, the last node on t_end.
     """
     ts = _time_nodes(prob, t_end, dt)
-    return ts, _rk4_path(prob, prob.x0, ts)
+    return ts, _rk4_path(prob, ts)
 
 
 def psi_along(prob: AmplitudeProblem, x, t):
@@ -169,19 +171,17 @@ def psi_along(prob: AmplitudeProblem, x, t):
     return 0.5 * (math.sqrt(prob.A) * d.rho_x / st.rho + 5.0 * d.u_x)
 
 
-def _integrate_along(prob: AmplitudeProblem, x0: float, ts: np.ndarray,
-                     G0: float = 0.0, F0: float = 0.0):
-    """Path from (x0, ts[0]), then Psi, G = G0 + int Psi, E = exp(-G), F = F0 + int E.
+def _integrate_along(prob: AmplitudeProblem, ts: np.ndarray):
+    """Path from (prob.x0, ts[0]), then Psi, E = exp(-int Psi) and F = int E.
 
-    Returns (xs, psi, G, E, F) on the nodes ts, integrated by cumulative Simpson.
+    Returns (xs, psi, E, F) on the nodes ts, integrated by cumulative Simpson.
     """
-    xs = _rk4_path(prob, x0, ts)
+    xs = _rk4_path(prob, ts)
     psi = psi_along(prob, xs, ts)
     if not np.all(np.isfinite(psi)):
         raise DomainError("Psi is singular on the integration interval")
-    G = G0 + _cumulative_simpson(psi, ts)
-    E = np.exp(-G)
-    return xs, psi, G, E, F0 + _cumulative_simpson(E, ts)
+    E = np.exp(-_cumulative_simpson(psi, ts))
+    return xs, psi, E, _cumulative_simpson(E, ts)
 
 
 @dataclass
@@ -209,7 +209,7 @@ def _limit_F(prob: AmplitudeProblem, t_end: float, n: int) -> float:
     m = -(-max(n, 4000) // 4) * 4      # a multiple of 4, so each mark is a node
     ts = np.linspace(prob.t0, prob.t0 + 16.0 * L, m + 1)
     try:
-        F = _integrate_along(prob, prob.x0, ts)[-1]
+        F = _integrate_along(prob, ts)[-1]
     except DomainError:
         return math.nan
     f1, f2, f3 = (float(F[k]) for k in (m // 4, m // 2, m))
@@ -225,11 +225,12 @@ def _limit_F(prob: AmplitudeProblem, t_end: float, n: int) -> float:
 def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) -> AmplitudeSolution:
     """Quadrature solution pi = pi0 E / (1 + pi0 F) on [t0, t_end].
 
-    E and F are computed by composite Simpson on n panels along the RK4
+    E and F are computed by composite Simpson on n panels along one RK4
     characteristic path.  pi_c uses the closed form 3/(2 (t0 + b)) when the
-    problem declares the T1-type damping, else a tail-extrapolated limit.
-    The shock time is the earliest root of 1 + pi0 F(t) = 0, located by
-    bisection, or +inf when no root exists in [t0, t_end].
+    problem declares the T1-type damping, else a tail-extrapolated limit on
+    a second path.  The shock time is the earliest root of 1 + pi0 F(t) = 0,
+    by bisection on the cubic Hermite interpolant of the node values of F
+    with slopes F' = E, or +inf when no root exists in [t0, t_end].
     """
     if t_end <= prob.t0:
         raise ValueError("t_end must exceed t0")
@@ -238,7 +239,7 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
     if n % 2:
         n += 1
     ts = np.linspace(prob.t0, t_end, n + 1)
-    xs, psi, G, E, F = _integrate_along(prob, prob.x0, ts)
+    xs, psi, E, F = _integrate_along(prob, ts)
 
     if prob.psi_shift_b is not None:
         pi_c = 3.0 / (2.0 * (prob.t0 + prob.psi_shift_b))
@@ -252,19 +253,17 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
         sign_change = np.nonzero(denom[:-1] * denom[1:] <= 0.0)[0]
         if sign_change.size:
             j = int(sign_change[0])
+            ta, tb = float(ts[j]), float(ts[j + 1])
+            h = tb - ta
+            Fa, Fb, hEa, hEb = float(F[j]), float(F[j + 1]), h * float(E[j]), h * float(E[j + 1])
 
-            def F_local(t: float) -> float:
-                # F between grid nodes: resume the path from node j and add a
-                # fine local Simpson increment of E.
-                if t <= ts[j]:
-                    return float(F[j])
-                sub = np.linspace(ts[j], t, 17)
-                return float(_integrate_along(prob, float(xs[j]), sub, G[j], F[j])[-1][-1])
+            def F_between(t: float) -> float:
+                # weights exactly (1, 0, 0, 0) at ta and (0, 1, 0, 0) at tb: the node values
+                r = (t - ta) / h
+                w = r * r * (3.0 - 2.0 * r)
+                return (1.0 - w) * Fa + w * Fb + r * (r - 1.0) * ((r - 1.0) * hEa + r * hEb)
 
-            root = _bisect(lambda t: 1.0 + prob.pi0 * F_local(t),
-                           float(ts[j]), float(ts[j + 1]), xtol=1e-12)
-            if root is not None:
-                shock_time = root
+            shock_time = _bisect(lambda t: 1.0 + prob.pi0 * F_between(t), ta, tb, xtol=1e-12)
 
     # NaN at and past the shock, where 1 + pi0 F has reached 0: only earlier nodes divide.
     live = ts < shock_time

@@ -182,6 +182,29 @@ def test_simulate_csv_ic_roundtrip(capsys, tmp_path):
     assert out.read_text().startswith("t,x,rho,u\n")
 
 
+def test_simulate_csv_ic_short_row_exit_65(capsys, tmp_path):
+    ic = tmp_path / "ic.csv"
+    rows = ["x,rho,u"] + [f"{0.05 + 0.1 * i},1.0,0.0" for i in range(10)]
+    rows[3] = "0.25,1.0"
+    ic.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(capsys, "simulate", "--ic", str(ic), "--t-end", "0.1",
+                           "--out", str(tmp_path / "run.csv"))
+    assert code == 65
+    assert "line 4" in err and "0.25,1.0" in err
+
+
+def test_simulate_solver_error_exit_4(capsys, tmp_path):
+    # |u| = 1e200 drives the CFL step far below the 1e-12 floor on the first step.
+    ic = tmp_path / "ic.csv"
+    xs = np.linspace(0.05, 1.95, 20)
+    rows = ["x,rho,u"] + [f"{x},1.0,{1e200 if i < 10 else 0.0}" for i, x in enumerate(xs)]
+    ic.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(capsys, "simulate", "--ic", str(ic), "--t-end", "0.1",
+                           "--out", str(tmp_path / "run.csv"))
+    assert code == 4
+    assert err.startswith("solver error: CFL underflow")
+
+
 def test_simulate_positivity_abort_exit_4(capsys, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise PositivityError(7, 0.25, -1e-3)
@@ -218,6 +241,14 @@ def test_conserve_csv(capsys, tmp_path):
     assert max(divs) < 1e-3      # O(h^2) discretisation of an exactly conserved row
 
 
+def test_conserve_non_positive_step_exit_65(capsys, tmp_path):
+    for h in ("0", "-1e-3", "nan"):
+        code, _, err = run_cli(capsys, "conserve", "--entry", "T1?p1=1&p2=2&b=1",
+                               "--which", "S4", "--c", "1,0,0", f"--h-step={h}",
+                               "--out", str(tmp_path / "cons.csv"))
+        assert code == 65 and "h_step must be > 0" in err
+
+
 def test_wavefront_outputs_and_summary(capsys, tmp_path):
     out = tmp_path / "wf.csv"
     code, summary = out_json(capsys, "wavefront", "--background", "T1?p1=0&p2=1&b=1",
@@ -246,6 +277,17 @@ def test_wavefront_zero_amplitude_column(capsys, tmp_path):
     assert code == 0
     pis = [float(line.split(",")[5]) for line in out.read_text().strip().split("\n")[1:]]
     assert all(v == 0.0 for v in pis)
+
+
+def test_wavefront_shock_on_a_node(capsys, tmp_path):
+    # pi0 = -1/F at t = 1.285 (node 57 of 400): the shock sits on a node.
+    out = tmp_path / "w.csv"
+    code, stdout, err = run_cli(capsys, "wavefront", "--background", "T1?p1=1&p2=2&b=1",
+                                "--A", "1", "--pi0", "-4.140703747289027", "--t0", "1",
+                                "--t-end", "3", "--n", "400", "--out", str(out))
+    assert code == 0 and err == ""
+    assert json.loads(stdout)["shock_time"] == 1.2850000000000001
+    assert "inf" not in out.read_text()
 
 
 def test_wavefront_refuted_background_exit_5(capsys):

@@ -176,7 +176,7 @@ def test_grid_consumers_make_one_call_per_stencil_node():
         grids = dict(calls)
         # The RK4 path stays sequential; Psi along it is one call.
         prob = wavefront.AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=0.1)
-        wavefront._integrate_along(prob, 0.0, np.linspace(1.0, 2.0, 10 * n + 1))
+        wavefront._integrate_along(prob, np.linspace(1.0, 2.0, 10 * n + 1))
         per_size.append((grids, calls["partials"] - grids["partials"]))
     assert per_size[0] == per_size[1]
     assert per_size[1][1] == 1

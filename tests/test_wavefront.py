@@ -125,21 +125,28 @@ def test_critical_amplitude_numeric_limit():
     assert abs(sol3.pi_c - 1.0) <= 1e-3
 
 
+def _counted_t1(closed_form):
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    calls = {"eval": 0, "partials": 0}
+
+    def count(name, fn):
+        def wrapped(x, t):
+            calls[name] += 1
+            return fn(x, t)
+        return wrapped
+
+    counted = SolutionSampler(eval=count("eval", s.eval), domain=s.domain,
+                              partials=count("partials", s.partials))
+    return lambda pi0: AmplitudeProblem(background=counted, A=1.0, x0=0.0, t0=1.0, pi0=pi0,
+                                        psi_shift_b=1.0 if closed_form else None), calls
+
+
 def test_tail_limit_integrates_one_path():
     # One path to t0 + 16L supplies F at all three marks: 4 RK4 stages on
-    # 1000 + 4000 steps plus the bisection; three restarted tail paths cost 54,084.
-    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
-    evals = 0
-
-    def ev(x, t):
-        nonlocal evals
-        evals += 1
-        return s.eval(x, t)
-
-    counted = SolutionSampler(eval=ev, domain=s.domain, partials=s.partials)
-    prob = AmplitudeProblem(background=counted, A=1.0, x0=0.0, t0=1.0, pi0=-2.0)
-    sol = amplitude_quadrature(prob, 3.0, n=1000)
-    assert evals <= 23000
+    # 1000 + 4000 steps; three restarted tail paths cost 54,084.
+    prob, calls = _counted_t1(closed_form=False)
+    sol = amplitude_quadrature(prob(-2.0), 3.0, n=1000)
+    assert calls["eval"] <= 23000
     assert abs(sol.pi_c - 0.75) <= 1e-4
 
 
@@ -152,6 +159,29 @@ def test_shock_on_a_node_divides_by_nothing():
         sol = amplitude_quadrature(prob, 3.0, n=400)
     assert sol.shock_time == 3.0
     assert np.isnan(sol.pi[-1]) and np.all(np.isfinite(sol.pi[:-1]))
+
+
+def test_shock_time_reads_the_node_data():
+    # One RK4 path of 1000 steps (4 evals each) plus Psi along it (1 eval, 1 partials):
+    # the shock bisection evaluates no background of its own.
+    prob, calls = _counted_t1(closed_form=True)
+    sol = amplitude_quadrature(prob(-2.0), 3.0, n=1000)
+    assert calls["eval"] <= 4001 and calls["partials"] == 1
+    expect = 2.0 * (1.0 - 3.0 / (4.0 * 2.0)) ** (-2.0 / 3.0) - 1.0
+    assert abs(sol.shock_time - expect) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [57, 71, 85])
+def test_shock_on_an_interior_node_is_found(k):
+    # pi0 = -1/F[k] puts the root of 1 + pi0 F on node k exactly; the bracket
+    # [t_k-1, t_k] must see the same sign change as the node values.
+    prob, _ = _counted_t1(closed_form=True)
+    base = amplitude_quadrature(prob(-2.0), 3.0, n=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = amplitude_quadrature(prob(-1.0 / float(base.F[k])), 3.0, n=400)
+    assert sol.shock_time == sol.times[k]
+    assert np.all(np.isfinite(sol.pi[:k])) and np.all(np.isnan(sol.pi[k:]))
 
 
 def test_direct_rejects_a_non_positive_step():
@@ -246,6 +276,9 @@ def test_problem_validation():
         AmplitudeProblem(background=bare, A=1.0, x0=0.0, t0=1.0, pi0=0.1)
     with pytest.raises(ValueError):
         AmplitudeProblem(background=s, A=0.0, x0=0.0, t0=1.0, pi0=0.1)
+    for pi0 in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=pi0)
     prob = _t1_problem(0.1)
     with pytest.raises(ValueError):
         amplitude_quadrature(prob, 0.5, n=100)   # t_end <= t0
