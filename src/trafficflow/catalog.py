@@ -533,21 +533,20 @@ def _fd2_floor(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.n
 
 
 def verify_sampler(mp: ModelParams, sampler: SolutionSampler, region: GridRegion,
-                   tol: float, entry_id: str = "<sampler>",
-                   fd_order: int = 4) -> VerifyReport:
+                   tol: float, entry_id: str = "<sampler>") -> VerifyReport:
     """Residual harness over a grid; see module docstring for the status rules.
 
-    fd_order selects the stencil of the primary residual pass when the
-    sampler has no analytic partials.
+    The primary residual pass uses analytic partials when the sampler has
+    them and the order-4 FD stencil otherwise.
     """
-    if fd_order not in (2, 4):
-        raise ValueError("fd_order must be 2 or 4")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     x, t = np.meshgrid(region.xs(), region.ts())     # C order: x runs fastest
     require_all(sampler.domain(x, t), "region point (x={x}, t={t}) outside entry domain",
                 x=x, t=t)
 
     has_analytic = sampler.partials is not None
-    method = "analytic" if has_analytic else f"fd{fd_order}"
+    method = "analytic" if has_analytic else "fd4"
     r1, r2 = pde_residual(mp, sampler, x, t, method=method)
     max_r1, max_r2 = float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))
     rep = VerifyReport(entry_id=entry_id, status=PAPER_CLAIMED, tol=tol,
@@ -587,12 +586,12 @@ def verify_sampler(mp: ModelParams, sampler: SolutionSampler, region: GridRegion
 
 
 def verify_entry(entry: CatalogEntry, mp: ModelParams, region: Optional[GridRegion] = None,
-                 tol: float = 1e-8, fd_order: int = 4) -> VerifyReport:
+                 tol: float = 1e-8) -> VerifyReport:
     """Verify a catalog entry on a region (its default region if none given)."""
     sampler = entry.sampler(mp)
     if region is None:
         region = entry.default_region(mp)
-    rep = verify_sampler(mp, sampler, region, tol, entry_id=entry.id(), fd_order=fd_order)
+    rep = verify_sampler(mp, sampler, region, tol, entry_id=entry.id())
     if entry.note:
         rep.notes.append(entry.note)
     if entry.kind == "KINK":

@@ -205,10 +205,9 @@ def cmd_verify(args, argv) -> int:
     entry = parse_entry_spec(args.entry)
     mp = _model_from_args(args)
     region = _region_from_args(args, entry, mp)
-    rep = verify_entry(entry, mp, region, tol=args.tol, fd_order=args.fd_order)
+    rep = verify_entry(entry, mp, region, tol=args.tol)
     params = {
         "entry": args.entry, "A": args.A, "D": args.D, "tol": args.tol,
-        "fd_order": args.fd_order,
         "region": [region.x0, region.x1, region.nx, region.t0, region.t1, region.nt],
     }
     files = {}
@@ -338,7 +337,7 @@ def cmd_simulate(args, argv) -> int:
         out: _csv(["t", "x", "rho", "u"], rows),
         Path(str(out) + ".diagnostics.json"): _dump_json(diagnostics),
     }
-    params = {"ic": args.ic, "scheme": args.scheme, "nx": args.nx, "cfl": args.cfl,
+    params = {"ic": args.ic, "scheme": args.scheme, "nx": grid.nx, "cfl": args.cfl,
               "bc": args.bc, "A": args.A, "D": args.D, "t0": t0, "t_end": t_end,
               "snap": snaps, "x0": float(grid.x0), "x1": float(grid.x0 + grid.span),
               "out": str(out)}
@@ -524,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(sp)
     add_region(sp)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--fd-order", type=int, choices=(2, 4), default=4)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("simulate", help="finite-volume run or exact-surface emission")

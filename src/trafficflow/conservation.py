@@ -41,6 +41,10 @@ class MultiplierConstants:
     c2: float = 0.0
     c3: float = 0.0
 
+    def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.c1, self.c2, self.c3)):
+            raise ValueError(f"multiplier constants must be finite, got {self}")
+
 
 @dataclass(frozen=True)
 class ConservedPair:

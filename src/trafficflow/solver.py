@@ -122,22 +122,24 @@ class SolverConfig:
 
 
 def _extend(f: Field, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Append 2 ghost cells on each side; returns (rho_e, u_e) of length nx+4."""
+    """Add one ghost cell on each side; returns (rho_e, u_e) of length nx+2.
+
+    Dirichlet ghosts take the sampler's values at x0 - dx/2 and x1 + dx/2.
+    """
     g = cfg.grid
-    rho_e = np.empty(g.nx + 4)
-    u_e = np.empty(g.nx + 4)
-    rho_e[2:-2] = f.rho
-    u_e[2:-2] = f.u
+    rho_e = np.empty(g.nx + 2)
+    u_e = np.empty(g.nx + 2)
+    rho_e[1:-1] = f.rho
+    u_e[1:-1] = f.u
     if cfg.bc == "periodic":
-        rho_e[:2], rho_e[-2:] = f.rho[-2:], f.rho[:2]
-        u_e[:2], u_e[-2:] = f.u[-2:], f.u[:2]
+        rho_e[0], rho_e[-1] = f.rho[-1], f.rho[0]
+        u_e[0], u_e[-1] = f.u[-1], f.u[0]
     elif cfg.bc == "outflow":
-        rho_e[:2], rho_e[-2:] = f.rho[0], f.rho[-1]
-        u_e[:2], u_e[-2:] = f.u[0], f.u[-1]
+        rho_e[0], rho_e[-1] = f.rho[0], f.rho[-1]
+        u_e[0], u_e[-1] = f.u[0], f.u[-1]
     else:
         s = cfg.dirichlet_sampler
-        for slot, i in ((0, -2), (1, -1), (g.nx + 2, g.nx), (g.nx + 3, g.nx + 1)):
-            xg = g.x0 + (i + 0.5) * g.dx
+        for slot, xg in ((0, g.x0 - 0.5 * g.dx), (-1, g.x0 + (g.nx + 0.5) * g.dx)):
             if not s.domain(xg, f.t):
                 raise DomainError(f"dirichlet ghost cell at x={xg}, t={f.t} outside domain")
             st = s.eval(xg, f.t)
@@ -155,10 +157,11 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
     dt = cfl * dx / max(|u| + sqrt(A)) when D = 0.  When D > 0 the convective
     and viscous rates add, dt = cfl / (max(|u| + sqrt(A)) / dx
     + 2 D / (dx^2 min(rho))), since the explicit diffusion and the scheme's
-    own numerical diffusion share one stability budget.  dt is further
-    limited by dt_max (used to land exactly on snapshot times).  Raises
-    PositivityError if any updated density is non-positive, and SolverError
-    on CFL underflow (dt < 1e-12).
+    own numerical diffusion share one stability budget.  max and min run
+    over the cells the fluxes read: the physical cells and one ghost per
+    side.  dt is further limited by dt_max (used to land exactly on
+    snapshot times).  Raises PositivityError if any updated density is
+    non-positive, and SolverError on CFL underflow (dt < 1e-12).
     """
     p = cfg.params
     g = cfg.grid
@@ -177,24 +180,24 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
     if dt < 1e-12:
         raise SolverError(f"CFL underflow: dt={dt}")
 
-    # Interface states: L = cells 1..nx+1, R = cells 2..nx+2 of the extended
+    # Interface states: L = cells 0..nx, R = cells 1..nx+1 of the extended
     # array, giving the nx+1 interfaces bounding the physical cells.
-    rL, rR = rho_e[1:-2], rho_e[2:-1]
-    mL, mR = m_e[1:-2], m_e[2:-1]
+    rL, rR = rho_e[:-1], rho_e[1:]
+    mL, mR = m_e[:-1], m_e[1:]
     F1L, F2L = _flux(rL, mL, p.A)
     F1R, F2R = _flux(rR, mR, p.A)
     if cfg.scheme == "lax_friedrichs":
         alpha = max_speed
     else:
-        alpha = np.maximum(speed[1:-2], speed[2:-1])
+        alpha = np.maximum(speed[:-1], speed[1:])
     F1 = 0.5 * (F1L + F1R) - 0.5 * alpha * (rR - rL)
     F2 = 0.5 * (F2L + F2R) - 0.5 * alpha * (mR - mL)
 
     lam = dt / g.dx
     rho_new = f.rho - lam * (F1[1:] - F1[:-1])
-    m_new = f.rho * f.u - lam * (F2[1:] - F2[:-1])
+    m_new = m_e[1:-1] - lam * (F2[1:] - F2[:-1])
     if p.D > 0.0:
-        u_xx = (u_e[3:-1] - 2.0 * u_e[2:-2] + u_e[1:-3]) / g.dx ** 2
+        u_xx = (u_e[2:] - 2.0 * u_e[1:-1] + u_e[:-2]) / g.dx ** 2
         m_new = m_new + dt * p.D * u_xx
 
     t_new = f.t + dt
@@ -242,14 +245,8 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
 
     dx = cfg.grid.dx
     c = cfg.params.sqrt_A
-    pending = [s for s in snaps]
-    if pending and abs(pending[0] - t0) <= 1e-12:
-        traj.times.append(t0)
-        traj.fields.append(f.copy())
-        pending.pop(0)
     nstep = 0
-    while pending:
-        target = pending[0]
+    for target in snaps:
         while f.t < target - 1e-12:
             f = step(f, cfg, dt_max=target - f.t)
             nstep += 1
@@ -262,8 +259,7 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
                 "max_speed": float(np.max(np.abs(f.u) + c)),
             })
         traj.times.append(target)
-        traj.fields.append(f.copy())
-        pending.pop(0)
+        traj.fields.append(f)
     return traj
 
 

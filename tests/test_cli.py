@@ -70,6 +70,15 @@ def test_verify_bad_value_exit_65(capsys):
     assert code == 65
 
 
+def test_verify_invalid_tolerance_exit_65(capsys):
+    for tol in ("nan", "-1", "0", "inf"):
+        code, out, err = run_cli(capsys, "verify", "T1?p1=1&p2=2&b=1", f"--tol={tol}")
+        assert code == 65 and "tol must be finite and > 0" in err and out == ""
+        code, _, err = run_cli(capsys, "lie", "transform", "--generator", "4", "--eps", "0.5",
+                               "--entry", "T1?p1=1&p2=2&b=1", "--verify", f"--tol={tol}")
+        assert code == 65 and "tol must be finite and > 0" in err
+
+
 def test_verify_region_outside_domain_exit_65(capsys):
     code, _, err = run_cli(capsys, "verify", "T1?p1=1&p2=2&b=1",
                            "--x0", "-1", "--x1", "1", "--t0", "-3", "--t1", "0")
@@ -182,6 +191,19 @@ def test_simulate_csv_ic_roundtrip(capsys, tmp_path):
     assert out.read_text().startswith("t,x,rho,u\n")
 
 
+def test_simulate_csv_ic_manifest_records_the_csv_cell_count(capsys, tmp_path):
+    ic = tmp_path / "ic.csv"
+    rows = ["x,rho,u"] + [f"{0.05 + 0.1 * i},1.0,0.0" for i in range(16)]
+    ic.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "run.csv"
+    for extra in ([], ["--nx", "999"]):
+        code, _, _ = run_cli(capsys, "simulate", "--ic", str(ic), "--t-end", "0.1",
+                             "--out", str(out), *extra)
+        assert code == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["parameters"]["nx"] == 16
+
+
 def test_simulate_csv_ic_short_row_exit_65(capsys, tmp_path):
     ic = tmp_path / "ic.csv"
     rows = ["x,rho,u"] + [f"{0.05 + 0.1 * i},1.0,0.0" for i in range(10)]
@@ -247,6 +269,15 @@ def test_conserve_non_positive_step_exit_65(capsys, tmp_path):
                                "--which", "S4", "--c", "1,0,0", f"--h-step={h}",
                                "--out", str(tmp_path / "cons.csv"))
         assert code == 65 and "h_step must be > 0" in err
+
+
+def test_conserve_non_finite_constants_exit_65(capsys, tmp_path):
+    out = tmp_path / "cons.csv"
+    for c in ("nan,0,0", "1,inf,0", "1,0,-inf"):
+        code, _, err = run_cli(capsys, "conserve", "--entry", "T1?p1=1&p2=2&b=1",
+                               "--which", "S4", f"--c={c}", "--out", str(out))
+        assert code == 65 and "multiplier constants must be finite" in err
+    assert not out.exists()
 
 
 def test_wavefront_outputs_and_summary(capsys, tmp_path):

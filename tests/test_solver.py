@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trafficflow.catalog import make_entry
-from trafficflow.model import ModelParams
+from trafficflow.model import ModelParams, SolutionSampler
 from trafficflow.solver import (Field, Grid, PositivityError, SolverConfig, SolverError,
                                 convergence_order, error_norms, run, step)
 
@@ -230,3 +230,87 @@ def test_convergence_requires_doubling_grids():
         convergence_order(base, s, [50, 100], 0.0, 0.1)
     with pytest.raises(ValueError):
         convergence_order(base, s, [50, 100, 150], 0.0, 0.1)
+
+
+def _counting(s):
+    calls = {"domain": 0, "eval": 0}
+
+    def dom(x, t):
+        calls["domain"] += 1
+        return s.domain(x, t)
+
+    def ev(x, t):
+        calls["eval"] += 1
+        return s.eval(x, t)
+
+    return SolutionSampler(eval=ev, domain=dom, partials=s.partials), calls
+
+
+def test_dirichlet_step_samples_one_ghost_per_side():
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    counted, calls = _counting(s)
+    g = Grid.over(0.0, 2.0, 32)
+    cfg = SolverConfig(grid=g, params=MP1, bc="dirichlet", dirichlet_sampler=counted)
+    st = s.eval(g.centers(), 1.0)
+    step(Field(t=1.0, rho=st.rho, u=st.u), cfg)
+    assert calls == {"domain": 2, "eval": 2}
+
+
+def test_dirichlet_domain_needs_only_the_first_ghost_cell():
+    # The domain ends at x1 + dx: past the ghost centre x1 + dx/2, short of x1 + 3dx/2.
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    g = Grid.over(0.0, 2.0, 40)
+    edge = 2.0 + g.dx
+    cut = SolutionSampler(eval=s.eval, partials=s.partials,
+                          domain=lambda x, t: np.logical_and(s.domain(x, t), x <= edge))
+    got, ref = (run(SolverConfig(grid=g, params=MP1, bc="dirichlet", dirichlet_sampler=b),
+                    s, 1.0, 1.2).fields[-1] for b in (cut, s))
+    assert np.array_equal(got.rho, ref.rho) and np.array_equal(got.u, ref.u)
+
+
+def _linear_mode_error(nx: int) -> float:
+    """|u_hat_num - u_hat| / eps at t=1 for a small acoustic mode on periodic [0, 1].
+
+    Linearising about (rho0, 0) gives s^2 + (D k^2/rho0) s + A k^2 = 0, so the
+    sin-coefficient of u is eps e^{-gt} (cos wt - (g/w) sin wt), with
+    g = D k^2 / (2 rho0) and w = sqrt(A k^2 - g^2).
+    """
+    A, D, rho0, eps, k, t_end = 1.0, 0.05, 1.0, 1e-5, 2.0 * math.pi, 1.0
+    g = Grid.over(0.0, 1.0, nx)
+    xs = g.centers()
+    cfg = SolverConfig(grid=g, params=ModelParams(A=A, D=D), scheme="rusanov", cfl=0.9)
+    f0 = Field(t=0.0, rho=np.full(nx, rho0), u=eps * np.sin(k * xs))
+    f = run(cfg, f0, 0.0, t_end).fields[-1]
+    gam = D * k * k / (2.0 * rho0)
+    om = math.sqrt(A * k * k - gam * gam)
+    exact = eps * math.exp(-gam * t_end) * (math.cos(om * t_end) - gam / om * math.sin(om * t_end))
+    u_hat = 2.0 * g.dx * float(np.sum(f.u * np.sin(k * xs)))
+    return abs(u_hat - exact) / eps
+
+
+def test_viscous_linear_mode_converges_first_order():
+    # u_xx is nonzero here, so the viscous source (not only the dt rule) is tested.
+    nxs = [100, 200, 400]
+    errs = [_linear_mode_error(nx) for nx in nxs]
+    order = -np.polyfit(np.log(nxs), np.log(errs), 1)[0]
+    assert 0.8 <= order <= 1.3, (order, errs)
+    assert errs[-1] <= 0.025, errs
+
+
+def test_viscous_run_is_bit_equivariant_under_dilation():
+    # G1 with lambda = 2 maps x -> 2x, t -> 2t, rho -> rho/2, u -> u; flux, dt
+    # rule and viscous source all scale by powers of two, so the twin is exact.
+    mp = ModelParams(A=1.0, D=0.5)
+    runs = []
+    for lam in (1.0, 2.0):
+        g = Grid.over(0.0, 2.0 * lam, 200)
+        xs = g.centers() / lam
+        f0 = Field(t=0.0, rho=(1.0 + 0.2 * np.sin(np.pi * xs)) / lam,
+                   u=0.3 * np.cos(np.pi * xs) + 0.1 * np.sin(2.0 * np.pi * xs) ** 2)
+        cfg = SolverConfig(grid=g, params=mp, scheme="rusanov", bc="periodic")
+        runs.append(run(cfg, f0, 0.0, 0.05 * lam))
+    base, twin = runs
+    assert len(base.diagnostics) == len(twin.diagnostics) > 100
+    assert np.array_equal(twin.fields[-1].rho * 2.0, base.fields[-1].rho)
+    assert np.array_equal(twin.fields[-1].u, base.fields[-1].u)
+    assert [2.0 * d["t"] for d in base.diagnostics] == [d["t"] for d in twin.diagnostics]
