@@ -401,8 +401,6 @@ def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
     have_high = fMpp is not None and fMppp is not None
 
     def pt(mp, x, t):
-        if not have_high:
-            raise ValueError("custom KINK without M'' and M''' has no analytic partials")
         sa = mp.sqrt_A
         m, m1, m2, m3 = fM(x), fMp(x), fMpp(x), fMppp(x)
         z = sa * m1 * (c1 + t) / m

@@ -11,8 +11,9 @@ of the written files, stable key order); re-running a manifest's argv
 reproduces byte-identical outputs.
 
 Exit codes: 0 success/VERIFIED, 2 REFUTED, 3 inconclusive (PAPER-CLAIMED),
-4 positivity abort during simulation, 5 refuted wavefront background,
-64 usage error, 65 domain or parse error.
+4 solver error during simulation (an invalid state, named by cell and time,
+or CFL underflow), 5 refuted wavefront background, 64 usage error,
+65 domain or parse error (a bad CSV initial condition included).
 """
 
 import argparse
@@ -33,14 +34,14 @@ from .lie import (AdjointParams, InfinitesimalParams, LieCoeffs, adjoint_apply,
                   classify_optimal, commutator, group_transform, invariant_ic,
                   invariant_tuple, killing_form)
 from .model import DomainError, ModelParams, require_all
-from .solver import (Field, Grid, PositivityError, SolverConfig, SolverError,
+from .solver import (BCS, SCHEMES, Field, Grid, SolverConfig, SolverError,
                      error_norms as solver_error_norms, run)
 from .wavefront import AmplitudeProblem, amplitude_quadrature
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
-EXIT_POSITIVITY = 4
+EXIT_SOLVER = 4
 EXIT_BACKGROUND = 5
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
@@ -267,6 +268,9 @@ def _field_from_csv(path: Path):
         vals = [float(v) for v in line.split(",")]
         if len(vals) < 3:
             raise ParseError(f"IC csv line {lineno} needs the fields x,rho,u, got {line!r}")
+        if not (0.0 < vals[1] < math.inf and math.isfinite(vals[2])):
+            raise ParseError(f"IC csv line {lineno} needs finite rho > 0 and finite u, "
+                             f"got {line!r}")
         xs.append(vals[0])
         rho.append(vals[1])
         u.append(vals[2])
@@ -296,8 +300,7 @@ def cmd_simulate(args, argv) -> int:
             raise UsageError("dirichlet bc needs a catalog-entry IC, not a csv field")
         sampler = None
         t0 = args.t0 if args.t0 is not None else 0.0
-        field0 = Field(t=t0, rho=rho0, u=u0)
-        ic = field0
+        ic = Field(t=t0, rho=rho0, u=u0)
     else:
         sampler = entry.sampler(mp)
         region = entry.default_region(mp)
@@ -311,11 +314,7 @@ def cmd_simulate(args, argv) -> int:
 
     cfg = SolverConfig(grid=grid, params=mp, scheme=args.scheme, cfl=args.cfl,
                        bc=args.bc, dirichlet_sampler=sampler if args.bc == "dirichlet" else None)
-    try:
-        traj = run(cfg, ic, t0, t_end, snapshots=snaps)
-    except PositivityError as e:
-        sys.stderr.write(f"positivity abort: cell {e.cell} at t={e.t} (rho={e.rho})\n")
-        return EXIT_POSITIVITY
+    traj = run(cfg, ic, t0, t_end, snapshots=snaps)
 
     xs = grid.centers()
     rows = []
@@ -487,8 +486,6 @@ def cmd_wavefront(args, argv) -> int:
 
 
 def cmd_catalog(args, argv) -> int:
-    if args.catalog_cmd != "list":
-        raise UsageError("catalog supports: list")
     lines = []
     for kind, fam in sorted(FAMILIES.items()):
         req = ", ".join(fam.params) or "(no parameters)"
@@ -506,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"trafficflow {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_model(sp, default_A=1.0):
-        sp.add_argument("--A", type=float, default=default_A, help="speed variance")
+    def add_model(sp):
+        sp.add_argument("--A", type=float, default=1.0, help="speed variance")
         sp.add_argument("--D", type=float, default=0.0, help="viscosity")
 
     def add_region(sp):
@@ -527,14 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="finite-volume run or exact-surface emission")
     sp.add_argument("--ic", required=True, help="entry spec or csv field (x,rho,u)")
-    sp.add_argument("--scheme", choices=("rusanov", "lax_friedrichs"), default="rusanov")
+    sp.add_argument("--scheme", choices=SCHEMES, default="rusanov")
     sp.add_argument("--nx", type=int, default=100)
     sp.add_argument("--cfl", type=float, default=0.45)
     sp.add_argument("--x0", type=float, default=None)
     sp.add_argument("--x1", type=float, default=None)
     sp.add_argument("--t0", type=float, default=None)
     sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sp.add_argument("--bc", choices=("periodic", "dirichlet", "outflow"), default="periodic")
+    sp.add_argument("--bc", choices=BCS, default="periodic")
     add_model(sp)
     sp.add_argument("--snap", default=None, help="comma-separated snapshot times")
     sp.add_argument("--surface", nargs=2, metavar=("XSPEC", "TSPEC"), default=None,
@@ -621,7 +618,7 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except SolverError as e:
         sys.stderr.write(f"solver error: {e}\n")
-        return EXIT_POSITIVITY
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -74,7 +74,11 @@ class Grid:
 
 @dataclass
 class Field:
-    """Discrete state at one time level (cell averages)."""
+    """Discrete state at one time level (cell averages).
+
+    The solver's one state check: PositivityError at the first cell whose rho
+    is not > 0 (NaN included), SolverError at the first other non-finite value.
+    """
 
     t: float
     rho: np.ndarray
@@ -85,11 +89,14 @@ class Field:
         self.u = np.asarray(self.u, dtype=float)
         if self.rho.shape != self.u.shape or self.rho.ndim != 1:
             raise ValueError("rho and u must be 1-D arrays of equal length")
-        if not np.all(np.isfinite(self.rho)) or not np.all(np.isfinite(self.u)):
-            raise ValueError("non-finite field values")
-        if np.any(self.rho <= 0.0):
-            bad = int(np.argmax(self.rho <= 0.0))
+        if not np.all(self.rho > 0.0):
+            bad = int(np.argmax(~(self.rho > 0.0)))
             raise PositivityError(bad, self.t, float(self.rho[bad]))
+        finite = np.isfinite(self.rho) & np.isfinite(self.u)
+        if not np.all(finite):
+            bad = int(np.argmax(~finite))
+            raise SolverError(f"non-finite state at cell {bad}, t={self.t}: "
+                              f"rho={self.rho[bad]}, u={self.u[bad]}")
 
     @property
     def momentum(self) -> np.ndarray:
@@ -147,10 +154,6 @@ def _extend(f: Field, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     return rho_e, u_e
 
 
-def _flux(rho: np.ndarray, m: np.ndarray, A: float) -> tuple[np.ndarray, np.ndarray]:
-    return m, m * m / rho + A * rho
-
-
 def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
     """One conservative update; dt is set internally from the CFL condition.
 
@@ -160,14 +163,13 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
     own numerical diffusion share one stability budget.  max and min run
     over the cells the fluxes read: the physical cells and one ghost per
     side.  dt is further limited by dt_max (used to land exactly on
-    snapshot times).  Raises PositivityError if any updated density is
-    non-positive, and SolverError on CFL underflow (dt < 1e-12).
+    snapshot times).  Raises SolverError on CFL underflow (dt < 1e-12), and
+    through Field when the new state is invalid.
     """
     p = cfg.params
     g = cfg.grid
     c = p.sqrt_A
     rho_e, u_e = _extend(f, cfg)
-    m_e = rho_e * u_e
 
     speed = np.abs(u_e) + c
     max_speed = float(np.max(speed))
@@ -180,31 +182,26 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
     if dt < 1e-12:
         raise SolverError(f"CFL underflow: dt={dt}")
 
-    # Interface states: L = cells 0..nx, R = cells 1..nx+1 of the extended
-    # array, giving the nx+1 interfaces bounding the physical cells.
-    rL, rR = rho_e[:-1], rho_e[1:]
-    mL, mR = m_e[:-1], m_e[1:]
-    F1L, F2L = _flux(rL, mL, p.A)
-    F1R, F2R = _flux(rR, mR, p.A)
-    if cfg.scheme == "lax_friedrichs":
-        alpha = max_speed
-    else:
-        alpha = np.maximum(speed[:-1], speed[1:])
-    F1 = 0.5 * (F1L + F1R) - 0.5 * alpha * (rR - rL)
-    F2 = 0.5 * (F2L + F2R) - 0.5 * alpha * (mR - mL)
+    # Fluxes (m, P) on the extended cells; interface k lies between extended
+    # cells k and k+1.  Overflow and NaN are left to Field to report.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m_e = rho_e * u_e
+        P = m_e * m_e / rho_e + p.A * rho_e
+        if cfg.scheme == "lax_friedrichs":
+            alpha = max_speed
+        else:
+            alpha = np.maximum(speed[:-1], speed[1:])
+        F1 = 0.5 * (m_e[:-1] + m_e[1:]) - 0.5 * alpha * (rho_e[1:] - rho_e[:-1])
+        F2 = 0.5 * (P[:-1] + P[1:]) - 0.5 * alpha * (m_e[1:] - m_e[:-1])
 
-    lam = dt / g.dx
-    rho_new = f.rho - lam * (F1[1:] - F1[:-1])
-    m_new = m_e[1:-1] - lam * (F2[1:] - F2[:-1])
-    if p.D > 0.0:
-        u_xx = (u_e[2:] - 2.0 * u_e[1:-1] + u_e[:-2]) / g.dx ** 2
-        m_new = m_new + dt * p.D * u_xx
-
-    t_new = f.t + dt
-    if np.any(rho_new <= 0.0) or not np.all(np.isfinite(rho_new)):
-        bad = int(np.argmax(~(rho_new > 0.0)))
-        raise PositivityError(bad, t_new, float(rho_new[bad]))
-    return Field(t=t_new, rho=rho_new, u=m_new / rho_new)
+        lam = dt / g.dx
+        rho_new = f.rho - lam * (F1[1:] - F1[:-1])
+        m_new = m_e[1:-1] - lam * (F2[1:] - F2[:-1])
+        if p.D > 0.0:
+            u_xx = (u_e[2:] - 2.0 * u_e[1:-1] + u_e[:-2]) / g.dx ** 2
+            m_new = m_new + dt * p.D * u_xx
+        u_new = m_new / rho_new
+    return Field(f.t + dt, rho_new, u_new)
 
 
 @dataclass

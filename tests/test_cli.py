@@ -227,6 +227,36 @@ def test_simulate_solver_error_exit_4(capsys, tmp_path):
     assert err.startswith("solver error: CFL underflow")
 
 
+def test_simulate_momentum_overflow_exit_4(capsys, tmp_path):
+    # m^2/rho overflows in the left half on the first step: one diagnostic
+    # line on stderr, no RuntimeWarning, and no output files
+    ic = tmp_path / "ic.csv"
+    xs = np.linspace(0.05, 1.95, 20)
+    rows = ["x,rho,u"] + [f"{x},{1e160 if i < 10 else 1.0},{1.0 if i < 10 else 0.0}"
+                          for i, x in enumerate(xs)]
+    ic.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "run.csv"
+    code, _, err = run_cli(capsys, "simulate", "--ic", str(ic), "--bc", "outflow",
+                           "--t-end", "0.1", "--out", str(out))
+    assert code == 4
+    assert err.startswith("solver error: non-finite state at cell 0")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho,u", [("-1", "0.0"), ("nan", "0.0"), ("inf", "0.0"),
+                                   ("1.0", "nan"), ("1.0", "-inf")])
+def test_simulate_csv_ic_invalid_state_exit_65(capsys, tmp_path, rho, u):
+    ic = tmp_path / "ic.csv"
+    rows = ["x,rho,u"] + [f"{0.05 + 0.1 * i},1.0,0.0" for i in range(10)]
+    rows[5] = f"0.45,{rho},{u}"
+    ic.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(capsys, "simulate", "--ic", str(ic), "--t-end", "0.1",
+                           "--out", str(tmp_path / "run.csv"))
+    assert code == 65
+    assert "line 6" in err and f"0.45,{rho},{u}" in err
+
+
 def test_simulate_positivity_abort_exit_4(capsys, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise PositivityError(7, 0.25, -1e-3)

@@ -161,6 +161,35 @@ def test_step_aborts_on_nonfinite_update():
             f = step(f, cfg)
 
 
+def test_step_momentum_overflow_raises_solver_error():
+    # m^2/rho overflows to inf in the left half, so the new velocity is NaN
+    # while the new density stays finite and positive; the suite turns
+    # RuntimeWarnings into errors, so this also pins that step emits none
+    g = Grid.over(0.0, 2.0, 20)
+    cfg = SolverConfig(grid=g, params=MP1, scheme="rusanov", bc="outflow")
+    left = np.arange(20) < 10
+    f = Field(t=0.0, rho=np.where(left, 1e160, 1.0), u=np.where(left, 1.0, 0.0))
+    with pytest.raises(SolverError) as exc:
+        step(f, cfg)
+    assert not isinstance(exc.value, PositivityError)
+    assert "cell 0" in str(exc.value) and "t=0.0225" in str(exc.value)
+
+
+@pytest.mark.parametrize("rho3,u3,error", [
+    (math.nan, 0.0, PositivityError),
+    (math.inf, 0.0, SolverError),
+    (1.0, math.inf, SolverError),
+    (1.0, math.nan, SolverError),
+])
+def test_field_rejects_non_finite_state_at_its_cell(rho3, u3, error):
+    rho, u = np.ones(8), np.zeros(8)
+    rho[3], u[3] = rho3, u3
+    with pytest.raises(error) as exc:
+        Field(t=2.5, rho=rho, u=u)
+    assert type(exc.value) is error
+    assert "cell 3" in str(exc.value) and "t=2.5" in str(exc.value)
+
+
 @pytest.mark.parametrize("kind,params,span,t0,t_end", [
     ("T1", dict(p1=1, p2=2, b=1), (0.0, 2.0), 1.0, 1.6),
     ("T3", dict(p1=2, b=1), (0.0, 1.0), 1.0, 1.4),
