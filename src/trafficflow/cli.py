@@ -265,7 +265,11 @@ def _field_from_csv(path: Path):
         raise ParseError(f"IC csv must have header x,rho,u, got {lines[0]!r}")
     xs, rho, u = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
-        vals = [float(v) for v in line.split(",")]
+        try:
+            vals = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise ParseError(f"IC csv line {lineno} holds a value that is not a number, "
+                             f"got {line!r}") from None
         if len(vals) < 3:
             raise ParseError(f"IC csv line {lineno} needs the fields x,rho,u, got {line!r}")
         if not (0.0 < vals[1] < math.inf and math.isfinite(vals[2])):

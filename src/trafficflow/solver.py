@@ -3,9 +3,12 @@
 The update state is the conserved pair (rho, m = rho*u) with fluxes
 (m, m^2/rho + A*rho); velocity is derived.  Two first-order numerical
 fluxes are provided (Lax-Friedrichs with a global wave speed, Rusanov with
-local speeds) together with an explicit viscous source D*u_xx on the
-momentum equation when D > 0.  Used for manufactured-solution convergence
-tests and for generating smooth fields for conservation checks.
+local speeds).  When D > 0 the viscous term D*u_xx of the momentum
+equation is implicit (IMEX): rho and the convective momentum are explicit,
+and the new velocity solves one symmetric, diagonally dominant tridiagonal
+system, so the time step is the convective one for any D.  Used for
+manufactured-solution convergence tests and for generating smooth fields
+for conservation checks.
 """
 
 import math
@@ -128,6 +131,18 @@ class SolverConfig:
             raise ValueError("the solver requires A > 0 (real wave speeds)")
 
 
+def _dirichlet_ghosts(cfg: SolverConfig, t: float) -> list:
+    """The sampler's states at the ghost centres x0 - dx/2 and x1 + dx/2 at time t."""
+    g = cfg.grid
+    s = cfg.dirichlet_sampler
+    states = []
+    for xg in (g.x0 - 0.5 * g.dx, g.x0 + (g.nx + 0.5) * g.dx):
+        if not s.domain(xg, t):
+            raise DomainError(f"dirichlet ghost cell at x={xg}, t={t} outside domain")
+        states.append(s.eval(xg, t))
+    return states
+
+
 def _extend(f: Field, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Add one ghost cell on each side; returns (rho_e, u_e) of length nx+2.
 
@@ -145,26 +160,87 @@ def _extend(f: Field, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
         rho_e[0], rho_e[-1] = f.rho[0], f.rho[-1]
         u_e[0], u_e[-1] = f.u[0], f.u[-1]
     else:
-        s = cfg.dirichlet_sampler
-        for slot, xg in ((0, g.x0 - 0.5 * g.dx), (-1, g.x0 + (g.nx + 0.5) * g.dx)):
-            if not s.domain(xg, f.t):
-                raise DomainError(f"dirichlet ghost cell at x={xg}, t={f.t} outside domain")
-            st = s.eval(xg, f.t)
-            rho_e[slot], u_e[slot] = st.rho, st.u
+        left, right = _dirichlet_ghosts(cfg, f.t)
+        rho_e[0], u_e[0] = left.rho, left.u
+        rho_e[-1], u_e[-1] = right.rho, right.u
     return rho_e, u_e
+
+
+def _thomas(diag: list, r: float, rhs: list) -> list:
+    """Solve diag_i x_i - r x_{i-1} - r x_{i+1} = rhs_i (no corner terms).
+
+    When rho > 0, diag_i >= rho_i + r, so each pivot diag_i - r w_{i-1}
+    exceeds rho_i and w_i = r / pivot < 1: no pivoting.  The pivots scale
+    with the system and w does not, so a system scaled by a power of two
+    solves to the same bits.
+    """
+    n = len(diag)
+    w = [0.0] * n
+    x = [0.0] * n
+    w_prev = x_prev = 0.0
+    for i in range(n):
+        piv = diag[i] - r * w_prev
+        w_prev = w[i] = r / piv
+        x_prev = x[i] = (rhs[i] + r * x_prev) / piv
+    for i in range(n - 2, -1, -1):
+        x_prev = x[i] = x[i] + w[i] * x_prev
+    return x
+
+
+def _cyclic(diag: list, r: float, rhs: list) -> list:
+    """_thomas with the corner terms -r, by Sherman-Morrison.
+
+    The cyclic matrix is B + c e^T with c = (-d0, 0, .., 0, -r),
+    e = (1, 0, .., 0, q), d0 = diag_0 and q = r / d0; B is tridiagonal with
+    end diagonals 2 d0 and diag_-1 + r q.
+    """
+    d0 = diag[0]
+    q = r / d0
+    diag = [2.0 * d0] + diag[1:-1] + [diag[-1] + r * q]
+    corner = [0.0] * len(diag)
+    corner[0], corner[-1] = -d0, -r
+    y = _thomas(diag, r, rhs)
+    z = _thomas(diag, r, corner)
+    k = (y[0] + q * y[-1]) / (1.0 + z[0] + q * z[-1])
+    return [a - k * b for a, b in zip(y, z)]
+
+
+def _implicit_velocity(cfg: SolverConfig, rho: np.ndarray, m: np.ndarray, r: float,
+                       t: float) -> np.ndarray:
+    """u at t with (rho_i + 2r) u_i - r u_{i-1} - r u_{i+1} = m_i, closed by the bc at t.
+
+    Periodic wraps cyclically, outflow copies the end cell (end diagonals
+    rho + r), and Dirichlet moves the sampler's u at the two ghost centres
+    at t to the right-hand side.
+    """
+    diag = (rho + 2.0 * r).tolist()
+    rhs = m.tolist()
+    if cfg.bc == "outflow":
+        diag[0] -= r
+        diag[-1] -= r
+    elif cfg.bc == "dirichlet":
+        left, right = _dirichlet_ghosts(cfg, t)
+        rhs[0] += r * left.u
+        rhs[-1] += r * right.u
+    try:
+        u = (_cyclic if cfg.bc == "periodic" else _thomas)(diag, r, rhs)
+    except ZeroDivisionError:
+        # A zero pivot needs some rho <= 0, which Field reports.
+        u = [math.nan] * len(diag)
+    return np.array(u)
 
 
 def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
     """One conservative update; dt is set internally from the CFL condition.
 
-    dt = cfl * dx / max(|u| + sqrt(A)) when D = 0.  When D > 0 the convective
-    and viscous rates add, dt = cfl / (max(|u| + sqrt(A)) / dx
-    + 2 D / (dx^2 min(rho))), since the explicit diffusion and the scheme's
-    own numerical diffusion share one stability budget.  max and min run
-    over the cells the fluxes read: the physical cells and one ghost per
-    side.  dt is further limited by dt_max (used to land exactly on
-    snapshot times).  Raises SolverError on CFL underflow (dt < 1e-12), and
-    through Field when the new state is invalid.
+    dt = cfl * dx / max(|u| + sqrt(A)), the max running over the cells the
+    fluxes read: the physical cells and one ghost per side.  dt is further
+    limited by dt_max (used to land exactly on snapshot times).  rho and the
+    convective momentum m* are explicit.  When D > 0 the viscous term is
+    implicit: u at t + dt solves (rho + 2r) u_i - r u_{i-1} - r u_{i+1} = m*_i
+    with r = dt D / dx^2, closed by the bc at t + dt, so D sets no dt bound.
+    Raises SolverError on CFL underflow (dt < 1e-12), and through Field when
+    the new state is invalid.
     """
     p = cfg.params
     g = cfg.grid
@@ -173,10 +249,7 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
 
     speed = np.abs(u_e) + c
     max_speed = float(np.max(speed))
-    if p.D > 0.0:
-        dt = cfg.cfl / (max_speed / g.dx + 2.0 * p.D / (g.dx ** 2 * float(np.min(rho_e))))
-    else:
-        dt = cfg.cfl * g.dx / max_speed
+    dt = cfg.cfl * g.dx / max_speed
     if dt_max is not None:
         dt = min(dt, dt_max)
     if dt < 1e-12:
@@ -198,9 +271,9 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
         rho_new = f.rho - lam * (F1[1:] - F1[:-1])
         m_new = m_e[1:-1] - lam * (F2[1:] - F2[:-1])
         if p.D > 0.0:
-            u_xx = (u_e[2:] - 2.0 * u_e[1:-1] + u_e[:-2]) / g.dx ** 2
-            m_new = m_new + dt * p.D * u_xx
-        u_new = m_new / rho_new
+            u_new = _implicit_velocity(cfg, rho_new, m_new, dt * p.D / g.dx ** 2, f.t + dt)
+        else:
+            u_new = m_new / rho_new
     return Field(f.t + dt, rho_new, u_new)
 
 

@@ -215,6 +215,17 @@ def test_simulate_csv_ic_short_row_exit_65(capsys, tmp_path):
     assert "line 4" in err and "0.25,1.0" in err
 
 
+def test_simulate_csv_ic_non_numeric_value_exit_65(capsys, tmp_path):
+    ic = tmp_path / "ic.csv"
+    rows = ["x,rho,u"] + [f"{0.05 + 0.1 * i},1.0,0.0" for i in range(10)]
+    rows[5] = "0.45,abc,0.0"
+    ic.write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(capsys, "simulate", "--ic", str(ic), "--t-end", "0.1",
+                           "--out", str(tmp_path / "run.csv"))
+    assert code == 65
+    assert "line 6" in err and "0.45,abc,0.0" in err
+
+
 def test_simulate_solver_error_exit_4(capsys, tmp_path):
     # |u| = 1e200 drives the CFL step far below the 1e-12 floor on the first step.
     ic = tmp_path / "ic.csv"
