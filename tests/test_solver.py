@@ -99,6 +99,60 @@ def test_t1_dirichlet_convergence_ratio():
     assert errs[0] / errs[1] >= 1.8
 
 
+def _textbook_run(cfg, s, t0, t_end):
+    """The plain first-order update, the reference for step and run at D = 0.
+
+    F = (F_L + F_R)/2 - alpha (q_R - q_L)/2 with speed = |u| + sqrt(A), one
+    ghost cell per side, and the diagnostics summed with np.sum and np.max.
+    """
+    g, p = cfg.grid, cfg.params
+    c = math.sqrt(p.A)
+    st = s.eval(g.centers(), t0)
+    t, rho, u, diags = t0, st.rho, st.u, []
+    while t < t_end - 1e-12:
+        if cfg.bc == "periodic":
+            ghosts = (rho[-1], u[-1]), (rho[0], u[0])
+        elif cfg.bc == "outflow":
+            ghosts = (rho[0], u[0]), (rho[-1], u[-1])
+        else:
+            ghosts = [(gs.rho, gs.u) for gs in (s.eval(xg, t) for xg in
+                                                 (g.x0 - 0.5 * g.dx, g.x0 + (g.nx + 0.5) * g.dx))]
+        (rl, ul), (rr, ur) = ghosts
+        rho_e, u_e = np.concatenate(([rl], rho, [rr])), np.concatenate(([ul], u, [ur]))
+        speed = np.abs(u_e) + c
+        max_speed = float(np.max(speed))
+        dt = min(cfg.cfl * g.dx / max_speed, t_end - t)
+        m_e = rho_e * u_e
+        P = m_e * m_e / rho_e + p.A * rho_e
+        alpha = max_speed if cfg.scheme == "lax_friedrichs" else np.maximum(speed[:-1], speed[1:])
+        F1 = 0.5 * (m_e[:-1] + m_e[1:]) - 0.5 * alpha * (rho_e[1:] - rho_e[:-1])
+        F2 = 0.5 * (P[:-1] + P[1:]) - 0.5 * alpha * (m_e[1:] - m_e[:-1])
+        lam = dt / g.dx
+        rho = rho - lam * (F1[1:] - F1[:-1])
+        u = (m_e[1:-1] - lam * (F2[1:] - F2[:-1])) / rho
+        t_prev, t = t, t + dt
+        diags.append({"step": len(diags) + 1, "t": t, "dt": t - t_prev,
+                      "mass": float(np.sum(rho) * g.dx),
+                      "momentum": float(np.sum(rho * u) * g.dx),
+                      "max_speed": float(np.max(np.abs(u) + c))})
+    return t, rho, u, diags
+
+
+@pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
+@pytest.mark.parametrize("scheme", ["lax_friedrichs", "rusanov"])
+def test_run_equals_the_textbook_update_bit_for_bit(scheme, bc):
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    g = Grid.over(0.0, 2.0, 64)
+    cfg = SolverConfig(grid=g, params=MP1, scheme=scheme, bc=bc,
+                       dirichlet_sampler=s if bc == "dirichlet" else None)
+    t, rho, u, diags = _textbook_run(cfg, s, 1.0, 1.3)
+    traj = run(cfg, s, 1.0, 1.3)
+    assert 40 <= len(diags) <= 60
+    assert traj.times == [1.3] and traj.fields[-1].t == t
+    assert np.array_equal(traj.fields[-1].rho, rho) and np.array_equal(traj.fields[-1].u, u)
+    assert traj.diagnostics == diags
+
+
 def test_zero_length_run():
     g = Grid.over(0.0, 1.0, 32)
     cfg = SolverConfig(grid=g, params=MP1, scheme="rusanov", bc="periodic")
@@ -198,19 +252,30 @@ def test_step_momentum_overflow_raises_solver_error():
     assert "cell 0" in str(exc.value) and "t=0.0225" in str(exc.value)
 
 
-@pytest.mark.parametrize("rho3,u3,error", [
+# A number is the value at cell 3; a dict maps cells to values.
+@pytest.mark.parametrize("rho_at,u_at,error", [
     (math.nan, 0.0, PositivityError),
     (math.inf, 0.0, SolverError),
     (1.0, math.inf, SolverError),
     (1.0, math.nan, SolverError),
+    (-0.0, 0.0, PositivityError),
+    (1.0, {3: math.inf, 5: -math.inf}, SolverError),
+    (math.nan, {1: math.inf}, PositivityError),
 ])
-def test_field_rejects_non_finite_state_at_its_cell(rho3, u3, error):
+def test_field_rejects_non_finite_state_at_its_cell(rho_at, u_at, error):
     rho, u = np.ones(8), np.zeros(8)
-    rho[3], u[3] = rho3, u3
+    for arr, at in ((rho, rho_at), (u, u_at)):
+        for cell, value in (at.items() if isinstance(at, dict) else [(3, at)]):
+            arr[cell] = value
     with pytest.raises(error) as exc:
         Field(t=2.5, rho=rho, u=u)
     assert type(exc.value) is error
     assert "cell 3" in str(exc.value) and "t=2.5" in str(exc.value)
+
+
+def test_field_accepts_a_finite_state_whose_sums_overflow():
+    f = Field(t=0.0, rho=np.full(8, 1e308), u=np.full(8, 1e308))
+    assert np.all(f.rho == 1e308) and np.all(f.u == 1e308)
 
 
 @pytest.mark.parametrize("kind,params,span,t0,t_end", [
