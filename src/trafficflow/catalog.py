@@ -1,9 +1,12 @@
 """Catalog of closed-form solutions and the residual verification harness.
 
-Each entry carries its parameters, validity domain, analytic partial
-derivatives and the model-parameter constraints under which the closed form
-is claimed to solve the governing system.  ``verify_entry`` assigns one of
-three statuses:
+Each family is declared once: a factory checks the family's parameters and
+returns ``(bind, region)``.  ``bind(mp)`` enforces the model constraint (A, D)
+under which the closed form is claimed and returns the SolutionSampler (eval,
+validity domain, analytic partials) with the model bound in; ``region(mp)``
+builds the default grid, lazily, since some valid samplers admit none.
+``make_entry`` wraps the pair in a CatalogEntry with the family's keys and
+report note.  ``verify_entry`` assigns one of three statuses:
 
     VERIFIED       residuals below tolerance with analytic partials
     REFUTED        residuals sit on an O(1) floor that survives step
@@ -116,16 +119,16 @@ KINK_SHAPES: dict[str, tuple] = {
     ),
 }
 
+
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A family at fixed parameters; see the module docstring for _bind and _region."""
+
     kind: str
     params: dict
-    note: str = ""
-    _eval: Callable = None
-    _partials: Callable = None
-    _domain: Callable = None
-    _check_model: Callable = None
-    _default_region: Callable = None
+    note: str
+    _bind: Callable[[ModelParams], SolutionSampler]
+    _region: Callable[[ModelParams], GridRegion]
 
     def id(self) -> str:
         if not self.params:
@@ -133,22 +136,12 @@ class CatalogEntry:
         items = "&".join(f"{k}={self.params[k]}" for k in sorted(self.params))
         return f"{self.kind}?{items}"
 
-    def check_model(self, mp: ModelParams) -> None:
-        """Enforce the entry's declared (A, D) constraint before evaluation."""
-        if self._check_model is not None:
-            self._check_model(mp)
-
     def sampler(self, mp: ModelParams) -> SolutionSampler:
-        self.check_model(mp)
-        return SolutionSampler(
-            eval=lambda x, t: self._eval(mp, x, t),
-            domain=lambda x, t: self._domain(mp, x, t),
-            partials=(lambda x, t: self._partials(mp, x, t)) if self._partials else None,
-        )
+        return self._bind(mp)
 
     def default_region(self, mp: ModelParams) -> GridRegion:
-        self.check_model(mp)
-        return self._default_region(mp)
+        self._bind(mp)              # the model constraint is enforced first
+        return self._region(mp)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -169,30 +162,25 @@ def _require_inviscid(mp: ModelParams, kind: str) -> None:
         raise ValueError(f"{kind} is claimed for the inviscid model only (D=0), got D={mp.D}")
 
 
-def _t1(p1: float, p2: float, b: float) -> CatalogEntry:
-    def ev(mp, x, t):
+def _t1(p1: float, p2: float, b: float):
+    def ev(x, t):
         return StatePoint(rho=p2 / (t + b), u=(x + p1) / (t + b))
 
-    def pt(mp, x, t):
+    def pt(x, t):
         w = t + b
         return Partials(rho_t=-p2 / (w * w), rho_x=0.0,
                         u_t=-(x + p1) / (w * w), u_x=1.0 / w, u_xx=0.0)
 
-    def dom(mp, x, t):
+    def dom(x, t):
         return p2 * (t + b) > 0.0
 
-    def region(mp):
-        if p2 > 0.0:
-            return GridRegion(-5.0, 5.0, 41, 0.5 - b, 3.0 - b, 41)
-        return GridRegion(-5.0, 5.0, 41, -3.0 - b, -0.5 - b, 41)
-
-    return CatalogEntry(kind="T1", params={"p1": p1, "p2": p2, "b": b},
-                        _eval=ev, _partials=pt, _domain=dom,
-                        _default_region=region)
+    sampler = SolutionSampler(eval=ev, domain=dom, partials=pt)
+    t0, t1 = (0.5 - b, 3.0 - b) if p2 > 0.0 else (-3.0 - b, -0.5 - b)
+    return lambda mp: sampler, lambda mp: GridRegion(-5.0, 5.0, 41, t0, t1, 41)
 
 
 def _t2_core(p1: float, shift_x: float, scale_x: float, shift_t: float, scale_t: float,
-             kind: str, params: dict, note: str = "") -> CatalogEntry:
+             kind: str):
     """Shared implementation of the T2 and E3ZERO branch family.
 
     With X = scale_x*x + shift_x and T = scale_t*t + shift_t:
@@ -202,32 +190,34 @@ def _t2_core(p1: float, shift_x: float, scale_x: float, shift_t: float, scale_t:
     def XT(x, t):
         return scale_x * x + shift_x, scale_t * t + shift_t
 
-    def ev(mp, x, t):
-        X, T = XT(x, t)
-        S = _sqrt(X * X - 4.0 * mp.A * T * T)
-        return StatePoint(rho=2.0 * p1 / (S - X), u=(X + S) / (2.0 * T))
-
-    def pt(mp, x, t):
-        X, T = XT(x, t)
-        A = mp.A
-        S = _sqrt(X * X - 4.0 * A * T * T)
-        St = -4.0 * A * T * scale_t / S
-        rho_x = 2.0 * p1 * scale_x / (S * (S - X))
-        rho_t = 8.0 * p1 * A * T * scale_t / (S * ((S - X) * (S - X)))
-        u_x = scale_x * (S + X) / (2.0 * T * S)
-        u_t = St / (2.0 * T) - scale_t * (X + S) / (2.0 * T * T)
-        u_xx = -2.0 * A * scale_x ** 2 * T / (S * S * S)
-        return Partials(rho_t=rho_t, rho_x=rho_x, u_t=u_t, u_x=u_x, u_xx=u_xx)
-
-    def dom(mp, x, t):
-        X, T = XT(x, t)
-        disc = X * X - 4.0 * mp.A * T * T
-        # |disc| keeps the root real where disc < 0; those points fail disc > 0.
-        S = _sqrt(abs(disc))
-        return (disc > 0.0) & (T != 0.0) & (p1 * (S - X) > 0.0)
-
-    def check(mp):
+    def bind(mp):
         _require_inviscid(mp, kind)
+        A = mp.A
+
+        def ev(x, t):
+            X, T = XT(x, t)
+            S = _sqrt(X * X - 4.0 * A * T * T)
+            return StatePoint(rho=2.0 * p1 / (S - X), u=(X + S) / (2.0 * T))
+
+        def pt(x, t):
+            X, T = XT(x, t)
+            S = _sqrt(X * X - 4.0 * A * T * T)
+            St = -4.0 * A * T * scale_t / S
+            rho_x = 2.0 * p1 * scale_x / (S * (S - X))
+            rho_t = 8.0 * p1 * A * T * scale_t / (S * ((S - X) * (S - X)))
+            u_x = scale_x * (S + X) / (2.0 * T * S)
+            u_t = St / (2.0 * T) - scale_t * (X + S) / (2.0 * T * T)
+            u_xx = -2.0 * A * scale_x ** 2 * T / (S * S * S)
+            return Partials(rho_t=rho_t, rho_x=rho_x, u_t=u_t, u_x=u_x, u_xx=u_xx)
+
+        def dom(x, t):
+            X, T = XT(x, t)
+            disc = X * X - 4.0 * A * T * T
+            # |disc| keeps the root real where disc < 0; those points fail disc > 0.
+            S = _sqrt(abs(disc))
+            return (disc > 0.0) & (T != 0.0) & (p1 * (S - X) > 0.0)
+
+        return SolutionSampler(eval=ev, domain=dom, partials=pt)
 
     def region(mp):
         c = max(mp.sqrt_A, 0.5)
@@ -238,79 +228,62 @@ def _t2_core(p1: float, shift_x: float, scale_x: float, shift_t: float, scale_t:
         ts = sorted(((0.2 - shift_t) / scale_t, (1.0 - shift_t) / scale_t))
         return GridRegion(xs[0], xs[1], 41, ts[0], ts[1], 41)
 
-    return CatalogEntry(kind=kind, params=params, note=note,
-                        _eval=ev, _partials=pt, _domain=dom,
-                        _check_model=check, _default_region=region)
+    return bind, region
 
 
-def _t2(p1: float, b: float) -> CatalogEntry:
-    return _t2_core(p1, b, 1.0, 0.0, 1.0, "T2", {"p1": p1, "b": b},
-                    note="same two-branch family as E3ZERO (cross-reference)")
+def _t2(p1: float, b: float):
+    return _t2_core(p1, b, 1.0, 0.0, 1.0, "T2")
 
 
-def _e3zero(p1: float, e1: float, e2: float, e4: float) -> CatalogEntry:
+def _e3zero(p1: float, e1: float, e2: float, e4: float):
     _require(e1 != 0.0, "E3ZERO requires e1 != 0")
-    return _t2_core(p1, e4, e1, e2, e1, "E3ZERO",
-                    {"p1": p1, "e1": e1, "e2": e2, "e4": e4},
-                    note="same two-branch family as T2 (cross-reference); "
-                         "claimed for D=A=0 but satisfies the system for any A>0 with D=0")
+    return _t2_core(p1, e4, e1, e2, e1, "E3ZERO")
 
 
-def _t3(p1: float, b: float) -> CatalogEntry:
+def _t3(p1: float, b: float):
     _require(p1 > 0.0, "T3 requires p1 > 0 for a positive density at t > 0")
 
-    def ev(mp, x, t):
-        rho = (p1 / t) * _exp((t * _log(t) - x - b) / (t * mp.A))
-        return StatePoint(rho=rho, u=(x + b) / t + 1.0)
-
-    def pt(mp, x, t):
-        A = mp.A
-        rho = (p1 / t) * _exp((t * _log(t) - x - b) / (t * A))
-        phi_x = -1.0 / (t * A)
-        phi_t = 1.0 / (t * A) + (x + b) / (t * t * A)
-        return Partials(rho_t=rho * (-1.0 / t + phi_t), rho_x=rho * phi_x,
-                        u_t=-(x + b) / (t * t), u_x=1.0 / t, u_xx=0.0)
-
-    def dom(mp, x, t):
-        return (t > 0.0) & (t + b != 0.0)
-
-    def check(mp):
+    def bind(mp):
         _require_inviscid(mp, "T3")
         _require(mp.A > 0.0, "T3 requires A > 0 (A divides the exponent)")
+        A = mp.A
 
-    def region(mp):
-        return GridRegion(-2.0, 2.0, 41, 0.5, 3.0, 41)
+        def ev(x, t):
+            rho = (p1 / t) * _exp((t * _log(t) - x - b) / (t * A))
+            return StatePoint(rho=rho, u=(x + b) / t + 1.0)
 
-    return CatalogEntry(kind="T3", params={"p1": p1, "b": b},
-                        _eval=ev, _partials=pt, _domain=dom,
-                        _check_model=check, _default_region=region)
+        def pt(x, t):
+            rho = (p1 / t) * _exp((t * _log(t) - x - b) / (t * A))
+            phi_x = -1.0 / (t * A)
+            phi_t = 1.0 / (t * A) + (x + b) / (t * t * A)
+            return Partials(rho_t=rho * (-1.0 / t + phi_t), rho_x=rho * phi_x,
+                            u_t=-(x + b) / (t * t), u_x=1.0 / t, u_xx=0.0)
+
+        def dom(x, t):
+            return (t > 0.0) & (t + b != 0.0)
+
+        return SolutionSampler(eval=ev, domain=dom, partials=pt)
+
+    return bind, lambda mp: GridRegion(-2.0, 2.0, 41, 0.5, 3.0, 41)
 
 
-def _t4(p1: float, b: float) -> CatalogEntry:
+def _t4(p1: float, b: float):
     _require(p1 > 0.0, "T4 requires p1 > 0")
 
-    def ev(mp, x, t):
-        return StatePoint(rho=_filled(p1 / mp.sqrt_A, x, t), u=b + mp.sqrt_A)
-
-    def pt(mp, x, t):
-        return Partials(rho_t=_filled(0.0, x, t), rho_x=0.0, u_t=0.0, u_x=0.0, u_xx=0.0)
-
-    def dom(mp, x, t):
-        return _filled(True, x, t)
-
-    def check(mp):
+    def bind(mp):
         _require_inviscid(mp, "T4")
         _require(mp.A > 0.0, "T4 requires A > 0 (rho = p1/sqrt(A))")
+        rho, u = p1 / mp.sqrt_A, b + mp.sqrt_A
+        return SolutionSampler(
+            eval=lambda x, t: StatePoint(rho=_filled(rho, x, t), u=u),
+            domain=lambda x, t: _filled(True, x, t),
+            partials=lambda x, t: Partials(rho_t=_filled(0.0, x, t), rho_x=0.0, u_t=0.0,
+                                           u_x=0.0, u_xx=0.0))
 
-    def region(mp):
-        return GridRegion(-5.0, 5.0, 41, 0.0, 3.0, 41)
-
-    return CatalogEntry(kind="T4", params={"p1": p1, "b": b},
-                        _eval=ev, _partials=pt, _domain=dom,
-                        _check_model=check, _default_region=region)
+    return bind, lambda mp: GridRegion(-5.0, 5.0, 41, 0.0, 3.0, 41)
 
 
-def _p522(p1: float, p2: float, e2: float, e3: float, e4: float) -> CatalogEntry:
+def _p522(p1: float, p2: float, e2: float, e3: float, e4: float):
     _require(p1 > 0.0, "P522 requires p1 > 0 for rho > 0")
     _require(e2 != 0.0, "P522 requires e2 != 0 (e2 divides u)")
 
@@ -318,11 +291,11 @@ def _p522(p1: float, p2: float, e2: float, e3: float, e4: float) -> CatalogEntry
         q = e3 * t + e4
         return 2.0 * e3 * p2 + q * q - 2.0 * e2 * e3 * x
 
-    def ev(mp, x, t):
+    def ev(x, t):
         S = _sqrt(W(x, t))
         return StatePoint(rho=p1 / S, u=e3 * t / e2 + (e4 - S) / e2)
 
-    def pt(mp, x, t):
+    def pt(x, t):
         S = _sqrt(W(x, t))
         Sx = -e2 * e3 / S
         St = e3 * (e3 * t + e4) / S
@@ -330,15 +303,18 @@ def _p522(p1: float, p2: float, e2: float, e3: float, e4: float) -> CatalogEntry
                         u_t=e3 / e2 - St / e2, u_x=-Sx / e2,
                         u_xx=e2 * e3 ** 2 / (S * S * S))
 
-    def dom(mp, x, t):
+    def dom(x, t):
         return W(x, t) > 0.0
 
-    def check(mp):
+    sampler = SolutionSampler(eval=ev, domain=dom, partials=pt)
+
+    def bind(mp):
         _require_inviscid(mp, "P522")
-        if mp.A != 0.0:
-            raise ValueError(f"P522 is the pressureless similarity solution (A=0), got A={mp.A}")
+        _require(mp.A == 0.0, f"P522 is the pressureless similarity solution (A=0), got A={mp.A}")
+        return sampler
 
     def region(mp):
+        # Lazy: some parameters with a valid sampler admit no region at all.
         tlo, thi = 1.5, 4.0
         g = [2.0 * e3 * p2 + (e3 * t + e4) ** 2 for t in (tlo, thi)]
         if e3 != 0.0 and tlo < -e4 / e3 < thi:
@@ -355,9 +331,7 @@ def _p522(p1: float, p2: float, e2: float, e3: float, e4: float) -> CatalogEntry
             raise DomainError("P522 parameters admit no valid region")
         return GridRegion(-5.0, 5.0, 41, tlo, thi, 41)
 
-    return CatalogEntry(kind="P522", params={"p1": p1, "p2": p2, "e2": e2, "e3": e3, "e4": e4},
-                        _eval=ev, _partials=pt, _domain=dom,
-                        _check_model=check, _default_region=region)
+    return bind, region
 
 
 def _pointwise(f: Callable) -> Callable:
@@ -381,7 +355,7 @@ _KINK_REGIONS = {
 
 def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
           Mp: Optional[Callable] = None, Mpp: Optional[Callable] = None,
-          Mppp: Optional[Callable] = None) -> CatalogEntry:
+          Mppp: Optional[Callable] = None):
     if mshape == "custom":
         _require(M is not None and Mp is not None, "custom KINK needs M and M'")
         shape = tuple(f and _pointwise(f) for f in (M, Mp, Mpp, Mppp))
@@ -392,90 +366,76 @@ def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
         shape = KINK_SHAPES[mshape]
     fM, fMp, fMpp, fMppp = shape
 
-    def ev(mp, x, t):
-        sa = mp.sqrt_A
-        m = fM(x)
-        z = sa * fMp(x) * (c1 + t) / m
-        return StatePoint(rho=m, u=-sa * _tanh(z))
-
-    have_high = fMpp is not None and fMppp is not None
-
-    def pt(mp, x, t):
-        sa = mp.sqrt_A
-        m, m1, m2, m3 = fM(x), fMp(x), fMpp(x), fMppp(x)
-        z = sa * m1 * (c1 + t) / m
-        sech2 = 1.0 / (_cosh(z) * _cosh(z))
-        z_t = sa * m1 / m
-        z_x = sa * (c1 + t) * (m2 * m - m1 * m1) / (m * m)
-        z_xx = sa * (c1 + t) * (m3 * m * m - 3.0 * m2 * m1 * m + 2.0 * (m1 * m1 * m1)) / (m * m * m)
-        return Partials(rho_t=0.0, rho_x=m1,
-                        u_t=-sa * sech2 * z_t,
-                        u_x=-sa * sech2 * z_x,
-                        u_xx=-sa * sech2 * (z_xx - 2.0 * _tanh(z) * z_x * z_x))
-
-    def dom(mp, x, t):
+    def dom(x, t):
         m = fM(x)
         return (m > 0.0) & (m < math.inf)      # False for NaN
 
-    def check(mp):
+    def bind(mp):
         _require_inviscid(mp, "KINK")
+        sa = mp.sqrt_A
 
-    def region(mp):
-        if mshape in _KINK_REGIONS:
-            xlo, xhi = _KINK_REGIONS[mshape]
-        else:
-            xlo, xhi = -1.0, 1.0
-        return GridRegion(xlo, xhi, 41, 0.0, 3.0, 41)
+        def ev(x, t):
+            m = fM(x)
+            z = sa * fMp(x) * (c1 + t) / m
+            return StatePoint(rho=m, u=-sa * _tanh(z))
 
-    params = {"mshape": mshape, "c1": c1}
-    return CatalogEntry(kind="KINK", params=params,
-                        note="status adjudicated by the harness, never presumed",
-                        _eval=ev,
-                        _partials=pt if have_high else None,
-                        _domain=dom, _check_model=check, _default_region=region)
+        def pt(x, t):
+            m, m1, m2, m3 = fM(x), fMp(x), fMpp(x), fMppp(x)
+            z = sa * m1 * (c1 + t) / m
+            sech2 = 1.0 / (_cosh(z) * _cosh(z))
+            z_t = sa * m1 / m
+            z_x = sa * (c1 + t) * (m2 * m - m1 * m1) / (m * m)
+            z_xx = (sa * (c1 + t) * (m3 * m * m - 3.0 * m2 * m1 * m + 2.0 * (m1 * m1 * m1))
+                    / (m * m * m))
+            return Partials(rho_t=0.0, rho_x=m1,
+                            u_t=-sa * sech2 * z_t,
+                            u_x=-sa * sech2 * z_x,
+                            u_xx=-sa * sech2 * (z_xx - 2.0 * _tanh(z) * z_x * z_x))
+
+        return SolutionSampler(eval=ev, domain=dom,
+                               partials=pt if fMpp is not None and fMppp is not None else None)
+
+    xlo, xhi = _KINK_REGIONS.get(mshape, (-1.0, 1.0))
+    return bind, lambda mp: GridRegion(xlo, xhi, 41, 0.0, 3.0, 41)
 
 
-def _negctrl() -> CatalogEntry:
-    def ev(mp, x, t):
-        return StatePoint(rho=x + 2.0, u=1.0)
-
-    def pt(mp, x, t):
-        return Partials(rho_t=_filled(0.0, x, t), rho_x=1.0, u_t=0.0, u_x=0.0, u_xx=0.0)
-
-    def dom(mp, x, t):
-        return x > -2.0
-
-    def region(mp):
-        return GridRegion(-1.0, 5.0, 41, 0.0, 2.0, 41)
-
-    return CatalogEntry(kind="NEGCTRL", params={},
-                        note="deliberate non-solution used as a negative control",
-                        _eval=ev, _partials=pt, _domain=dom, _default_region=region)
+def _negctrl():
+    sampler = SolutionSampler(
+        eval=lambda x, t: StatePoint(rho=x + 2.0, u=1.0), domain=lambda x, t: x > -2.0,
+        partials=lambda x, t: Partials(rho_t=_filled(0.0, x, t), rho_x=1.0, u_t=0.0, u_x=0.0,
+                                       u_xx=0.0))
+    return lambda mp: sampler, lambda mp: GridRegion(-1.0, 5.0, 41, 0.0, 2.0, 41)
 
 
 class Family(NamedTuple):
-    """A catalog family: its entry factory, required keys and one-line summary."""
+    """A catalog family: its (bind, region) factory, keys, one-line summary and report note."""
 
-    factory: Callable[..., CatalogEntry]
+    factory: Callable[..., tuple]
     params: tuple[str, ...]
     summary: str
+    note: str = ""
 
 
 FAMILIES: dict[str, Family] = {
     "T1": Family(_t1, ("p1", "p2", "b"),
                  "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D"),
-    "T2": Family(_t2, ("p1", "b"), "branch family in sqrt((x+b)^2-4At^2); D=0"),
+    "T2": Family(_t2, ("p1", "b"), "branch family in sqrt((x+b)^2-4At^2); D=0",
+                 "same two-branch family as E3ZERO (cross-reference)"),
     "T3": Family(_t3, ("p1", "b"),
                  "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0"),
     "T4": Family(_t4, ("p1", "b"), "constants rho=p1/sqrt(A), u=b+sqrt(A); D=0, A>0"),
     "P522": Family(_p522, ("p1", "p2", "e2", "e3", "e4"),
                    "pressureless similarity solution; requires A=0, D=0"),
     "E3ZERO": Family(_e3zero, ("p1", "e1", "e2", "e4"),
-                     "T2 family in (e1 x + e4, e1 t + e2); D=0"),
+                     "T2 family in (e1 x + e4, e1 t + e2); D=0",
+                     "same two-branch family as T2 (cross-reference); "
+                     "claimed for D=A=0 but satisfies the system for any A>0 with D=0"),
     "KINK": Family(_kink, ("mshape", "c1"),
                    "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); mshape in "
-                   "{sin, sec, cos, gauss}; D=0; status adjudicated by the harness"),
-    "NEGCTRL": Family(_negctrl, (), "rho=x+2, u=1; deliberate non-solution (negative control)"),
+                   "{sin, sec, cos, gauss}; D=0; status adjudicated by the harness",
+                   "status adjudicated by the harness, never presumed"),
+    "NEGCTRL": Family(_negctrl, (), "rho=x+2, u=1; deliberate non-solution (negative control)",
+                      "deliberate non-solution used as a negative control"),
 }
 
 # Required entry parameters, used by the CLI for exhaustive diagnostics.
@@ -483,10 +443,15 @@ ENTRY_PARAMS: dict[str, tuple[str, ...]] = {kind: f.params for kind, f in FAMILI
 
 
 def make_entry(kind: str, **params) -> CatalogEntry:
-    """Build a catalog entry by family name; see ENTRY_PARAMS for required keys."""
+    """Build a catalog entry by family name; see ENTRY_PARAMS for required keys.
+
+    Only those keys are recorded, so a custom KINK's callables stay out of id().
+    """
     if kind not in FAMILIES:
         raise ValueError(f"unknown catalog entry {kind!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[kind].factory(**params)
+    fam = FAMILIES[kind]
+    bind, region = fam.factory(**params)
+    return CatalogEntry(kind, {k: params[k] for k in fam.params}, fam.note, bind, region)
 
 
 @dataclass

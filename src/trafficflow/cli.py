@@ -51,10 +51,6 @@ class UsageError(Exception):
     pass
 
 
-class ParseError(Exception):
-    pass
-
-
 def _fmt(v) -> str:
     """Shortest round-trip decimal representation of a float."""
     return repr(float(v))
@@ -125,8 +121,8 @@ def parse_entry_spec(spec: str):
     """Parse 'NAME?key=val&key=val' into a catalog entry.
 
     Unknown names, missing keys and unknown keys are rejected with
-    exhaustive diagnostics (usage errors); malformed values are parse
-    errors.
+    exhaustive diagnostics (usage errors); malformed or out-of-range values
+    raise ValueError.
     """
     name, _, query = spec.partition("?")
     if name not in ENTRY_PARAMS:
@@ -159,11 +155,8 @@ def parse_entry_spec(spec: str):
             try:
                 params[k] = float(v)
             except ValueError as e:
-                raise ParseError(f"entry key {k}={v!r} is not a number") from e
-    try:
-        return make_entry(name, **params)
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+                raise ValueError(f"entry key {k}={v!r} is not a number") from e
+    return make_entry(name, **params)
 
 
 def _parse_vector(text: str, n: int, what: str) -> list:
@@ -173,7 +166,7 @@ def _parse_vector(text: str, n: int, what: str) -> list:
     try:
         return [float(p) for p in parts]
     except ValueError as e:
-        raise ParseError(f"{what}: {e}") from e
+        raise ValueError(f"{what}: {e}") from e
 
 
 def _region_from_args(args, entry, mp) -> GridRegion:
@@ -183,13 +176,6 @@ def _region_from_args(args, entry, mp) -> GridRegion:
     if any(v is None for v in explicit):
         raise UsageError("either give all of --x0 --x1 --t0 --t1 or none")
     return GridRegion(args.x0, args.x1, args.nx, args.t0, args.t1, args.nt)
-
-
-def _model_from_args(args) -> ModelParams:
-    try:
-        return ModelParams(A=args.A, D=args.D)
-    except ValueError as e:
-        raise ParseError(str(e)) from e
 
 
 def _csv(header: list, rows) -> str:
@@ -204,7 +190,7 @@ def _csv(header: list, rows) -> str:
 
 def cmd_verify(args, argv) -> int:
     entry = parse_entry_spec(args.entry)
-    mp = _model_from_args(args)
+    mp = ModelParams(A=args.A, D=args.D)
     region = _region_from_args(args, entry, mp)
     rep = verify_entry(entry, mp, region, tol=args.tol)
     params = {
@@ -233,7 +219,7 @@ def _parse_axis(spec: str, what: str):
     try:
         lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as e:
-        raise ParseError(f"{what}: {e}") from e
+        raise ValueError(f"{what}: {e}") from e
     if n < 2 or hi <= lo:
         raise UsageError(f"{what}: need count >= 2 and max > min")
     return axis, np.linspace(lo, hi, n)
@@ -262,18 +248,18 @@ def _field_from_csv(path: Path):
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     header = [h.strip() for h in lines[0].split(",")]
     if header[:3] != ["x", "rho", "u"]:
-        raise ParseError(f"IC csv must have header x,rho,u, got {lines[0]!r}")
+        raise ValueError(f"IC csv must have header x,rho,u, got {lines[0]!r}")
     xs, rho, u = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             vals = [float(v) for v in line.split(",")]
         except ValueError:
-            raise ParseError(f"IC csv line {lineno} holds a value that is not a number, "
+            raise ValueError(f"IC csv line {lineno} holds a value that is not a number, "
                              f"got {line!r}") from None
         if len(vals) < 3:
-            raise ParseError(f"IC csv line {lineno} needs the fields x,rho,u, got {line!r}")
+            raise ValueError(f"IC csv line {lineno} needs the fields x,rho,u, got {line!r}")
         if not (0.0 < vals[1] < math.inf and math.isfinite(vals[2])):
-            raise ParseError(f"IC csv line {lineno} needs finite rho > 0 and finite u, "
+            raise ValueError(f"IC csv line {lineno} needs finite rho > 0 and finite u, "
                              f"got {line!r}")
         xs.append(vals[0])
         rho.append(vals[1])
@@ -281,14 +267,14 @@ def _field_from_csv(path: Path):
     xs = np.array(xs)
     dxs = np.diff(xs)
     if len(xs) < 8 or not np.allclose(dxs, dxs[0], rtol=1e-8):
-        raise ParseError("IC csv must hold >= 8 uniformly spaced cells")
+        raise ValueError("IC csv must hold >= 8 uniformly spaced cells")
     dx = float(dxs[0])
     grid = Grid(x0=float(xs[0]) - 0.5 * dx, dx=dx, nx=len(xs))
     return grid, np.array(rho), np.array(u)
 
 
 def cmd_simulate(args, argv) -> int:
-    mp = _model_from_args(args)
+    mp = ModelParams(A=args.A, D=args.D)
     ic_path = Path(args.ic)
     from_csv = ic_path.suffix == ".csv" and ic_path.exists()
     entry = None if from_csv else parse_entry_spec(args.ic)
@@ -387,7 +373,7 @@ def cmd_lie(args, argv) -> int:
         return EXIT_OK
     if sub == "transform":
         entry = parse_entry_spec(args.entry)
-        mp = _model_from_args(args)
+        mp = ModelParams(A=args.A, D=args.D)
         sampler = entry.sampler(mp)
         transformed = group_transform(args.generator, args.eps, sampler)
         samples = []
@@ -430,7 +416,7 @@ def cmd_lie(args, argv) -> int:
 
 def cmd_conserve(args, argv) -> int:
     entry = parse_entry_spec(args.entry)
-    mp = _model_from_args(args)
+    mp = ModelParams(A=args.A, D=args.D)
     c = MultiplierConstants(*_parse_vector(args.c, 3, "--c"))
     region = _region_from_args(args, entry, mp)
     sampler = entry.sampler(mp)
@@ -460,7 +446,7 @@ def cmd_conserve(args, argv) -> int:
 
 def cmd_wavefront(args, argv) -> int:
     entry = parse_entry_spec(args.background)
-    mp = _model_from_args(args)
+    mp = ModelParams(A=args.A, D=args.D)
     rep = verify_entry(entry, mp, tol=1e-8)
     if rep.status != VERIFIED:
         sys.stderr.write(f"background {entry.id()} is {rep.status}, not VERIFIED\n")
@@ -617,7 +603,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
-    except (ParseError, ValueError) as e:  # DomainError is a ValueError
+    except ValueError as e:  # DomainError is a ValueError
         sys.stderr.write(f"error: {e}\n")
         return EXIT_DOMAIN
     except SolverError as e:

@@ -142,12 +142,11 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
     return S1 - (l1 * R1 + l2 * R2), S2 - (l3 * R1 + l4 * R2)
 
 
-def _mixed_u_tx(s: SolutionSampler, x, t, h_step: float):
-    """Mixed derivative u_tx: t-difference of analytic u_x when available."""
-    k = 1e-4 * step_scale(x, t)
+def _mixed_u_tx(s: SolutionSampler, x, t, h: float):
+    """Mixed derivative u_tx: t-difference of analytic u_x when available, else 2-D at step h."""
     if s.partials is not None:
+        k = 1e-4 * step_scale(x, t)
         return (s.partials(x, t + k).u_x - s.partials(x, t - k).u_x) / (2.0 * k)
-    h = h_step if h_step > 0 else k
     return (s.eval(x + h, t + h).u - s.eval(x + h, t - h).u
             - s.eval(x - h, t + h).u + s.eval(x - h, t - h).u) / (4.0 * h * h)
 
@@ -156,19 +155,21 @@ _WHICH = ("S1", "S2", "S3", "S4")
 
 
 def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams,
-                              s: SolutionSampler, x, t,
-                              h_step: float = 0.0) -> tuple[float, float]:
+                              s: SolutionSampler, x, t, h_step: float) -> tuple[float, float]:
     """Conserved vector (Ux, Ut) generated by one of the four point symmetries.
 
     Implements the published rows verbatim, at a point or on (x, t) arrays.
     The mixed derivative u_tx (needed by the viscous parts of the S1 and S2
     rows) is obtained by differencing analytic u_x in t when available,
-    else by 2-D differences.
+    else by 2-D differences at step h_step, which also serves the order-2
+    FD partials of a sampler without analytic ones.
     """
     if which not in _WHICH:
         raise ValueError(f"which must be one of {_WHICH}")
     s.require_in_domain(x, t)
-    st, d = _field_partials(s, x, t, h_step if h_step > 0 else 1e-4)
+    if not h_step > 0.0:
+        raise ValueError(f"h_step must be > 0, got {h_step}")
+    st, d = _field_partials(s, x, t, h_step)
     rho, u = st.rho, st.u
     A, D = p.A, p.D
     c1, c2, c3 = c.c1, c.c2, c.c3

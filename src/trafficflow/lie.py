@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+def _require_finite(obj, what: str) -> None:
+    for name, value in vars(obj).items():
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {what} {name}")
+
+
 @dataclass(frozen=True)
 class LieCoeffs:
     """Coefficients (w1..w4) of an algebra element w1*S1 + ... + w4*S4."""
@@ -55,9 +61,7 @@ class LieCoeffs:
     w4: float
 
     def __post_init__(self):
-        for name in ("w1", "w2", "w3", "w4"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite coefficient {name}")
+        _require_finite(self, "coefficient")
 
     @classmethod
     def from_array(cls, a) -> "LieCoeffs":
@@ -82,6 +86,9 @@ class AdjointParams:
     eps3: float = 0.0
     eps4: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(self, "group parameter")
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.eps1, self.eps2, self.eps3, self.eps4)
 
@@ -94,6 +101,9 @@ class InfinitesimalParams:
     e2: float = 0.0
     e3: float = 0.0
     e4: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "symmetry constant")
 
 
 # C[i, j, k]: [S_{i+1}, S_{j+1}] = sum_k C[i, j, k] S_{k+1}, exact integers.
@@ -362,6 +372,8 @@ def invariant_ic(e: InfinitesimalParams, delta: float, x: float, branch: str) ->
     Both rho(x, 0) and u(x, 0) take the same Theta.  The published case
     labels overlap, so branch selection is caller-explicit.
     """
+    if not (math.isfinite(delta) and math.isfinite(x)):
+        raise ValueError(f"delta and x must be finite, got delta={delta}, x={x}")
     if e.e2 != 0.0:
         raise ValueError("invariant initial conditions require e2 = 0")
     base = e.e1 * x + e.e4

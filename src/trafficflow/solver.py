@@ -324,8 +324,12 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
     """March from t0 to t_end, landing exactly on each snapshot time.
 
     Diagnostics are recorded per step with keys step, t, dt, mass, momentum,
-    max_speed; totals use the cell-average quadrature sum(q) * dx.
+    max_speed; totals use the cell-average quadrature sum(q) * dx.  Every
+    time must be finite: a run toward t = inf would never end.
     """
+    if not all(math.isfinite(s) for s in (t0, t_end, *(snapshots or ()))):
+        raise ValueError(f"t0, t_end and snapshot times must be finite, got t0={t0}, "
+                         f"t_end={t_end}, snapshots={snapshots}")
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
     f = _initial_field(ic, cfg.grid, t0)

@@ -55,8 +55,9 @@ class AmplitudeProblem:
     def __post_init__(self):
         if self.A <= 0.0:
             raise ValueError("A must be > 0")
-        if not math.isfinite(self.pi0):
-            raise ValueError(f"pi0 must be finite, got {self.pi0}")
+        for name in ("x0", "t0", "pi0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.background.partials is None:
             raise ValueError("amplitude problems need a background with analytic partials")
 
@@ -143,10 +144,16 @@ def _rk4_path(prob: AmplitudeProblem, ts: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _time_nodes(prob: AmplitudeProblem, t_end: float, dt: float) -> np.ndarray:
-    """Equal steps of at most dt from t0 to t_end, the last node exactly on t_end."""
+def _require_t_end(prob: AmplitudeProblem, t_end: float) -> None:
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end <= prob.t0:
         raise ValueError("t_end must exceed t0")
+
+
+def _time_nodes(prob: AmplitudeProblem, t_end: float, dt: float) -> np.ndarray:
+    """Equal steps of at most dt from t0 to t_end, the last node exactly on t_end."""
+    _require_t_end(prob, t_end)
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
     nsteps = max(1, math.ceil((t_end - prob.t0) / dt - 1e-12))
@@ -232,8 +239,7 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
     by bisection on the cubic Hermite interpolant of the node values of F
     with slopes F' = E, or +inf when no root exists in [t0, t_end].
     """
-    if t_end <= prob.t0:
-        raise ValueError("t_end must exceed t0")
+    _require_t_end(prob, t_end)
     if n < 2:
         raise ValueError("need at least 2 quadrature panels")
     if n % 2:

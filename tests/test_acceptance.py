@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -360,8 +361,11 @@ def test_criterion_10b_cli_process_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["-m", "trafficflow", "simulate", "--ic", "T1?p1=1&p2=2&b=1",
             "--surface", "x:-2:2:21", "t:0.5:2:21"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     subprocess.run([sys.executable] + argv + ["--out", str(out1)],
-                   check=True, capture_output=True)
+                   check=True, capture_output=True, env=env)
     subprocess.run([sys.executable] + argv + ["--out", str(out2)],
-                   check=True, capture_output=True)
+                   check=True, capture_output=True, env=env)
     assert out1.read_bytes() == out2.read_bytes()

@@ -288,3 +288,67 @@ def test_entry_id_stable():
     e = make_entry("T1", p1=1, p2=2, b=1)
     assert e.id() == "T1?b=1&p1=1&p2=2"
     assert make_entry("NEGCTRL").id() == "NEGCTRL"
+
+
+_T2_NOTE = "same two-branch family as E3ZERO (cross-reference)"
+_E3ZERO_NOTE = ("same two-branch family as T2 (cross-reference); "
+                "claimed for D=A=0 but satisfies the system for any A>0 with D=0")
+_KINK_NOTE = "status adjudicated by the harness, never presumed"
+
+
+@pytest.mark.parametrize("kind,params,entry_id,keys,note", [
+    ("T1", dict(b=-1, p2=2.5, p1=1), "T1?b=-1&p1=1&p2=2.5", ["p1", "p2", "b"], ""),
+    ("T2", dict(p1=1, b=0), "T2?b=0&p1=1", ["p1", "b"], _T2_NOTE),
+    ("T3", dict(p1=1, b=1), "T3?b=1&p1=1", ["p1", "b"], ""),
+    ("T4", dict(p1=1, b=0), "T4?b=0&p1=1", ["p1", "b"], ""),
+    ("P522", dict(p1=2, p2=1, e2=2, e3=1, e4=3), "P522?e2=2&e3=1&e4=3&p1=2&p2=1",
+     ["p1", "p2", "e2", "e3", "e4"], ""),
+    ("E3ZERO", dict(p1=1, e1=1, e2=0.5, e4=1), "E3ZERO?e1=1&e2=0.5&e4=1&p1=1",
+     ["p1", "e1", "e2", "e4"], _E3ZERO_NOTE),
+    ("KINK", dict(c1=0.5, mshape="sin"), "KINK?c1=0.5&mshape=sin", ["mshape", "c1"], _KINK_NOTE),
+    ("NEGCTRL", {}, "NEGCTRL", [], "deliberate non-solution used as a negative control"),
+])
+def test_entry_records_id_keys_and_note(kind, params, entry_id, keys, note):
+    # params keeps the family's key order whatever the keyword order
+    e = make_entry(kind, **params)
+    assert (e.id(), list(e.params), e.note) == (entry_id, keys, note)
+
+
+def test_custom_kink_records_only_its_shape_and_c1():
+    e = make_entry("KINK", mshape="custom", c1=1.0, M=math.cos, Mp=math.sin)
+    assert e.params == {"mshape": "custom", "c1": 1.0}
+    assert e.id() == "KINK?c1=1.0&mshape=custom"
+
+
+@pytest.mark.parametrize("kind,params,mp,message", [
+    ("T2", dict(p1=1, b=0), ModelParams(A=1.0, D=0.1),
+     "T2 is claimed for the inviscid model only (D=0), got D=0.1"),
+    ("T3", dict(p1=1, b=1), ModelParams(A=1.0, D=0.2),
+     "T3 is claimed for the inviscid model only (D=0), got D=0.2"),
+    ("T3", dict(p1=1, b=1), MP0, "T3 requires A > 0 (A divides the exponent)"),
+    ("T4", dict(p1=1, b=0), ModelParams(A=1.0, D=1.0),
+     "T4 is claimed for the inviscid model only (D=0), got D=1.0"),
+    ("T4", dict(p1=1, b=0), MP0, "T4 requires A > 0 (rho = p1/sqrt(A))"),
+    ("P522", dict(p1=2, p2=1, e2=2, e3=1, e4=3), ModelParams(A=0.0, D=0.5),
+     "P522 is claimed for the inviscid model only (D=0), got D=0.5"),
+    ("P522", dict(p1=2, p2=1, e2=2, e3=1, e4=3), MP1,
+     "P522 is the pressureless similarity solution (A=0), got A=1.0"),
+    ("E3ZERO", dict(p1=1, e1=1, e2=0.5, e4=1), ModelParams(A=1.0, D=0.5),
+     "E3ZERO is claimed for the inviscid model only (D=0), got D=0.5"),
+    ("KINK", dict(mshape="gauss", c1=1), ModelParams(A=1.0, D=0.5),
+     "KINK is claimed for the inviscid model only (D=0), got D=0.5"),
+])
+def test_model_constraint_messages(kind, params, mp, message):
+    e = make_entry(kind, **params)
+    for bound in (e.sampler, e.default_region):
+        with pytest.raises(ValueError) as info:
+            bound(mp)
+        assert str(info.value) == message
+
+
+def test_p522_region_is_built_only_on_request():
+    # e3 = e4 = 0 passes every check, but W = 0 leaves no region to build
+    e = make_entry("P522", p1=1, p2=1, e2=1, e3=0, e4=0)
+    assert not e.sampler(MP0).domain(0.0, 2.0)
+    with pytest.raises(DomainError, match="admit no valid region"):
+        e.default_region(MP0)

@@ -145,6 +145,22 @@ def test_lie_ic(capsys):
     assert rep["theta"] == 0.25
 
 
+def test_lie_non_finite_parameters_exit_65(capsys):
+    code, stdout, err = run_cli(capsys, "lie", "ic", "--e", "1,0,nan,0", "--delta", "1",
+                                "--x", "2", "--branch", "power")
+    assert (code, stdout, err) == (65, "", "error: non-finite symmetry constant e3\n")
+    code, stdout, err = run_cli(capsys, "lie", "adjoint", "0.1,inf,0.3,0.4", "1,1,1,1")
+    assert (code, stdout, err) == (65, "", "error: non-finite group parameter eps2\n")
+
+
+@pytest.mark.parametrize("delta,x", [("nan", "2"), ("1", "inf")])
+def test_lie_ic_non_finite_point_is_usage_error(capsys, delta, x):
+    # Like every other rejection by invariant_ic, this one is a usage error.
+    code, stdout, err = run_cli(capsys, "lie", "ic", "--e", "1,0,2,0", f"--delta={delta}",
+                                f"--x={x}", "--branch", "power")
+    assert code == 64 and stdout == "" and "delta and x must be finite" in err
+
+
 def test_simulate_constant_state(capsys, tmp_path):
     out = tmp_path / "t4.csv"
     code, _, _ = run_cli(capsys, "simulate", "--ic", "T4?p1=1&b=0", "--A", "1",
@@ -280,6 +296,16 @@ def test_simulate_positivity_abort_exit_4(capsys, tmp_path, monkeypatch):
     assert "cell 7" in err and "0.25" in err
 
 
+@pytest.mark.parametrize("times", [["--t-end", "inf"], ["--t-end", "nan"], ["--snap", "nan"],
+                                   ["--snap", "0.1,inf", "--t-end", "inf"]])
+def test_simulate_non_finite_time_exit_65(capsys, tmp_path, steps_taken, times):
+    out = tmp_path / "run.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--ic", "T4?p1=1&b=0", "--t0", "0",
+                                *times, "--out", str(out))
+    assert code == 65 and err.startswith("error: t0, t_end and snapshot times must be finite")
+    assert stdout == "" and steps_taken == [] and list(tmp_path.iterdir()) == []
+
+
 def test_simulate_surface_mode(capsys, tmp_path):
     out = tmp_path / "fig1.csv"
     code, _, _ = run_cli(capsys, "simulate", "--ic", "T1?p1=1&p2=2&b=1",
@@ -360,6 +386,16 @@ def test_wavefront_shock_on_a_node(capsys, tmp_path):
     assert code == 0 and err == ""
     assert json.loads(stdout)["shock_time"] == 1.2850000000000001
     assert "inf" not in out.read_text()
+
+
+@pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"),
+                                        ("--x0", "nan"), ("--t0", "inf")])
+def test_wavefront_non_finite_input_exit_65(capsys, tmp_path, flag, value):
+    code, stdout, err = run_cli(capsys, "wavefront", "--background", "T1?p1=0&p2=1&b=1",
+                                "--pi0", "0.5", f"{flag}={value}",
+                                "--out", str(tmp_path / "wf.csv"))
+    assert code == 65 and stdout == "" and list(tmp_path.iterdir()) == []
+    assert err == f"error: {flag[2:].replace('-', '_')} must be finite, got {value}\n"
 
 
 def test_wavefront_refuted_background_exit_5(capsys):

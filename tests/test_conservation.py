@@ -103,21 +103,30 @@ def test_adjoint_identity_reports_viscous_defect_ratios():
 
 def test_symmetry_vector_examples():
     c010 = MultiplierConstants(0, 1, 0)
-    _, ut = symmetry_conserved_vector("S4", c010, MP1, _t1_sampler(), 1.0, 1.0)
+    _, ut = symmetry_conserved_vector("S4", c010, MP1, _t1_sampler(), 1.0, 1.0, 1e-3)
     assert ut == pytest.approx(-0.5)
 
     t4 = make_entry("T4", p1=1, b=0).sampler(MP1)
-    ux, ut = symmetry_conserved_vector("S2", MultiplierConstants(1, 1, 1), MP1, t4, 0.3, 0.7)
+    ux, ut = symmetry_conserved_vector("S2", MultiplierConstants(1, 1, 1), MP1, t4, 0.3, 0.7,
+                                       1e-3)
     assert ux == 0.0 and ut == 0.0
 
-    _, ut = symmetry_conserved_vector("S3", c010, MP1, t4, 0.3, 0.7)
+    _, ut = symmetry_conserved_vector("S3", c010, MP1, t4, 0.3, 0.7, 1e-3)
     assert ut == 1.0
 
 
 def test_symmetry_vector_rejects_unknown_row():
     with pytest.raises(ValueError):
         symmetry_conserved_vector("S5", MultiplierConstants(1, 0, 0), MP1,
-                                  _t1_sampler(), 1.0, 1.0)
+                                  _t1_sampler(), 1.0, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("h_step", [0.0, -1e-3, math.nan])
+def test_symmetry_vector_requires_a_positive_step(h_step):
+    # No step is picked on the caller's behalf: the FD paths difference at h_step.
+    with pytest.raises(ValueError, match="h_step must be > 0"):
+        symmetry_conserved_vector("S2", MultiplierConstants(1, 1, 1), MP1, _t1_sampler(),
+                                  1.0, 1.0, h_step)
 
 
 def test_divergence_zero_on_constants():

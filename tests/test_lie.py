@@ -329,6 +329,18 @@ def test_invariant_ic_errors():
     assert invariant_ic(InfinitesimalParams(1, 0, 2, 0), 1.0, -2.0, "power") == 4.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_parameters_reject_non_finite_values(bad):
+    for cls, what in ((LieCoeffs, "coefficient w3"), (AdjointParams, "group parameter eps3"),
+                      (InfinitesimalParams, "symmetry constant e3")):
+        with pytest.raises(ValueError, match=f"non-finite {what}"):
+            cls(0.5, 1.0, bad, 2.0)
+    e = InfinitesimalParams(1, 0, 2, 0)
+    for delta, x in ((bad, 2.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="delta and x must be finite"):
+            invariant_ic(e, delta, x, "power")
+
+
 def test_ad_matrix_structure():
     # ad of a general element, column j = [w, S_j]
     w = LieCoeffs(1.0, 2.0, 3.0, 4.0)

@@ -163,6 +163,18 @@ def test_zero_length_run():
     assert traj.diagnostics == []
 
 
+@pytest.mark.parametrize("t0,t_end,snaps", [
+    (0.0, math.inf, None), (0.0, math.nan, None), (math.nan, 1.0, None),
+    (-math.inf, 1.0, None), (0.0, 1.0, [0.5, math.nan]), (0.0, math.inf, [0.5, math.inf]),
+])
+def test_run_rejects_non_finite_times_before_any_step(steps_taken, t0, t_end, snaps):
+    s = make_entry("T4", p1=1, b=0).sampler(MP1)
+    cfg = SolverConfig(grid=Grid.over(0.0, 1.0, 32), params=MP1)
+    with pytest.raises(ValueError, match="must be finite"):
+        run(cfg, s, t0, t_end, snapshots=snaps)
+    assert steps_taken == []
+
+
 def test_run_lands_exactly_on_snapshots():
     s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
     g = Grid.over(0.0, 2.0, 64)

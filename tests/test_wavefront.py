@@ -279,11 +279,23 @@ def test_problem_validation():
     for pi0 in (math.nan, -math.inf):
         with pytest.raises(ValueError):
             AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=pi0)
+    for name in ("x0", "t0"):
+        for v in (math.nan, math.inf, -math.inf):
+            start = {"x0": 0.0, "t0": 1.0, name: v}
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                AmplitudeProblem(background=s, A=1.0, pi0=0.1, **start)
     prob = _t1_problem(0.1)
     with pytest.raises(ValueError):
         amplitude_quadrature(prob, 0.5, n=100)   # t_end <= t0
     with pytest.raises(ValueError):
         characteristic_path(prob, 3.0, -0.1)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            amplitude_quadrature(prob, t_end, n=100)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            characteristic_path(prob, t_end, 0.1)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            amplitude_direct(prob, t_end, 0.1)
 
 
 def _nodes(n, uniform):
