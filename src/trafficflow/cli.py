@@ -402,6 +402,8 @@ def cmd_lie(args, argv) -> int:
         e = InfinitesimalParams(*_parse_vector(args.e, 4, "--e"))
         try:
             theta = invariant_ic(e, args.delta, args.x, args.branch)
+        except DomainError:
+            raise  # a point outside the branch's domain: exit 65 like every DomainError
         except ValueError as err:
             raise UsageError(str(err)) from err
         _emit("lie ic", argv, {"e": args.e, "delta": args.delta, "x": args.x,

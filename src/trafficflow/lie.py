@@ -265,6 +265,12 @@ class OptimalClass:
         return np.zeros(4)
 
 
+def _require_representable(w: LieCoeffs, why: str, *values: float) -> None:
+    """ValueError naming w when a value of its classification overflowed."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"cannot classify w={w.as_array().tolist()}: {why}")
+
+
 def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
     """Map an algebra element onto its optimal-system family.
 
@@ -275,7 +281,9 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
     subalgebras are unchanged by it.  In the w1 = 0, w3 != 0 family the S2
     coefficient survives every adjoint action up to positive rescaling and
     is reported as a residue rather than dropped; the S4 coefficient keeps
-    its sign and is normalised to b in {-1, 0, 1}.
+    its sign and is normalised to b in {-1, 0, 1}.  A finite w whose group
+    parameters or residue overflow (a leading coefficient tiny against the
+    others) raises ValueError naming w.
     """
     if w.is_zero():
         raise ValueError("cannot classify the zero vector")
@@ -284,6 +292,7 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
         # l1, l2 invariant; eps2 clears w2, then eps4 clears w4.
         eps2 = w.w2 / w.w1
         eps4 = (w.w4 - eps2 * w.w3) / w.w1
+        _require_representable(w, f"its leading coefficient w1={w.w1} is too small", eps2, eps4)
         e = AdjointParams(eps2=eps2, eps4=eps4)
         cls = OptimalClass(family="T3", b=0, l1=w.w1, l2=w.w3)
         return cls, e, 1.0
@@ -291,6 +300,7 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
     if w.w1 != 0.0:
         eps2 = w.w2 / w.w1
         eps4 = w.w4 / w.w1
+        _require_representable(w, f"its leading coefficient w1={w.w1} is too small", eps2, eps4)
         e = AdjointParams(eps2=eps2, eps4=eps4)
         return OptimalClass(family="T2", b=0), e, w.w1
 
@@ -299,13 +309,21 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
         w4n = w.w4 / scale
         b = _sgn(w4n)
         eps1 = -math.log(abs(w4n)) if w4n != 0.0 else 0.0
+        _require_representable(w, f"its leading coefficient w3={w.w3} is too small", eps1)
+        try:
+            s2_residue = math.exp(eps1) * w.w2 / scale
+        except OverflowError:
+            s2_residue = math.inf
+        _require_representable(w, f"w4={w.w4} is too small against w2={w.w2} and w3={w.w3}",
+                               s2_residue)
         e = AdjointParams(eps1=eps1)
-        residue = np.array([0.0, math.exp(eps1) * w.w2 / scale, 0.0, 0.0])
+        residue = np.array([0.0, s2_residue, 0.0, 0.0])
         return OptimalClass(family="T1", b=b, residue=residue), e, scale
 
     if w.w2 != 0.0:
         scale = w.w2
         ratio = w.w4 / scale
+        _require_representable(w, f"its leading coefficient w2={w.w2} is too small", ratio)
         b = _sgn(ratio)
         e = AdjointParams(eps3=float(b) - ratio)
         return OptimalClass(family="T4", b=b), e, scale

@@ -1,14 +1,21 @@
 """Conservative finite-volume integrator for the traffic model.
 
 The update state is the conserved pair (rho, m = rho*u) with fluxes
-(m, m^2/rho + A*rho); velocity is derived.  Two first-order numerical
+(m, P = m^2/rho + A*rho); velocity is derived.  Two first-order numerical
 fluxes are provided (Lax-Friedrichs with a global wave speed, Rusanov with
 local speeds).  When D > 0 the viscous term D*u_xx of the momentum
 equation is implicit (IMEX): rho and the convective momentum are explicit,
 and the new velocity solves one symmetric, diagonally dominant tridiagonal
-system, so the time step is the convective one for any D.  Used for
-manufactured-solution convergence tests and for generating smooth fields
-for conservation checks.
+system, so the time step is the convective one for any D.
+
+`run` and `step` share one kernel, `_March`: rows (u, rho, m, P) of one
+(4, nx+2) buffer with a ghost column per side, advanced in place.  Rows
+(rho, m) are the conserved pair and rows (m, P) its flux, so 7 in-place
+calls update both laws.  m = rho*u, formed once, serves the momentum total
+and the next flux; one min and one max over rows (u, rho) screen the state
+and give max|u| to the diagnostics and the next dt; one sum over rows
+(rho, m) gives both totals.  A D = 0 step makes about 20 array calls, all
+under the one np.errstate of the march.
 """
 
 import math
@@ -148,29 +155,6 @@ def _dirichlet_ghosts(cfg: SolverConfig, t: float) -> list:
     return states
 
 
-def _extend(f: Field, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Add one ghost cell on each side; returns (rho_e, u_e) of length nx+2.
-
-    Dirichlet ghosts take the sampler's values at x0 - dx/2 and x1 + dx/2.
-    """
-    g = cfg.grid
-    rho_e = np.empty(g.nx + 2)
-    u_e = np.empty(g.nx + 2)
-    rho_e[1:-1] = f.rho
-    u_e[1:-1] = f.u
-    if cfg.bc == "periodic":
-        rho_e[0], rho_e[-1] = f.rho[-1], f.rho[0]
-        u_e[0], u_e[-1] = f.u[-1], f.u[0]
-    elif cfg.bc == "outflow":
-        rho_e[0], rho_e[-1] = f.rho[0], f.rho[-1]
-        u_e[0], u_e[-1] = f.u[0], f.u[-1]
-    else:
-        left, right = _dirichlet_ghosts(cfg, f.t)
-        rho_e[0], u_e[0] = left.rho, left.u
-        rho_e[-1], u_e[-1] = right.rho, right.u
-    return rho_e, u_e
-
-
 def _thomas(diag: list, r: float, rhs: list) -> list:
     """Solve diag_i x_i - r x_{i-1} - r x_{i+1} = rhs_i (no corner terms).
 
@@ -235,67 +219,89 @@ def _implicit_velocity(cfg: SolverConfig, rho: np.ndarray, m: np.ndarray, r: flo
     return np.array(u)
 
 
-def _conserve(w: np.ndarray, q: np.ndarray, alpha, half_lam: float) -> np.ndarray:
-    """One law's update w - dt/dx (F_{k+1} - F_k) on the physical cells.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")  # the state screen reports
 
-    w and its flux q are on the extended cells; G = (q_L + q_R) - alpha (w_R - w_L) = 2F.
-    """
-    d = w[1:] - w[:-1]
-    d *= alpha
-    G = q[:-1] + q[1:]
-    G -= d
-    d = G[1:] - G[:-1]
-    d *= half_lam
-    return np.subtract(w[1:-1], d, out=d)
+
+class _March:
+    """Rows (u, rho, m, P) in place; W = rows (rho, m), Q = rows (m, P); use under _QUIET."""
+
+    def __init__(self, cfg: SolverConfig, f: Field):
+        n = cfg.grid.nx
+        B = self.rows = np.empty((4, n + 2))
+        self.cfg, self.t, self.inner, self.state = cfg, f.t, B[:, 1:-1], B[:2, 1:-1]
+        self.inner[0], self.inner[1] = f.u, f.rho
+        np.multiply(f.rho, f.u, out=self.inner[2])
+        W, Q, d, G = B[1:3], B[2:4], np.empty((2, n + 1)), np.empty((2, n + 1))
+        self.a, self.alpha, self.d, self.G = np.empty(n + 2), np.empty(n + 1), d, G
+        self.views = (W[:, 1:], W[:, :-1], Q[:, :-1], Q[:, 1:], G[:, 1:], G[:, :-1],
+                      d[:, 1:], W[:, 1:-1])
+        self._screen()
+
+    def _screen(self) -> bool:
+        """True when every cell is valid; sets top = max|u| (NaN if u holds one)."""
+        (u_lo, rho_lo), (u_hi, rho_hi) = (np.minimum.reduce(self.state, axis=1).tolist(),
+                                          np.maximum.reduce(self.state, axis=1).tolist())
+        self.top = max(u_hi, -u_lo)
+        return 0.0 < rho_lo and rho_hi < math.inf and -math.inf < u_lo and u_hi < math.inf
+
+    def advance(self, dt_max: float) -> None:
+        cfg, B, top = self.cfg, self.rows, self.top
+        g, p, c = cfg.grid, cfg.params, cfg.params.sqrt_A
+        if cfg.bc == "dirichlet":
+            left, right = _dirichlet_ghosts(cfg, self.t)
+            B[0, 0], B[1, 0], B[0, -1], B[1, -1] = left.u, left.rho, right.u, right.rho
+            B[2, 0], B[2, -1] = B[1, 0] * B[0, 0], B[1, -1] * B[0, -1]
+            top = max(top, abs(float(left.u)), abs(float(right.u)))  # StatePoint u is finite
+        else:
+            src = (-2, 1) if cfg.bc == "periodic" else (1, -2)
+            B[:3, 0], B[:3, -1] = B[:3, src[0]], B[:3, src[1]]
+        max_speed = top + c
+        dt = min(cfg.cfl * g.dx / max_speed, dt_max)
+        if dt < 1e-12:
+            raise SolverError(f"CFL underflow: dt={dt}")
+        u, rho, m, P = B
+        np.divide(np.multiply(m, m, out=P), rho, out=P)
+        P += np.multiply(rho, p.A, out=self.a)
+        alpha = max_speed
+        if cfg.scheme == "rusanov":
+            a = np.abs(u, out=self.a)
+            alpha = np.add(np.maximum(a[:-1], a[1:], out=self.alpha), c, out=self.alpha)
+        # 2F = (q_L + q_R) - alpha (w_R - w_L) for both laws; the 1/2 sits in dt/dx.
+        w_hi, w_lo, q_lo, q_hi, g_hi, g_lo, d_in, w_in = self.views
+        d, G = np.subtract(w_hi, w_lo, out=self.d), np.add(q_lo, q_hi, out=self.G)
+        d *= alpha
+        G -= d
+        np.subtract(g_hi, g_lo, out=d_in)
+        d_in *= 0.5 * dt / g.dx
+        w_in -= d_in
+        t = self.t = self.t + dt
+        u, rho, m, _ = self.inner
+        if p.D > 0.0:
+            u[:] = _implicit_velocity(cfg, rho, m, dt * p.D / g.dx ** 2, t)
+        else:
+            np.divide(m, rho, out=u)
+        np.multiply(rho, u, out=m)
+        if not self._screen():
+            Field(t, rho, u)  # fails the same screen and raises at the first bad cell
+
+    def field(self) -> Field:  # with arrays of its own
+        return Field(self.t, self.inner[1].copy(), self.inner[0].copy())
 
 
 def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
-    """One conservative update; dt is set internally from the CFL condition.
+    """One conservative update from f, by the scheme of the module docstring.
 
-    dt = cfl * dx / max(|u| + sqrt(A)), the max running over the cells the
-    fluxes read: the physical cells and one ghost per side.  dt is further
-    limited by dt_max (used to land exactly on snapshot times).  rho and the
-    convective momentum m* are explicit.  When D > 0 the viscous term is
-    implicit: u at t + dt solves (rho + 2r) u_i - r u_{i-1} - r u_{i+1} = m*_i
-    with r = dt D / dx^2, closed by the bc at t + dt, so D sets no dt bound.
-    Raises SolverError on CFL underflow (dt < 1e-12), and through Field when
-    the new state is invalid.
-
-    The wave speeds come from one |u| pass and the 1/2 of each interface flux
-    is folded into dt/dx.  Rounding is monotone and halving exact (away from
-    subnormals and overflow), so D = 0 output equals the textbook update bit
-    for bit; tests/test_solver.py keeps that update as the reference.
+    dt = cfl * dx / max(|u| + sqrt(A)) over the physical cells and one ghost
+    per side, limited by dt_max (used to land exactly on snapshot times); D
+    sets no dt bound.  Raises SolverError on CFL underflow (dt < 1e-12), and
+    PositivityError or SolverError at the first bad cell of an invalid new
+    state.  D = 0 output equals the textbook update bit for bit (rounding is
+    monotone and halving exact), which tests/test_solver.py keeps.
     """
-    p = cfg.params
-    g = cfg.grid
-    c = p.sqrt_A
-    rho_e, u_e = _extend(f, cfg)
-
-    a = np.abs(u_e)
-    max_speed = float(a.max()) + c
-    dt = cfg.cfl * g.dx / max_speed
-    if dt_max is not None:
-        dt = min(dt, dt_max)
-    if dt < 1e-12:
-        raise SolverError(f"CFL underflow: dt={dt}")
-
-    # Fluxes (m, P) on the extended cells; interface k lies between extended
-    # cells k and k+1.  Overflow and NaN are left to Field to report.  The 1/2
-    # of F sits in dt/dx: halving is exact, and it saves two passes per law.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m_e = rho_e * u_e
-        P = m_e * m_e
-        P /= rho_e
-        P += p.A * rho_e
-        alpha = max_speed if cfg.scheme == "lax_friedrichs" else np.maximum(a[:-1], a[1:]) + c
-        half_lam = 0.5 * dt / g.dx
-        rho_new = _conserve(rho_e, m_e, alpha, half_lam)
-        m_new = _conserve(m_e, P, alpha, half_lam)
-        if p.D > 0.0:
-            u_new = _implicit_velocity(cfg, rho_new, m_new, dt * p.D / g.dx ** 2, f.t + dt)
-        else:
-            u_new = np.divide(m_new, rho_new, out=m_new)
-    return Field(f.t + dt, rho_new, u_new)
+    with np.errstate(**_QUIET):
+        march = _March(cfg, f)
+        march.advance(math.inf if dt_max is None else dt_max)
+    return march.field()
 
 
 @dataclass
@@ -338,25 +344,19 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
         raise ValueError("snapshots must lie within [t0, t_end]")
     traj = Trajectory(grid=cfg.grid, times=[], fields=[], diagnostics=[])
 
-    dx = cfg.grid.dx
-    c = cfg.params.sqrt_A
-    nstep = 0
-    t_prev = t0
-    for target in snaps:
-        while f.t < target - 1e-12:
-            f = step(f, cfg, dt_max=target - f.t)
-            nstep += 1
-            traj.diagnostics.append({
-                "step": nstep,
-                "t": f.t,
-                "dt": f.t - t_prev,
-                "mass": float(f.rho.sum() * dx),
-                "momentum": float(f.momentum.sum() * dx),
-                "max_speed": float(np.abs(f.u).max()) + c,
-            })
-            t_prev = f.t
-        traj.times.append(target)
-        traj.fields.append(f)
+    dx, c, t_prev = cfg.grid.dx, cfg.params.sqrt_A, t0
+    with np.errstate(**_QUIET):
+        march = _March(cfg, f)
+        for target in snaps:
+            while march.t < target - 1e-12:
+                march.advance(dt_max=target - march.t)
+                mass, momentum = np.add.reduce(march.inner[1:3], axis=1).tolist()
+                traj.diagnostics.append({
+                    "step": len(traj.diagnostics) + 1, "t": march.t, "dt": march.t - t_prev,
+                    "mass": mass * dx, "momentum": momentum * dx, "max_speed": march.top + c})
+                t_prev = march.t
+            traj.times.append(target)
+            traj.fields.append(march.field())
     return traj
 
 

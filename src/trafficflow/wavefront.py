@@ -55,7 +55,7 @@ class AmplitudeProblem:
     def __post_init__(self):
         if self.A <= 0.0:
             raise ValueError("A must be > 0")
-        for name in ("x0", "t0", "pi0"):
+        for name in ("A", "x0", "t0", "pi0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.background.partials is None:

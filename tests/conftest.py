@@ -7,15 +7,19 @@ STEP_BUDGET = 2000
 
 @pytest.fixture
 def steps_taken(monkeypatch):
-    """Record solver.step calls; past STEP_BUDGET raise, so a run that never ends fails."""
-    taken = []
-    real_step = solver.step
+    """Record every solver step, of run and step alike; past STEP_BUDGET raise.
 
-    def counted(*args, **kwargs):
+    Both advance one solver._March, so counting its advance sees each step,
+    and a run that never ends fails.
+    """
+    taken = []
+    real_advance = solver._March.advance
+
+    def counted(march, *args, **kwargs):
         taken.append(None)
         if len(taken) > STEP_BUDGET:
             raise AssertionError(f"run kept stepping past {STEP_BUDGET} steps")
-        return real_step(*args, **kwargs)
+        return real_advance(march, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "step", counted)
+    monkeypatch.setattr(solver._March, "advance", counted)
     return taken

@@ -126,6 +126,14 @@ def test_lie_classify_zero_vector_is_usage_error(capsys):
     assert code == 64
 
 
+def test_lie_classify_overflowing_vector_is_usage_error(capsys):
+    # 1e10 / 1e-310 overflows: the error names the vector and its leading coefficient.
+    code, stdout, err = run_cli(capsys, "lie", "classify", "--", "1e-310,1e10,1,0")
+    assert (code, stdout) == (64, "")
+    assert err == ("usage error: cannot classify w=[1e-310, 10000000000.0, 1.0, 0.0]: "
+                   "its leading coefficient w1=1e-310 is too small\n")
+
+
 def test_lie_transform_with_verification(capsys):
     code, rep = out_json(capsys, "lie", "transform", "--generator", "3", "--eps", "0.4",
                          "--entry", "T4?p1=1&b=0", "--A", "1",
@@ -155,10 +163,22 @@ def test_lie_non_finite_parameters_exit_65(capsys):
 
 @pytest.mark.parametrize("delta,x", [("nan", "2"), ("1", "inf")])
 def test_lie_ic_non_finite_point_is_usage_error(capsys, delta, x):
-    # Like every other rejection by invariant_ic, this one is a usage error.
+    # A non-finite point is a usage error; a point outside the branch's domain exits 65.
     code, stdout, err = run_cli(capsys, "lie", "ic", "--e", "1,0,2,0", f"--delta={delta}",
                                 f"--x={x}", "--branch", "power")
     assert code == 64 and stdout == "" and "delta and x must be finite" in err
+
+
+@pytest.mark.parametrize("e,x,branch,code,err", [
+    ("1,0,2,-2", "2", "reciprocal", 65, "error: reciprocal branch: e1*x + e4 must be nonzero"),
+    ("1,0,0.5,0", "-2", "power", 65,
+     "error: power branch: negative base with fractional exponent"),
+    ("1,1,2,0", "2", "power", 64, "usage error: invariant initial conditions require e2 = 0"),
+    ("0,0,2,1", "2", "power", 64, "usage error: power branch requires e1 != 0"),
+])
+def test_lie_ic_domain_errors_exit_65_and_other_rejections_64(capsys, e, x, branch, code, err):
+    got = run_cli(capsys, "lie", "ic", "--e", e, "--delta", "1", "--x", x, "--branch", branch)
+    assert got == (code, "", err + "\n")
 
 
 def test_simulate_constant_state(capsys, tmp_path):

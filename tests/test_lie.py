@@ -205,6 +205,19 @@ def test_classify_examples():
     assert cls.family == "T1" and cls.b == -1
 
 
+@pytest.mark.parametrize("w,why", [
+    ((1e-310, 1e10, 1.0, 0.0), "its leading coefficient w1=1e-310 is too small"),
+    ((1e-310, 1e10, 0.0, 0.0), "its leading coefficient w1=1e-310 is too small"),
+    ((0.0, 1.0, 1e-310, 1e10), "its leading coefficient w3=1e-310 is too small"),
+    ((0.0, 1e-310, 0.0, 1e10), "its leading coefficient w2=1e-310 is too small"),
+    ((0.0, 1.0, 1.0, 1e-320), "w4=1e-320 is too small against w2=1.0 and w3=1.0"),
+])
+def test_classify_rejects_vectors_whose_classification_overflows(w, why):
+    with pytest.raises(ValueError) as exc:
+        classify_optimal(LieCoeffs(*w))
+    assert str(exc.value) == f"cannot classify w={list(w)}: {why}"
+
+
 def test_classify_unreduced_pure_translation():
     cls, e, scale = classify_optimal(LieCoeffs(0, 0, 0, -3))
     assert cls.family == "UNREDUCED" and cls.b == -1

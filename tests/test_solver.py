@@ -99,43 +99,49 @@ def test_t1_dirichlet_convergence_ratio():
     assert errs[0] / errs[1] >= 1.8
 
 
-def _textbook_run(cfg, s, t0, t_end):
+def _textbook_run(cfg, s, t0, snaps):
     """The plain first-order update, the reference for step and run at D = 0.
 
     F = (F_L + F_R)/2 - alpha (q_R - q_L)/2 with speed = |u| + sqrt(A), one
-    ghost cell per side, and the diagnostics summed with np.sum and np.max.
+    ghost cell per side, dt clipped to land on each snapshot time, and the
+    diagnostics summed with np.sum and np.max.  Returns the (t, rho, u) of
+    each snapshot and the diagnostics.
     """
     g, p = cfg.grid, cfg.params
     c = math.sqrt(p.A)
     st = s.eval(g.centers(), t0)
-    t, rho, u, diags = t0, st.rho, st.u, []
-    while t < t_end - 1e-12:
-        if cfg.bc == "periodic":
-            ghosts = (rho[-1], u[-1]), (rho[0], u[0])
-        elif cfg.bc == "outflow":
-            ghosts = (rho[0], u[0]), (rho[-1], u[-1])
-        else:
-            ghosts = [(gs.rho, gs.u) for gs in (s.eval(xg, t) for xg in
-                                                 (g.x0 - 0.5 * g.dx, g.x0 + (g.nx + 0.5) * g.dx))]
-        (rl, ul), (rr, ur) = ghosts
-        rho_e, u_e = np.concatenate(([rl], rho, [rr])), np.concatenate(([ul], u, [ur]))
-        speed = np.abs(u_e) + c
-        max_speed = float(np.max(speed))
-        dt = min(cfg.cfl * g.dx / max_speed, t_end - t)
-        m_e = rho_e * u_e
-        P = m_e * m_e / rho_e + p.A * rho_e
-        alpha = max_speed if cfg.scheme == "lax_friedrichs" else np.maximum(speed[:-1], speed[1:])
-        F1 = 0.5 * (m_e[:-1] + m_e[1:]) - 0.5 * alpha * (rho_e[1:] - rho_e[:-1])
-        F2 = 0.5 * (P[:-1] + P[1:]) - 0.5 * alpha * (m_e[1:] - m_e[:-1])
-        lam = dt / g.dx
-        rho = rho - lam * (F1[1:] - F1[:-1])
-        u = (m_e[1:-1] - lam * (F2[1:] - F2[:-1])) / rho
-        t_prev, t = t, t + dt
-        diags.append({"step": len(diags) + 1, "t": t, "dt": t - t_prev,
-                      "mass": float(np.sum(rho) * g.dx),
-                      "momentum": float(np.sum(rho * u) * g.dx),
-                      "max_speed": float(np.max(np.abs(u) + c))})
-    return t, rho, u, diags
+    t, rho, u, diags, fields = t0, st.rho, st.u, [], []
+    for target in snaps:
+        while t < target - 1e-12:
+            if cfg.bc == "periodic":
+                ghosts = (rho[-1], u[-1]), (rho[0], u[0])
+            elif cfg.bc == "outflow":
+                ghosts = (rho[0], u[0]), (rho[-1], u[-1])
+            else:
+                ghosts = [(gs.rho, gs.u) for gs in (s.eval(xg, t) for xg in
+                                                     (g.x0 - 0.5 * g.dx,
+                                                      g.x0 + (g.nx + 0.5) * g.dx))]
+            (rl, ul), (rr, ur) = ghosts
+            rho_e, u_e = np.concatenate(([rl], rho, [rr])), np.concatenate(([ul], u, [ur]))
+            speed = np.abs(u_e) + c
+            max_speed = float(np.max(speed))
+            dt = min(cfg.cfl * g.dx / max_speed, target - t)
+            m_e = rho_e * u_e
+            P = m_e * m_e / rho_e + p.A * rho_e
+            alpha = (max_speed if cfg.scheme == "lax_friedrichs"
+                     else np.maximum(speed[:-1], speed[1:]))
+            F1 = 0.5 * (m_e[:-1] + m_e[1:]) - 0.5 * alpha * (rho_e[1:] - rho_e[:-1])
+            F2 = 0.5 * (P[:-1] + P[1:]) - 0.5 * alpha * (m_e[1:] - m_e[:-1])
+            lam = dt / g.dx
+            rho = rho - lam * (F1[1:] - F1[:-1])
+            u = (m_e[1:-1] - lam * (F2[1:] - F2[:-1])) / rho
+            t_prev, t = t, t + dt
+            diags.append({"step": len(diags) + 1, "t": t, "dt": t - t_prev,
+                          "mass": float(np.sum(rho) * g.dx),
+                          "momentum": float(np.sum(rho * u) * g.dx),
+                          "max_speed": float(np.max(np.abs(u) + c))})
+        fields.append((t, rho, u))
+    return fields, diags
 
 
 @pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
@@ -145,12 +151,77 @@ def test_run_equals_the_textbook_update_bit_for_bit(scheme, bc):
     g = Grid.over(0.0, 2.0, 64)
     cfg = SolverConfig(grid=g, params=MP1, scheme=scheme, bc=bc,
                        dirichlet_sampler=s if bc == "dirichlet" else None)
-    t, rho, u, diags = _textbook_run(cfg, s, 1.0, 1.3)
+    [(t, rho, u)], diags = _textbook_run(cfg, s, 1.0, [1.3])
     traj = run(cfg, s, 1.0, 1.3)
     assert 40 <= len(diags) <= 60
     assert traj.times == [1.3] and traj.fields[-1].t == t
     assert np.array_equal(traj.fields[-1].rho, rho) and np.array_equal(traj.fields[-1].u, u)
     assert traj.diagnostics == diags
+
+
+@pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
+def test_snapshots_equal_the_textbook_fields(bc):
+    # Snapshots at t0, inside the run and at t_end.
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    cfg = SolverConfig(grid=Grid.over(0.0, 2.0, 64), params=MP1, bc=bc,
+                       dirichlet_sampler=s if bc == "dirichlet" else None)
+    snaps = [1.0, 1.13, 1.3]
+    fields, diags = _textbook_run(cfg, s, 1.0, snaps)
+    traj = run(cfg, s, 1.0, 1.3, snapshots=snaps)
+    assert traj.times == snaps and traj.diagnostics == diags
+    for f, (t, rho, u) in zip(traj.fields, fields, strict=True):
+        assert f.t == t and np.array_equal(f.rho, rho) and np.array_equal(f.u, u)
+
+
+@pytest.mark.parametrize("D", [0.0, 0.5])
+@pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
+@pytest.mark.parametrize("scheme", ["lax_friedrichs", "rusanov"])
+def test_repeated_steps_equal_run_bit_for_bit(scheme, bc, D):
+    mp = ModelParams(A=1.0, D=D)
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(mp)
+    cfg = SolverConfig(grid=Grid.over(0.0, 2.0, 64), params=mp, scheme=scheme, bc=bc,
+                       dirichlet_sampler=s if bc == "dirichlet" else None)
+    traj = run(cfg, s, 1.0, 1.3)
+    st = s.eval(cfg.grid.centers(), 1.0)
+    f, times = Field(t=1.0, rho=st.rho, u=st.u), []
+    while f.t < 1.3 - 1e-12:
+        f = step(f, cfg, dt_max=1.3 - f.t)
+        times.append(f.t)
+    assert times == [d["t"] for d in traj.diagnostics] and len(times) > 10
+    assert np.array_equal(f.rho, traj.fields[-1].rho) and np.array_equal(f.u, traj.fields[-1].u)
+
+
+def test_returned_fields_own_their_arrays():
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    cfg = SolverConfig(grid=Grid.over(0.0, 2.0, 64), params=MP1)
+    st = s.eval(cfg.grid.centers(), 1.0)
+    rho0, u0 = st.rho.copy(), st.u.copy()
+    ic = Field(t=1.0, rho=st.rho, u=st.u)
+    snaps = [1.0, 1.1, 1.2]
+    first = run(cfg, ic, 1.0, 1.2, snapshots=snaps)
+    kept = [(f.rho.copy(), f.u.copy()) for f in first.fields]
+    first.fields[0].rho[:] = -1.0
+    first.fields[1].u[:] = math.nan
+    assert np.array_equal(first.fields[2].rho, kept[2][0])
+    assert np.array_equal(first.fields[2].u, kept[2][1])
+    assert np.array_equal(ic.rho, rho0) and np.array_equal(ic.u, u0)
+    second = run(cfg, ic, 1.0, 1.2, snapshots=snaps)
+    assert second.diagnostics == first.diagnostics
+    for f, (rho, u) in zip(second.fields, kept, strict=True):
+        assert np.array_equal(f.rho, rho) and np.array_equal(f.u, u)
+    stepped = step(ic, cfg)
+    stepped.rho[:] = 2.0
+    assert np.array_equal(ic.rho, rho0) and np.array_equal(ic.u, u0)
+
+
+def test_step_guard_counts_every_step_of_run_and_step(steps_taken):
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    cfg = SolverConfig(grid=Grid.over(0.0, 2.0, 64), params=MP1, bc="dirichlet",
+                       dirichlet_sampler=s)
+    traj = run(cfg, s, 1.0, 1.3, snapshots=[1.1, 1.3])
+    assert len(steps_taken) == len(traj.diagnostics) > 10
+    step(traj.fields[-1], cfg)
+    assert len(steps_taken) == len(traj.diagnostics) + 1
 
 
 def test_zero_length_run():
@@ -232,36 +303,55 @@ def test_positivity_survives_long_riemann_run():
     assert np.all(f.rho > 0.0)
 
 
-def test_positivity_error_reports_cell():
+def _first_step(how, f, cfg):
+    """Take the first step from f through `step` or through `run`."""
+    if how == "step":
+        return step(f, cfg)
+    return run(cfg, f, f.t, f.t + 1.0)
+
+
+@pytest.mark.parametrize("how", ["step", "run"])
+def test_positivity_error_reports_cell(how):
+    # rho u = 1e300 * 1e9 overflows in cell 3, so the mass flux between cells
+    # 2 and 3 is inf - inf and the new density of cell 2 is NaN: not > 0
+    g = Grid.over(0.0, 1.0, 8)
+    cfg = SolverConfig(grid=g, params=MP1, scheme="rusanov", bc="outflow")
+    rho, u = np.ones(8), np.zeros(8)
+    rho[3], u[3] = 1e300, 1e9
     with pytest.raises(PositivityError) as exc:
-        Field(t=1.0, rho=np.array([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
-              u=np.zeros(8))
-    assert exc.value.cell == 1 and exc.value.t == 1.0
+        _first_step(how, Field(t=1.0, rho=rho, u=u), cfg)
+    t = 1.0 + cfg.cfl * g.dx / (1e9 + 1.0)
+    assert (exc.value.cell, exc.value.t) == (2, t)
+    assert str(exc.value) == f"positivity loss at cell 2, t={t}: rho=nan"
 
 
-def test_step_aborts_on_nonfinite_update():
-    # overflow in the momentum flux drives the update non-finite; the solver
-    # must abort with a diagnostic rather than carry NaNs forward
+@pytest.mark.parametrize("how", ["step", "run"])
+def test_step_aborts_on_nonfinite_update(how):
+    # u = 1e200 makes the CFL step underflow on the first step, so the solver
+    # aborts with a diagnostic before any update can carry NaNs forward
     g = Grid.over(0.0, 1.0, 16)
     cfg = SolverConfig(grid=g, params=MP1, scheme="rusanov", bc="outflow")
     f = Field(t=0.0, rho=np.full(16, 1e-300), u=np.full(16, 1e200))
-    with pytest.raises((PositivityError, SolverError)):
-        for _ in range(4):
-            f = step(f, cfg)
+    with pytest.raises(SolverError) as exc:
+        _first_step(how, f, cfg)
+    assert type(exc.value) is SolverError
+    assert str(exc.value) == "CFL underflow: dt=2.8125e-202"
 
 
-def test_step_momentum_overflow_raises_solver_error():
+@pytest.mark.parametrize("how", ["step", "run"])
+def test_step_momentum_overflow_raises_solver_error(how):
     # m^2/rho overflows to inf in the left half, so the new velocity is NaN
     # while the new density stays finite and positive; the suite turns
-    # RuntimeWarnings into errors, so this also pins that step emits none
+    # RuntimeWarnings into errors, so this also pins that the step emits none
     g = Grid.over(0.0, 2.0, 20)
     cfg = SolverConfig(grid=g, params=MP1, scheme="rusanov", bc="outflow")
     left = np.arange(20) < 10
     f = Field(t=0.0, rho=np.where(left, 1e160, 1.0), u=np.where(left, 1.0, 0.0))
     with pytest.raises(SolverError) as exc:
-        step(f, cfg)
-    assert not isinstance(exc.value, PositivityError)
-    assert "cell 0" in str(exc.value) and "t=0.0225" in str(exc.value)
+        _first_step(how, f, cfg)
+    assert type(exc.value) is SolverError
+    assert str(exc.value) == ("non-finite state at cell 0, t=0.022500000000000003: "
+                              "rho=1e+160, u=nan")
 
 
 # A number is the value at cell 3; a dict maps cells to values.
@@ -273,6 +363,7 @@ def test_step_momentum_overflow_raises_solver_error():
     (-0.0, 0.0, PositivityError),
     (1.0, {3: math.inf, 5: -math.inf}, SolverError),
     (math.nan, {1: math.inf}, PositivityError),
+    (-0.5, 0.0, PositivityError),
 ])
 def test_field_rejects_non_finite_state_at_its_cell(rho_at, u_at, error):
     rho, u = np.ones(8), np.zeros(8)

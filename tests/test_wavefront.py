@@ -279,11 +279,13 @@ def test_problem_validation():
     for pi0 in (math.nan, -math.inf):
         with pytest.raises(ValueError):
             AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=pi0)
-    for name in ("x0", "t0"):
+    # A = NaN used to pass the A <= 0 check, and the quadrature then blamed the background.
+    for name in ("A", "x0", "t0"):
         for v in (math.nan, math.inf, -math.inf):
-            start = {"x0": 0.0, "t0": 1.0, name: v}
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                AmplitudeProblem(background=s, A=1.0, pi0=0.1, **start)
+            start = {"A": 1.0, "x0": 0.0, "t0": 1.0, name: v}
+            why = "A must be > 0" if (name, v) == ("A", -math.inf) else f"{name} must be finite"
+            with pytest.raises(ValueError, match=why):
+                AmplitudeProblem(background=s, pi0=0.1, **start)
     prob = _t1_problem(0.1)
     with pytest.raises(ValueError):
         amplitude_quadrature(prob, 0.5, n=100)   # t_end <= t0
