@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .catalog import KINK_SHAPES
 from .model import (DomainError, ModelParams, Partials, SolutionSampler,
-                    StatePoint, fd_partials, fd_stencil_inside, require_all,
-                    residual_from_partials, step_scale)
+                    StatePoint, fd_partials, fd_stencil_inside, require_all, require_step,
+                    residual_from_partials, stencil_resolves, step_scale)
 
 __all__ = [
     "MultiplierConstants",
@@ -108,11 +108,14 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
 
     This is a reporting operation, at a point or on (x, t) arrays: the
     defects converge at O(h_step^2) to zero when the identity holds (it does
-    for D = 0) and to the identity's intrinsic defect otherwise.
+    for D = 0) and to the identity's intrinsic defect otherwise.  h_step
+    must be finite and > 0, and no stencil node may round onto its centre.
     """
     s.require_in_domain(x, t)
-    require_all(fd_stencil_inside(s, x, t, 2, h_step),
-                f"FD stencil at (x={{x}}, t={{t}}) with step {h_step} leaves domain", x=x, t=t)
+    require_step(h_step)
+    where = f"FD stencil at (x={{x}}, t={{t}}) with step {h_step}"
+    require_all(fd_stencil_inside(s, x, t, 2, h_step), where + " leaves domain", x=x, t=t)
+    require_all(stencil_resolves(x, t, h_step), where + " rounds onto its centre", x=x, t=t)
 
     st, d = _field_partials(s, x, t, h_step)
     rho, u = st.rho, st.u
@@ -154,6 +157,11 @@ def _mixed_u_tx(s: SolutionSampler, x, t, h: float):
 _WHICH = ("S1", "S2", "S3", "S4")
 
 
+def _require_row(which: str) -> None:
+    if which not in _WHICH:
+        raise ValueError(f"which must be one of {_WHICH}")
+
+
 def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams,
                               s: SolutionSampler, x, t, h_step: float) -> tuple[float, float]:
     """Conserved vector (Ux, Ut) generated by one of the four point symmetries.
@@ -162,13 +170,18 @@ def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams
     The mixed derivative u_tx (needed by the viscous parts of the S1 and S2
     rows) is obtained by differencing analytic u_x in t when available,
     else by 2-D differences at step h_step, which also serves the order-2
-    FD partials of a sampler without analytic ones.
+    FD partials of a sampler without analytic ones.  h_step must be finite
+    and > 0.
     """
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}")
+    _require_row(which)
     s.require_in_domain(x, t)
-    if not h_step > 0.0:
-        raise ValueError(f"h_step must be > 0, got {h_step}")
+    require_step(h_step)
+    return _vector(which, c, p, s, x, t, h_step)
+
+
+def _vector(which: str, c: MultiplierConstants, p: ModelParams, s: SolutionSampler,
+            x, t, h_step: float):
+    """The (Ux, Ut) row at points the caller has checked, with a checked row and step."""
     st, d = _field_partials(s, x, t, h_step)
     rho, u = st.rho, st.u
     A, D = p.A, p.D
@@ -203,17 +216,21 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     """Central-difference approximation of D_x(Ux) + D_t(Ut) at (x, t).
 
     Converges to 0 at the finite-difference order on genuinely conserved
-    rows evaluated on solutions, and to an O(1) value otherwise.
+    rows evaluated on solutions, and to an O(1) value otherwise.  The step,
+    the four stencil nodes and the row are checked once, here; a node that
+    rounds onto (x, t) is a DomainError, since it would read as conserved.
     """
-    if not h_step > 0.0:
-        raise ValueError(f"h_step must be > 0, got {h_step}")
-    require_all(s.domain(x + h_step, t) & s.domain(x - h_step, t)
-                & s.domain(x, t + h_step) & s.domain(x, t - h_step),
+    require_step(h_step)
+    xp, xm, tp, tm = x + h_step, x - h_step, t + h_step, t - h_step
+    require_all(s.domain(xp, t) & s.domain(xm, t) & s.domain(x, tp) & s.domain(x, tm),
                 "divergence stencil at (x={x}, t={t}) leaves domain", x=x, t=t)
-    Uxp, _ = symmetry_conserved_vector(which, c, p, s, x + h_step, t, h_step)
-    Uxm, _ = symmetry_conserved_vector(which, c, p, s, x - h_step, t, h_step)
-    _, Utp = symmetry_conserved_vector(which, c, p, s, x, t + h_step, h_step)
-    _, Utm = symmetry_conserved_vector(which, c, p, s, x, t - h_step, h_step)
+    _require_row(which)
+    require_all(stencil_resolves(x, t, h_step), "divergence stencil at (x={x}, t={t})"
+                f" with step {h_step} rounds onto its centre", x=x, t=t)
+    Uxp, _ = _vector(which, c, p, s, xp, t, h_step)
+    Uxm, _ = _vector(which, c, p, s, xm, t, h_step)
+    _, Utp = _vector(which, c, p, s, x, tp, h_step)
+    _, Utm = _vector(which, c, p, s, x, tm, h_step)
     return (Uxp - Uxm) / (2.0 * h_step) + (Utp - Utm) / (2.0 * h_step)
 
 

@@ -388,7 +388,8 @@ def invariant_ic(e: InfinitesimalParams, delta: float, x: float, branch: str) ->
     branch "power":      Theta = delta * (e1*x + e4)^(e3/e1), requires e1 != 0.
 
     Both rho(x, 0) and u(x, 0) take the same Theta.  The published case
-    labels overlap, so branch selection is caller-explicit.
+    labels overlap, so branch selection is caller-explicit.  A Theta that
+    would not be finite (it overflows) is a DomainError naming the inputs.
     """
     if not (math.isfinite(delta) and math.isfinite(x)):
         raise ValueError(f"delta and x must be finite, got delta={delta}, x={x}")
@@ -398,8 +399,8 @@ def invariant_ic(e: InfinitesimalParams, delta: float, x: float, branch: str) ->
     if branch == "reciprocal":
         if base == 0.0:
             raise DomainError("reciprocal branch: e1*x + e4 must be nonzero")
-        return delta / base
-    if branch == "power":
+        theta = delta / base
+    elif branch == "power":
         if e.e1 == 0.0:
             raise ValueError("power branch requires e1 != 0")
         q = e.e3 / e.e1
@@ -407,5 +408,13 @@ def invariant_ic(e: InfinitesimalParams, delta: float, x: float, branch: str) ->
             raise DomainError("power branch: zero base")
         if base < 0.0 and not float(q).is_integer():
             raise DomainError("power branch: negative base with fractional exponent")
-        return delta * base ** q
-    raise ValueError(f"unknown branch {branch!r} (expected 'reciprocal' or 'power')")
+        try:
+            theta = delta * base ** q
+        except OverflowError:
+            theta = math.inf
+    else:
+        raise ValueError(f"unknown branch {branch!r} (expected 'reciprocal' or 'power')")
+    if not math.isfinite(theta):
+        raise DomainError(f"{branch} branch: Theta is not finite at "
+                          f"e=({e.e1}, {e.e2}, {e.e3}, {e.e4}), delta={delta}, x={x}")
+    return theta

@@ -25,6 +25,8 @@ __all__ = [
     "characteristic_eigenvectors",
     "fd_partials",
     "fd_stencil_inside",
+    "require_step",
+    "stencil_resolves",
     "step_scale",
     "default_fd_step",
     "residual_from_partials",
@@ -133,8 +135,11 @@ class Partials:
     fd_step: Optional[float] = None
 
     def __post_init__(self):
-        values = (self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx)
-        if not (_POINT_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))):
+        a, b, c, d, e = values = (self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx)
+        if not (type(a) in _POINT_TYPES and type(b) in _POINT_TYPES and type(c) in _POINT_TYPES
+                and type(d) in _POINT_TYPES and type(e) in _POINT_TYPES
+                and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+                and math.isfinite(d) and math.isfinite(e)):
             self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx = \
                 _validated(("rho_t", "rho_x", "u_t", "u_x", "u_xx"), values)
         if self.method == "fd":
@@ -216,6 +221,17 @@ _FD2_SECOND = ((-1, 0, 1), (1.0, -2.0, 1.0))
 _FD4_SECOND = ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0))
 
 
+def require_step(h) -> None:
+    """ValueError unless the difference step h, a float or an array, is finite and > 0."""
+    if not (0.0 < h < math.inf if isinstance(h, float) else np.all((h > 0.0) & (h < np.inf))):
+        raise ValueError(f"h_step must be > 0 and finite, got {h}")
+
+
+def stencil_resolves(x, t, h):
+    """Where x +- h and t +- h all differ from x and t: a step that rounds away reads as 0."""
+    return (x + h != x) & (x - h != x) & (t + h != t) & (t - h != t)
+
+
 def fd_stencil_inside(s: SolutionSampler, x, t, order: int, h):
     """Where the order-2 or order-4 FD stencil of step h lies inside the domain."""
     off2 = (_FD2_SECOND if order == 2 else _FD4_SECOND)[0]
@@ -229,18 +245,22 @@ def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:
     """Central finite-difference partials of a sampler at (x, t).
 
     The full stencil (width 2 or 4 in each direction) must lie inside the
-    sampler domain, otherwise a DomainError is raised.  Each stencil node
-    is evaluated once, with one sampler call per node for a whole grid.
+    sampler domain, and no node may round onto the centre, otherwise a
+    DomainError is raised.  A given step h must be finite and > 0.  Each
+    stencil node is evaluated once, with one sampler call per node for a
+    whole grid.
     """
     if order not in (2, 4):
         raise ValueError("fd order must be 2 or 4")
     if h is None:
         h = default_fd_step(x, t)
+    else:
+        require_step(h)
     offsets, w1 = _FD_STENCILS[order]
     off2, w2 = _FD2_SECOND if order == 2 else _FD4_SECOND
-    require_all(fd_stencil_inside(s, x, t, order, h),
-                f"order-{order} FD stencil with h={{h}} at (x={{x}}, t={{t}}) leaves the domain",
-                h=h, x=x, t=t)
+    where = f"order-{order} FD stencil with h={{h}} at (x={{x}}, t={{t}})"
+    require_all(fd_stencil_inside(s, x, t, order, h), where + " leaves the domain", h=h, x=x, t=t)
+    require_all(stencil_resolves(x, t, h), where + " rounds onto its centre", h=h, x=x, t=t)
 
     at_x = {k: s.eval(x + k * h, t) for k in off2}
     at_t = {k: s.eval(x, t + k * h) for k in offsets}

@@ -181,6 +181,19 @@ def test_lie_ic_domain_errors_exit_65_and_other_rejections_64(capsys, e, x, bran
     assert got == (code, "", err + "\n")
 
 
+@pytest.mark.parametrize("argv,err", [
+    ("--e 1,0,1000,0 --delta 1 --x 1e10 --branch power",
+     "power branch: Theta is not finite at e=(1.0, 0.0, 1000.0, 0.0), delta=1.0, x=10000000000.0"),
+    ("--e 1,0,300,0 --delta 1e10 --x 10 --branch power",
+     "power branch: Theta is not finite at e=(1.0, 0.0, 300.0, 0.0), delta=10000000000.0, x=10.0"),
+    ("--e 1,0,0,0 --delta 1 --x 1e-310 --branch reciprocal",
+     "reciprocal branch: Theta is not finite at e=(1.0, 0.0, 0.0, 0.0), delta=1.0, x=1e-310"),
+], ids=["power", "product", "reciprocal"])
+def test_lie_ic_theta_that_is_not_finite_exits_65(capsys, argv, err):
+    got = run_cli(capsys, "lie", "ic", *argv.split())
+    assert got == (65, "", f"error: {err}\n")
+
+
 def test_simulate_constant_state(capsys, tmp_path):
     out = tmp_path / "t4.csv"
     code, _, _ = run_cli(capsys, "simulate", "--ic", "T4?p1=1&b=0", "--A", "1",
@@ -356,6 +369,18 @@ def test_conserve_non_positive_step_exit_65(capsys, tmp_path):
                                "--which", "S4", "--c", "1,0,0", f"--h-step={h}",
                                "--out", str(tmp_path / "cons.csv"))
         assert code == 65 and "h_step must be > 0" in err
+
+
+def test_conserve_step_that_rounds_away_exit_65(capsys, tmp_path):
+    # x +- 1e-320 rounds onto x: every divergence would read an exact 0.
+    out = tmp_path / "cons.csv"
+    code, stdout, err = run_cli(capsys, "conserve", "--entry", "T1?p1=1&p2=2&b=1",
+                                "--which", "S1", "--c", "1,0,0", "--nx", "5", "--nt", "5",
+                                "--h-step", "1e-320", "--out", str(out))
+    assert (code, stdout) == (65, "")
+    assert err == ("error: divergence stencil at (x=-4.0, t=-0.25) with step 1e-320"
+                   " rounds onto its centre\n")
+    assert not out.exists()
 
 
 def test_conserve_non_finite_constants_exit_65(capsys, tmp_path):

@@ -8,7 +8,8 @@ from trafficflow.conservation import (MultiplierConstants, adjoint_identity_resi
                                       basic_conserved, divergence_residual,
                                       kink_ode_oracle, self_adjoint_substitution,
                                       symmetry_conserved_vector)
-from trafficflow.model import ModelParams, Partials, SolutionSampler, StatePoint
+from trafficflow.model import (DomainError, ModelParams, Partials, SolutionSampler, StatePoint,
+                               fd_partials)
 
 MP1 = ModelParams(A=1.0)
 
@@ -121,12 +122,91 @@ def test_symmetry_vector_rejects_unknown_row():
                                   _t1_sampler(), 1.0, 1.0, 1e-3)
 
 
-@pytest.mark.parametrize("h_step", [0.0, -1e-3, math.nan])
+def _counted(s):
+    calls = {"eval": 0, "domain": 0}
+
+    def count(name, fn):
+        def wrapped(x, t):
+            calls[name] += 1
+            return fn(x, t)
+        return wrapped
+
+    return SolutionSampler(eval=count("eval", s.eval), domain=count("domain", s.domain),
+                           partials=s.partials), calls
+
+
+@pytest.mark.parametrize("h_step", [0.0, -1e-3, math.nan, math.inf])
 def test_symmetry_vector_requires_a_positive_step(h_step):
     # No step is picked on the caller's behalf: the FD paths difference at h_step.
-    with pytest.raises(ValueError, match="h_step must be > 0"):
-        symmetry_conserved_vector("S2", MultiplierConstants(1, 1, 1), MP1, _t1_sampler(),
-                                  1.0, 1.0, h_step)
+    # Every differencing entry point rejects it the same way, before any evaluation.
+    c = MultiplierConstants(1, 1, 1)
+    s, calls = _counted(_t1_sampler())
+    grid = np.array([1.0, 2.0])
+    for call in (lambda: symmetry_conserved_vector("S2", c, MP1, s, 1.0, 1.0, h_step),
+                 lambda: divergence_residual("S2", c, MP1, s, 1.0, 1.0, h_step),
+                 lambda: adjoint_identity_residual(c, MP1, s, 1.0, 1.0, h_step),
+                 lambda: fd_partials(s, 1.0, 1.0, order=2, h=h_step),
+                 lambda: fd_partials(s, grid, 1.0, order=4, h=np.full(2, h_step))):
+        with pytest.raises(ValueError, match="h_step must be > 0"):
+            call()
+    assert calls["eval"] == 0
+
+
+def test_a_step_that_rounds_away_is_rejected_at_points_and_on_grids():
+    # At (1.0, 1.5) a step of 1e-17 or 1e-320 rounds away (x + h == x): the
+    # difference would read an exact 0 and show the S1 defect as conserved.
+    s, c = _t1_sampler(), MultiplierConstants(1, 0, 0)
+    calls = (lambda x, t, h: divergence_residual("S1", c, MP1, s, x, t, h),
+             lambda x, t, h: adjoint_identity_residual(c, MP1, s, x, t, h),
+             lambda x, t, h: fd_partials(s, x, t, order=2, h=h))
+    x, t = np.array([0.0, 1.0]), np.array([0.0, 1.5])
+    for call in calls:
+        with pytest.raises(DomainError,
+                           match=r"stencil .*\(x=1\.0, t=1\.5\).* rounds onto its centre$"):
+            call(1.0, 1.5, 1e-320)
+        with pytest.raises(DomainError, match=r"\(x=1\.0, t=1\.5\)") as e:
+            call(x, t, 1e-17)     # (0, 0) resolves 1e-17, the second point does not
+        assert e.value.index == 1
+        call(x, t, 1e-3)
+    assert abs(divergence_residual("S1", c, MP1, s, 1.0, 1.5, 1e-3)) > 0.05
+
+
+@pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
+def test_scalar_divergence_checks_its_stencil_once(which):
+    mp = ModelParams(A=1.0, D=0.4)
+    s, calls = _counted(_t1_sampler(mp))
+    divergence_residual(which, MultiplierConstants(1.0, 0.5, 0.2), mp, s, 1.0, 1.5, 1e-3)
+    assert calls["domain"] == 4
+
+
+def _public_divergence(which, c, p, s, x, t, h):
+    Uxp, _ = symmetry_conserved_vector(which, c, p, s, x + h, t, h)
+    Uxm, _ = symmetry_conserved_vector(which, c, p, s, x - h, t, h)
+    _, Utp = symmetry_conserved_vector(which, c, p, s, x, t + h, h)
+    _, Utm = symmetry_conserved_vector(which, c, p, s, x, t - h, h)
+    return (Uxp - Uxm) / (2.0 * h) + (Utp - Utm) / (2.0 * h)
+
+
+@pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
+@pytest.mark.parametrize("kind,params,mp,box", [
+    ("T1", dict(p1=1, p2=2, b=1), MP1, (0.3, 1.7, 0.5, 2.0)),
+    ("T1", dict(p1=1, p2=2, b=1), ModelParams(A=1.0, D=0.4), (0.3, 1.7, 0.5, 2.0)),
+    ("T2", dict(p1=1, b=0), MP1, (-8.0, -6.0, 0.3, 0.8)),
+])
+@pytest.mark.parametrize("analytic", [True, False])
+def test_divergence_is_the_central_difference_of_public_vectors(which, kind, params, mp, box,
+                                                                analytic):
+    s = make_entry(kind, **params).sampler(mp)
+    if not analytic:
+        s = SolutionSampler(eval=s.eval, domain=s.domain)
+    c = MultiplierConstants(1.3, 0.7, -0.4)
+    x, t = np.meshgrid(np.linspace(box[0], box[1], 4), np.linspace(box[2], box[3], 3))
+    for h in (2e-3, 1e-3):
+        assert np.array_equal(divergence_residual(which, c, mp, s, x, t, h),
+                              _public_divergence(which, c, mp, s, x, t, h))
+        for a, b in zip(x.ravel().tolist(), t.ravel().tolist()):
+            assert divergence_residual(which, c, mp, s, a, b, h) == \
+                _public_divergence(which, c, mp, s, a, b, h)
 
 
 def test_divergence_zero_on_constants():

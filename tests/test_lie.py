@@ -342,6 +342,18 @@ def test_invariant_ic_errors():
     assert invariant_ic(InfinitesimalParams(1, 0, 2, 0), 1.0, -2.0, "power") == 4.0
 
 
+@pytest.mark.parametrize("e,delta,x,branch", [
+    ((1, 0, 1000, 0), 1.0, 1e10, "power"),          # base ** q overflows
+    ((1, 0, 300, 0), 1e10, 10.0, "power"),          # delta * base ** q overflows
+    ((1, 0, 0, 0), 1.0, 1e-310, "reciprocal"),      # delta / base overflows
+])
+def test_invariant_ic_rejects_a_theta_that_is_not_finite(e, delta, x, branch):
+    e = InfinitesimalParams(*e)
+    with pytest.raises(DomainError, match=rf"^{branch} branch: Theta is not finite at "
+                       rf"e=\({e.e1}, {e.e2}, {e.e3}, {e.e4}\), delta={delta}, x={x}$"):
+        invariant_ic(e, delta, x, branch)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_parameters_reject_non_finite_values(bad):
     for cls, what in ((LieCoeffs, "coefficient w3"), (AdjointParams, "group parameter eps3"),

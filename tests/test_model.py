@@ -167,6 +167,29 @@ def test_partials_validation():
         Partials(rho_t=0, rho_x=0, u_t=0, u_x=0, u_xx=0, method="fd", fd_order=3, fd_step=1e-3)
 
 
+PARTIALS = ("rho_t", "rho_x", "u_t", "u_x", "u_xx")
+
+
+@pytest.mark.parametrize("v", [-0.5, 2, np.float64(1.5)])
+def test_partials_accept_finite_point_values(v):
+    d = Partials(*(v,) * 5)
+    assert all(getattr(d, name) is v for name in PARTIALS)
+    # finite values whose sum overflows are still finite values
+    d = Partials(rho_t=1e308, rho_x=1e308, u_t=v, u_x=v, u_xx=v)
+    assert (d.rho_t, d.rho_x, d.u_xx) == (1e308, 1e308, v)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", PARTIALS)
+def test_partials_reject_a_non_finite_field(name, bad):
+    fields = dict.fromkeys(PARTIALS, 0.0)
+    with pytest.raises(DomainError, match=rf"^non-finite derivative {name}={bad}$"):
+        Partials(**{**fields, name: bad})
+    with pytest.raises(DomainError,
+                       match=rf"^non-finite derivative {name}={bad} at grid index \(1,\)$"):
+        Partials(**{**fields, name: np.array([0.0, bad, 1.0])})
+
+
 def test_residual_from_partials_signed():
     p = ModelParams(A=1.0, D=0.0)
     d = Partials(rho_t=0.0, rho_x=1.0, u_t=0.0, u_x=0.0, u_xx=0.0)
