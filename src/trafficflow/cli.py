@@ -14,10 +14,14 @@ Exit codes: 0 success/VERIFIED, 2 REFUTED, 3 inconclusive (PAPER-CLAIMED),
 4 solver error during simulation (an invalid state, named by cell and time,
 or CFL underflow), 5 refuted wavefront background, 64 usage error,
 65 domain or parse error (a bad CSV initial condition included).
+
+Start-up: this module imports only model and solver (the solver supplies
+the --scheme/--bc choices and SolverError); each command imports the rest of
+what it runs, so `lie killing` loads lie alone, `catalog list` catalog alone,
+and conserve and wavefront add conservation or wavefront to catalog.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -27,16 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import (ENTRY_PARAMS, FAMILIES, GridRegion, REFUTED, VERIFIED, make_entry,
-                      verify_entry, verify_sampler)
-from .conservation import MultiplierConstants, divergence_residual, symmetry_conserved_vector
-from .lie import (AdjointParams, InfinitesimalParams, LieCoeffs, adjoint_apply,
-                  classify_optimal, commutator, group_transform, invariant_ic,
-                  invariant_tuple, killing_form)
 from .model import DomainError, ModelParams, require_all
 from .solver import (BCS, SCHEMES, Field, Grid, SolverConfig, SolverError,
                      error_norms as solver_error_norms, run)
-from .wavefront import AmplitudeProblem, amplitude_quadrature
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
@@ -49,11 +46,6 @@ EXIT_DOMAIN = 65
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(v) -> str:
-    """Shortest round-trip decimal representation of a float."""
-    return repr(float(v))
 
 
 def _jsonable(obj):
@@ -81,6 +73,7 @@ def _dump_json(obj) -> str:
 
 
 def _write_text(path: Path, text: str) -> str:
+    import hashlib
     path.parent.mkdir(parents=True, exist_ok=True)
     data = text.encode("utf-8")
     path.write_bytes(data)
@@ -124,6 +117,7 @@ def parse_entry_spec(spec: str):
     exhaustive diagnostics (usage errors); malformed or out-of-range values
     raise ValueError.
     """
+    from .catalog import ENTRY_PARAMS, make_entry
     name, _, query = spec.partition("?")
     if name not in ENTRY_PARAMS:
         raise UsageError(f"unknown catalog entry {name!r}; known entries: "
@@ -169,7 +163,8 @@ def _parse_vector(text: str, n: int, what: str) -> list:
         raise ValueError(f"{what}: {e}") from e
 
 
-def _region_from_args(args, entry, mp) -> GridRegion:
+def _region_from_args(args, entry, mp):
+    from .catalog import GridRegion
     explicit = [args.x0, args.x1, args.t0, args.t1]
     if all(v is None for v in explicit):
         return entry.default_region(mp)
@@ -179,9 +174,9 @@ def _region_from_args(args, entry, mp) -> GridRegion:
 
 
 def _csv(header: list, rows) -> str:
+    """CSV text of rows of Python floats, each in shortest round-trip form (repr)."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    lines += [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -189,6 +184,7 @@ def _csv(header: list, rows) -> str:
 
 
 def cmd_verify(args, argv) -> int:
+    from .catalog import REFUTED, VERIFIED, verify_entry
     entry = parse_entry_spec(args.entry)
     mp = ModelParams(A=args.A, D=args.D)
     region = _region_from_args(args, entry, mp)
@@ -236,7 +232,8 @@ def _surface_mode(args, argv, entry, mp) -> int:
     require_all(sampler.domain(x, t), "surface point (x={x}, t={t}) outside entry domain",
                 x=x, t=t)
     st = sampler.eval(x, t)
-    rows = zip(t.ravel(), x.ravel(), st.rho.ravel(), st.u.ravel())
+    rows = zip(t.ravel().tolist(), x.ravel().tolist(), st.rho.ravel().tolist(),
+               st.u.ravel().tolist())
     out = Path(args.out) if args.out else Path(f"surface_{entry.kind}.csv")
     params = {"ic": args.ic, "A": args.A, "D": args.D,
               "surface": list(args.surface), "out": str(out)}
@@ -306,11 +303,9 @@ def cmd_simulate(args, argv) -> int:
                        bc=args.bc, dirichlet_sampler=sampler if args.bc == "dirichlet" else None)
     traj = run(cfg, ic, t0, t_end, snapshots=snaps)
 
-    xs = grid.centers()
-    rows = []
-    for tsnap, f in zip(traj.times, traj.fields):
-        for i in range(grid.nx):
-            rows.append((float(tsnap), float(xs[i]), float(f.rho[i]), float(f.u[i])))
+    xs = grid.centers().tolist()
+    rows = [(float(tsnap), x, rho, u) for tsnap, f in zip(traj.times, traj.fields)
+            for x, rho, u in zip(xs, f.rho.tolist(), f.u.tolist())]
     diagnostics = {"steps": traj.diagnostics}
     if sampler is not None:
         # manufactured-solution runs also report per-snapshot error norms
@@ -338,6 +333,9 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_lie(args, argv) -> int:
+    from .lie import (AdjointParams, InfinitesimalParams, LieCoeffs, adjoint_apply,
+                      classify_optimal, commutator, group_transform, invariant_ic,
+                      invariant_tuple, killing_form)
     sub = args.lie_cmd
     if sub == "commutator":
         a = LieCoeffs(*_parse_vector(args.a, 4, "first vector"))
@@ -372,6 +370,7 @@ def cmd_lie(args, argv) -> int:
         })
         return EXIT_OK
     if sub == "transform":
+        from .catalog import GridRegion, verify_sampler
         entry = parse_entry_spec(args.entry)
         mp = ModelParams(A=args.A, D=args.D)
         sampler = entry.sampler(mp)
@@ -417,6 +416,7 @@ def cmd_lie(args, argv) -> int:
 
 
 def cmd_conserve(args, argv) -> int:
+    from .conservation import MultiplierConstants, divergence_residual, symmetry_conserved_vector
     entry = parse_entry_spec(args.entry)
     mp = ModelParams(A=args.A, D=args.D)
     c = MultiplierConstants(*_parse_vector(args.c, 3, "--c"))
@@ -433,7 +433,8 @@ def cmd_conserve(args, argv) -> int:
             symmetry_conserved_vector(args.which, c, mp, sampler, xi, ti, args.h_step)
             divergence_residual(args.which, c, mp, sampler, xi, ti, args.h_step)
         raise
-    rows = zip(x.ravel(), t.ravel(), ux.ravel(), ut.ravel(), div.ravel())
+    rows = zip(x.ravel().tolist(), t.ravel().tolist(), ux.ravel().tolist(),
+               ut.ravel().tolist(), div.ravel().tolist())
     out = Path(args.out) if args.out else Path(f"conserve_{args.which}.csv")
     params = {"entry": args.entry, "which": args.which, "c": args.c,
               "A": args.A, "D": args.D, "h_step": args.h_step,
@@ -447,6 +448,8 @@ def cmd_conserve(args, argv) -> int:
 
 
 def cmd_wavefront(args, argv) -> int:
+    from .catalog import VERIFIED, verify_entry
+    from .wavefront import AmplitudeProblem, amplitude_quadrature
     entry = parse_entry_spec(args.background)
     mp = ModelParams(A=args.A, D=args.D)
     rep = verify_entry(entry, mp, tol=1e-8)
@@ -478,6 +481,7 @@ def cmd_wavefront(args, argv) -> int:
 
 
 def cmd_catalog(args, argv) -> int:
+    from .catalog import FAMILIES
     lines = []
     for kind, fam in sorted(FAMILIES.items()):
         req = ", ".join(fam.params) or "(no parameters)"

@@ -24,6 +24,7 @@ __all__ = [
     "characteristic_speeds",
     "characteristic_eigenvectors",
     "fd_partials",
+    "fd_partials_unchecked",
     "fd_stencil_inside",
     "require_step",
     "stencil_resolves",
@@ -222,9 +223,13 @@ _FD4_SECOND = ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 
 
 
 def require_step(h) -> None:
-    """ValueError unless the difference step h, a float or an array, is finite and > 0."""
-    if not (0.0 < h < math.inf if isinstance(h, float) else np.all((h > 0.0) & (h < np.inf))):
-        raise ValueError(f"h_step must be > 0 and finite, got {h}")
+    """ValueError unless the difference step h, a float or an array, is finite and > 0.
+
+    h * h must not underflow to 0 either: second differences divide by it.
+    """
+    if not (0.0 < h < math.inf and h * h != 0.0 if isinstance(h, float)
+            else np.all((h > 0.0) & (h < np.inf) & (h * h != 0.0))):
+        raise ValueError(f"h_step must be > 0 and finite with a nonzero square, got {h}")
 
 
 def stencil_resolves(x, t, h):
@@ -246,7 +251,8 @@ def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:
 
     The full stencil (width 2 or 4 in each direction) must lie inside the
     sampler domain, and no node may round onto the centre, otherwise a
-    DomainError is raised.  A given step h must be finite and > 0.  Each
+    DomainError is raised.  A given step h must be finite and > 0, with a
+    square that does not underflow.  Each
     stencil node is evaluated once, with one sampler call per node for a
     whole grid.
     """
@@ -256,12 +262,16 @@ def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:
         h = default_fd_step(x, t)
     else:
         require_step(h)
-    offsets, w1 = _FD_STENCILS[order]
-    off2, w2 = _FD2_SECOND if order == 2 else _FD4_SECOND
     where = f"order-{order} FD stencil with h={{h}} at (x={{x}}, t={{t}})"
     require_all(fd_stencil_inside(s, x, t, order, h), where + " leaves the domain", h=h, x=x, t=t)
     require_all(stencil_resolves(x, t, h), where + " rounds onto its centre", h=h, x=x, t=t)
+    return fd_partials_unchecked(s, x, t, order, h)
 
+
+def fd_partials_unchecked(s: SolutionSampler, x, t, order: int, h) -> Partials:
+    """fd_partials for a caller that has checked the order, the step and the stencil."""
+    offsets, w1 = _FD_STENCILS[order]
+    off2, w2 = _FD2_SECOND if order == 2 else _FD4_SECOND
     at_x = {k: s.eval(x + k * h, t) for k in off2}
     at_t = {k: s.eval(x, t + k * h) for k in offsets}
     rho_x = sum(w * at_x[k].rho for k, w in zip(offsets, w1)) / h

@@ -1,6 +1,11 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -364,7 +369,7 @@ def test_conserve_csv(capsys, tmp_path):
 
 
 def test_conserve_non_positive_step_exit_65(capsys, tmp_path):
-    for h in ("0", "-1e-3", "nan"):
+    for h in ("0", "-1e-3", "nan", "1e-320"):   # 1e-320 ** 2 underflows to 0
         code, _, err = run_cli(capsys, "conserve", "--entry", "T1?p1=1&p2=2&b=1",
                                "--which", "S4", "--c", "1,0,0", f"--h-step={h}",
                                "--out", str(tmp_path / "cons.csv"))
@@ -372,13 +377,13 @@ def test_conserve_non_positive_step_exit_65(capsys, tmp_path):
 
 
 def test_conserve_step_that_rounds_away_exit_65(capsys, tmp_path):
-    # x +- 1e-320 rounds onto x: every divergence would read an exact 0.
+    # x +- 1e-17 rounds onto x: every divergence would read an exact 0.
     out = tmp_path / "cons.csv"
     code, stdout, err = run_cli(capsys, "conserve", "--entry", "T1?p1=1&p2=2&b=1",
                                 "--which", "S1", "--c", "1,0,0", "--nx", "5", "--nt", "5",
-                                "--h-step", "1e-320", "--out", str(out))
+                                "--h-step", "1e-17", "--out", str(out))
     assert (code, stdout) == (65, "")
-    assert err == ("error: divergence stencil at (x=-4.0, t=-0.25) with step 1e-320"
+    assert err == ("error: divergence stencil at (x=-4.0, t=-0.25) with step 1e-17"
                    " rounds onto its centre\n")
     assert not out.exists()
 
@@ -459,6 +464,56 @@ def test_catalog_list(capsys):
     for line in lines:
         kind, _, rest = line.partition(" params: ")
         assert rest[:28].rstrip() == (", ".join(ENTRY_PARAMS[kind.strip()]) or "(no parameters)")
+
+
+def _fresh_modules(code: str) -> list:
+    """The trafficflow modules a fresh interpreter has loaded after running code."""
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'trafficflow'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=env)
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh_modules("import trafficflow") == ["trafficflow"]
+    assert _fresh_modules("from trafficflow import ModelParams") == [
+        "trafficflow", "trafficflow.model"]
+
+
+def test_lie_killing_loads_only_what_it_runs():
+    loaded = _fresh_modules("from trafficflow import cli\n"
+                            "assert cli.main(['lie', 'killing', '--', '0.5,1,0,0']) == 0")
+    assert "trafficflow.lie" in loaded
+    for name in ("catalog", "conservation", "wavefront"):
+        assert f"trafficflow.{name}" not in loaded
+
+
+def test_catalog_list_loads_neither_lie_nor_conservation():
+    loaded = _fresh_modules("from trafficflow import cli\n"
+                            "assert cli.main(['catalog', 'list']) == 0")
+    assert "trafficflow.catalog" in loaded
+    assert "trafficflow.lie" not in loaded and "trafficflow.conservation" not in loaded
+
+
+def test_package_names_are_their_submodules_objects():
+    import trafficflow
+    owners = {}
+    for name in ("model", "lie", "catalog", "conservation", "solver", "wavefront"):
+        module = importlib.import_module(f"trafficflow.{name}")
+        owners.update({n: module for n in module.__all__})
+    for name in trafficflow.__all__:
+        assert getattr(trafficflow, name) is getattr(owners[name], name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        trafficflow.no_such_name
+
+
+def test_csv_writes_shortest_round_trip_floats():
+    assert cli._csv(["a", "b"], [(0.1, 1e-300), (-0.0, math.nan), (math.inf, 2.0)]) == \
+        "a,b\n0.1,1e-300\n-0.0,nan\ninf,2.0\n"
 
 
 def _digest(path: Path) -> str:

@@ -135,7 +135,7 @@ def _counted(s):
                            partials=s.partials), calls
 
 
-@pytest.mark.parametrize("h_step", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("h_step", [0.0, -1e-3, math.nan, math.inf, 1e-170, 1e-320])
 def test_symmetry_vector_requires_a_positive_step(h_step):
     # No step is picked on the caller's behalf: the FD paths difference at h_step.
     # Every differencing entry point rejects it the same way, before any evaluation.
@@ -152,8 +152,22 @@ def test_symmetry_vector_requires_a_positive_step(h_step):
     assert calls["eval"] == 0
 
 
+def test_a_step_whose_square_underflows_is_rejected_at_the_origin():
+    # At (0, 0) the nodes +-1e-170 resolve, but 1e-170 ** 2 is 0: a second
+    # difference would divide by zero.
+    s, c = _t1_sampler(), MultiplierConstants(1, 0, 0)
+    zeros = np.zeros(2)
+    for call in (lambda: fd_partials(s, 0.0, 0.0, order=2, h=1e-170),
+                 lambda: fd_partials(s, zeros, zeros, order=2, h=np.full(2, 1e-170)),
+                 lambda: adjoint_identity_residual(c, MP1, s, 0.0, 0.0, 1e-170),
+                 lambda: adjoint_identity_residual(c, MP1, s, zeros, zeros, 1e-170)):
+        with pytest.raises(ValueError, match="h_step must be > 0 and finite with a nonzero "
+                                             "square, got"):
+            call()
+
+
 def test_a_step_that_rounds_away_is_rejected_at_points_and_on_grids():
-    # At (1.0, 1.5) a step of 1e-17 or 1e-320 rounds away (x + h == x): the
+    # At (1.0, 1.5) a step of 1e-17 rounds away (x + h == x): the
     # difference would read an exact 0 and show the S1 defect as conserved.
     s, c = _t1_sampler(), MultiplierConstants(1, 0, 0)
     calls = (lambda x, t, h: divergence_residual("S1", c, MP1, s, x, t, h),
@@ -163,7 +177,7 @@ def test_a_step_that_rounds_away_is_rejected_at_points_and_on_grids():
     for call in calls:
         with pytest.raises(DomainError,
                            match=r"stencil .*\(x=1\.0, t=1\.5\).* rounds onto its centre$"):
-            call(1.0, 1.5, 1e-320)
+            call(1.0, 1.5, 1e-17)
         with pytest.raises(DomainError, match=r"\(x=1\.0, t=1\.5\)") as e:
             call(x, t, 1e-17)     # (0, 0) resolves 1e-17, the second point does not
         assert e.value.index == 1
@@ -177,6 +191,18 @@ def test_scalar_divergence_checks_its_stencil_once(which):
     s, calls = _counted(_t1_sampler(mp))
     divergence_residual(which, MultiplierConstants(1.0, 0.5, 0.2), mp, s, 1.0, 1.5, 1e-3)
     assert calls["domain"] == 4
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_adjoint_identity_checks_its_stencil_once(analytic):
+    # The centre plus the order-2 stencil's 3 nodes in x and 3 in t: 7 domain
+    # calls, with or without analytic partials.
+    s = _t1_sampler()
+    if not analytic:
+        s = SolutionSampler(eval=s.eval, domain=s.domain)
+    s, calls = _counted(s)
+    adjoint_identity_residual(MultiplierConstants(1, 0, 0), MP1, s, 1.0, 1.5, 1e-3)
+    assert calls["domain"] == 7
 
 
 def _public_divergence(which, c, p, s, x, t, h):
