@@ -1,15 +1,28 @@
 """Verification-grade numerics for a viscous second-order traffic flow model.
 
-Importing the package loads none of its submodules: each name below is
-imported from its submodule on first access (PEP 562), so a CLI command
-pays only for the modules it runs.
+Importing the package loads none of its submodules and no numpy: each name
+in ``_SUBMODULE`` is imported from its submodule on first access (PEP 562),
+so a CLI command pays only for the modules it runs.  The few names the CLI
+parser needs before it knows which command runs live here, and their
+submodules re-export them.
 """
 
 __version__ = "0.1.0"
 
+# Numerical schemes and boundary conditions of the finite-volume solver.
+SCHEMES = ("lax_friedrichs", "rusanov")
+BCS = ("periodic", "dirichlet", "outflow")
+
+
+class DomainError(ValueError):
+    """Raised when an evaluation point (or FD stencil) leaves a sampler's domain."""
+
+    index = None    # on a grid: flat (C-order) index of the first failing point
+
+
 # Public name -> the submodule that defines it.
 _SUBMODULE = {name: module for module, names in {
-    "model": ("DomainError", "ModelParams", "Partials", "SolutionSampler", "StatePoint",
+    "model": ("ModelParams", "Partials", "SolutionSampler", "StatePoint",
               "characteristic_eigenvectors", "characteristic_speeds", "fd_partials",
               "pde_residual", "pressure", "residual_from_partials"),
     "lie": ("AdjointParams", "InfinitesimalParams", "InvariantTuple", "LieCoeffs",
@@ -29,7 +42,7 @@ _SUBMODULE = {name: module for module, names in {
                   "psi_along"),
 }.items() for name in names}
 
-__all__ = list(_SUBMODULE)
+__all__ = ["DomainError", *_SUBMODULE]
 
 
 def __getattr__(name):

@@ -15,10 +15,12 @@ Exit codes: 0 success/VERIFIED, 2 REFUTED, 3 inconclusive (PAPER-CLAIMED),
 or CFL underflow), 5 refuted wavefront background, 64 usage error,
 65 domain or parse error (a bad CSV initial condition included).
 
-Start-up: this module imports only model and solver (the solver supplies
-the --scheme/--bc choices and SolverError); each command imports the rest of
-what it runs, so `lie killing` loads lie alone, `catalog list` catalog alone,
-and conserve and wavefront add conservation or wavefront to catalog.
+Start-up: this module imports only the standard library and the package
+root, which holds the --scheme/--bc choices and DomainError.  Each command
+imports what it runs: only simulate loads the solver, `lie commutator`,
+`killing`, `adjoint` and `ic` load lie alone and no numpy, `catalog list`
+loads catalog and model, and conserve and wavefront add conservation or
+wavefront to those.
 """
 
 import argparse
@@ -28,12 +30,7 @@ import sys
 import urllib.parse
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .model import DomainError, ModelParams, require_all
-from .solver import (BCS, SCHEMES, Field, Grid, SolverConfig, SolverError,
-                     error_norms as solver_error_norms, run)
+from . import BCS, SCHEMES, DomainError, __version__
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
@@ -54,17 +51,14 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isnan(f):
+    if hasattr(obj, "tolist"):  # a numpy array or scalar: its Python values
+        return _jsonable(obj.tolist())
+    if isinstance(obj, float):
+        if math.isnan(obj):
             return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
     return obj
 
 
@@ -185,6 +179,7 @@ def _csv(header: list, rows) -> str:
 
 def cmd_verify(args, argv) -> int:
     from .catalog import REFUTED, VERIFIED, verify_entry
+    from .model import ModelParams
     entry = parse_entry_spec(args.entry)
     mp = ModelParams(A=args.A, D=args.D)
     region = _region_from_args(args, entry, mp)
@@ -208,6 +203,7 @@ def cmd_verify(args, argv) -> int:
 
 
 def _parse_axis(spec: str, what: str):
+    import numpy as np
     parts = spec.split(":")
     if len(parts) != 4:
         raise UsageError(f"{what} must look like 'x:min:max:count', got {spec!r}")
@@ -222,6 +218,9 @@ def _parse_axis(spec: str, what: str):
 
 
 def _surface_mode(args, argv, entry, mp) -> int:
+    import numpy as np
+
+    from .model import require_all
     a1, v1 = _parse_axis(args.surface[0], "--surface[0]")
     a2, v2 = _parse_axis(args.surface[1], "--surface[1]")
     axes = {a1: v1, a2: v2}
@@ -242,6 +241,9 @@ def _surface_mode(args, argv, entry, mp) -> int:
 
 
 def _field_from_csv(path: Path):
+    import numpy as np
+
+    from .solver import Grid
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     header = [h.strip() for h in lines[0].split(",")]
     if header[:3] != ["x", "rho", "u"]:
@@ -271,6 +273,8 @@ def _field_from_csv(path: Path):
 
 
 def cmd_simulate(args, argv) -> int:
+    from .model import ModelParams
+    from .solver import Field, Grid, SolverConfig, SolverError, error_norms, run
     mp = ModelParams(A=args.A, D=args.D)
     ic_path = Path(args.ic)
     from_csv = ic_path.suffix == ".csv" and ic_path.exists()
@@ -301,7 +305,11 @@ def cmd_simulate(args, argv) -> int:
 
     cfg = SolverConfig(grid=grid, params=mp, scheme=args.scheme, cfl=args.cfl,
                        bc=args.bc, dirichlet_sampler=sampler if args.bc == "dirichlet" else None)
-    traj = run(cfg, ic, t0, t_end, snapshots=snaps)
+    try:
+        traj = run(cfg, ic, t0, t_end, snapshots=snaps)
+    except SolverError as e:
+        sys.stderr.write(f"solver error: {e}\n")
+        return EXIT_SOLVER
 
     xs = grid.centers().tolist()
     rows = [(float(tsnap), x, rho, u) for tsnap, f in zip(traj.times, traj.fields)
@@ -311,7 +319,7 @@ def cmd_simulate(args, argv) -> int:
         # manufactured-solution runs also report per-snapshot error norms
         errs = []
         for tsnap, f in zip(traj.times, traj.fields):
-            norms = solver_error_norms(f, sampler, grid)
+            norms = error_norms(f, sampler, grid)
             errs.append({"t": float(tsnap),
                          "rho_L1": norms["rho"][0], "rho_Linf": norms["rho"][1],
                          "u_L1": norms["u"][0], "u_Linf": norms["u"][1]})
@@ -341,7 +349,7 @@ def cmd_lie(args, argv) -> int:
         a = LieCoeffs(*_parse_vector(args.a, 4, "first vector"))
         b = LieCoeffs(*_parse_vector(args.b, 4, "second vector"))
         _emit("lie commutator", argv, {"a": args.a, "b": args.b}, {},
-              stdout_obj={"result": commutator(a, b).as_array()})
+              stdout_obj={"result": commutator(a, b).as_tuple()})
         return EXIT_OK
     if sub == "killing":
         w = LieCoeffs(*_parse_vector(args.w, 4, "vector"))
@@ -352,7 +360,7 @@ def cmd_lie(args, argv) -> int:
         eps = AdjointParams(*_parse_vector(args.eps, 4, "eps"))
         w = LieCoeffs(*_parse_vector(args.w, 4, "vector"))
         _emit("lie adjoint", argv, {"eps": args.eps, "w": args.w}, {},
-              stdout_obj={"result": adjoint_apply(eps, w).as_array()})
+              stdout_obj={"result": adjoint_apply(eps, w).as_tuple()})
         return EXIT_OK
     if sub == "classify":
         w = LieCoeffs(*_parse_vector(args.w, 4, "vector"))
@@ -371,6 +379,7 @@ def cmd_lie(args, argv) -> int:
         return EXIT_OK
     if sub == "transform":
         from .catalog import GridRegion, verify_sampler
+        from .model import ModelParams
         entry = parse_entry_spec(args.entry)
         mp = ModelParams(A=args.A, D=args.D)
         sampler = entry.sampler(mp)
@@ -416,7 +425,10 @@ def cmd_lie(args, argv) -> int:
 
 
 def cmd_conserve(args, argv) -> int:
+    import numpy as np
+
     from .conservation import MultiplierConstants, divergence_residual, symmetry_conserved_vector
+    from .model import ModelParams
     entry = parse_entry_spec(args.entry)
     mp = ModelParams(A=args.A, D=args.D)
     c = MultiplierConstants(*_parse_vector(args.c, 3, "--c"))
@@ -449,6 +461,7 @@ def cmd_conserve(args, argv) -> int:
 
 def cmd_wavefront(args, argv) -> int:
     from .catalog import VERIFIED, verify_entry
+    from .model import ModelParams
     from .wavefront import AmplitudeProblem, amplitude_quadrature
     entry = parse_entry_spec(args.background)
     mp = ModelParams(A=args.A, D=args.D)
@@ -612,9 +625,6 @@ def main(argv=None) -> int:
     except ValueError as e:  # DomainError is a ValueError
         sys.stderr.write(f"error: {e}\n")
         return EXIT_DOMAIN
-    except SolverError as e:
-        sys.stderr.write(f"solver error: {e}\n")
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -12,15 +12,25 @@ antisymmetric partners).  The Killing form, adjoint representation,
 invariant functions and the one-dimensional optimal-system classification
 are all computed from these structure constants, never hard-coded, so the
 closed-form values quoted in reports stay falsifiable.
+
+The algebra itself (brackets, ad, Killing form, adjoint action) runs on
+plain floats, so the CLI's algebra queries start without numpy; numpy is
+imported only by the functions that return arrays, and the model only by
+group_transform.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from . import DomainError
 
-from .model import DomainError, Partials, SolutionSampler, StatePoint
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .model import SolutionSampler
 
 __all__ = [
     "LieCoeffs",
@@ -64,14 +74,19 @@ class LieCoeffs:
         _require_finite(self, "coefficient")
 
     @classmethod
-    def from_array(cls, a) -> "LieCoeffs":
+    def from_array(cls, a) -> LieCoeffs:
+        import numpy as np
         a = np.asarray(a, dtype=float)
         if a.shape != (4,):
             raise ValueError("expected 4 coefficients")
         return cls(*a.tolist())
 
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.w1, self.w2, self.w3, self.w4)
+
     def as_array(self) -> np.ndarray:
-        return np.array([self.w1, self.w2, self.w3, self.w4])
+        import numpy as np
+        return np.array(self.as_tuple())
 
     def is_zero(self) -> bool:
         return self.w1 == 0.0 and self.w2 == 0.0 and self.w3 == 0.0 and self.w4 == 0.0
@@ -106,15 +121,27 @@ class InfinitesimalParams:
         _require_finite(self, "symmetry constant")
 
 
-# C[i, j, k]: [S_{i+1}, S_{j+1}] = sum_k C[i, j, k] S_{k+1}, exact integers.
-STRUCTURE_CONSTANTS = np.zeros((4, 4, 4))
-STRUCTURE_CONSTANTS[0, 1, 1] = -1.0
-STRUCTURE_CONSTANTS[1, 0, 1] = 1.0
-STRUCTURE_CONSTANTS[0, 3, 3] = -1.0
-STRUCTURE_CONSTANTS[3, 0, 3] = 1.0
-STRUCTURE_CONSTANTS[1, 2, 3] = 1.0
-STRUCTURE_CONSTANTS[2, 1, 3] = -1.0
-STRUCTURE_CONSTANTS.flags.writeable = False
+def _structure_constants() -> tuple:
+    # [S1,S2] = -S2, [S1,S4] = -S4, [S2,S3] = S4 (0-based (i, j, k) below),
+    # and each antisymmetric partner [S_j, S_i] = -[S_i, S_j].
+    C = [[[0.0] * 4 for _ in range(4)] for _ in range(4)]
+    for (i, j, k), c in {(0, 1, 1): -1.0, (0, 3, 3): -1.0, (1, 2, 3): 1.0}.items():
+        C[i][j][k] = c
+        C[j][i][k] = -c
+    return tuple(tuple(tuple(row) for row in plane) for plane in C)
+
+
+# C[i][j][k]: [S_{i+1}, S_{j+1}] = sum_k C[i][j][k] S_{k+1}, exact integers.
+STRUCTURE_CONSTANTS = _structure_constants()
+
+
+def _total(terms) -> float:
+    """Left-to-right sum from 0.0: the order, and so the bits, of the numpy
+    reference formulas (np.einsum, np.trace of a matrix product)."""
+    acc = 0.0
+    for term in terms:
+        acc += term
+    return acc
 
 
 def basis(i: int) -> LieCoeffs:
@@ -128,18 +155,36 @@ def basis(i: int) -> LieCoeffs:
 
 def commutator(a: LieCoeffs, b: LieCoeffs) -> LieCoeffs:
     """Bilinear extension of the basis brackets."""
-    out = np.einsum("i,j,ijk->k", a.as_array(), b.as_array(), STRUCTURE_CONSTANTS)
-    return LieCoeffs.from_array(out)
+    av, bv, C = a.as_tuple(), b.as_tuple(), STRUCTURE_CONSTANTS
+    return LieCoeffs(*(_total(av[i] * bv[j] * C[i][j][k] for i in range(4) for j in range(4))
+                       for k in range(4)))
+
+
+def _ad(w: LieCoeffs) -> tuple:
+    """Rows of ad(w): entry [k][j] is the S_{k+1} coefficient of [w, S_{j+1}]."""
+    v, C = w.as_tuple(), STRUCTURE_CONSTANTS
+    return tuple(tuple(_total(v[i] * C[i][j][k] for i in range(4)) for j in range(4))
+                 for k in range(4))
 
 
 def ad_matrix(w: LieCoeffs) -> np.ndarray:
     """Matrix of ad(w): column j holds the coefficients of [w, S_{j+1}]."""
-    return np.einsum("i,ijk->kj", w.as_array(), STRUCTURE_CONSTANTS)
+    import numpy as np
+    return np.array(_ad(w))
 
 
 def killing_form(a: LieCoeffs, b: LieCoeffs) -> float:
     """Trace form trace(ad(a) . ad(b)); equals 2*w1^2 on the diagonal."""
-    return float(np.trace(ad_matrix(a) @ ad_matrix(b)))
+    A, B = _ad(a), _ad(b)
+    return _total(_total(A[k][j] * B[j][k] for j in range(4)) for k in range(4))
+
+
+def _exp(eps: float, name: str) -> float:
+    """e^eps; ValueError naming the parameter when it overflows."""
+    try:
+        return math.exp(eps)
+    except OverflowError:
+        raise ValueError(f"{name}={eps} is too large: e^{name} overflows") from None
 
 
 def adjoint_exp_matrix(i: int, eps: float) -> np.ndarray:
@@ -149,12 +194,12 @@ def adjoint_exp_matrix(i: int, eps: float) -> np.ndarray:
     table: K1 scales w2, w4 by e^eps; K2 sends (w2, w4) to (w2 - eps*w1,
     w4 - eps*w3); K3 sends w4 to w4 + eps*w2; K4 sends w4 to w4 - eps*w1.
     """
+    import numpy as np
     if i not in (1, 2, 3, 4):
         raise ValueError(f"generator index must be 1..4, got {i}")
     K = np.eye(4)
     if i == 1:
-        K[1, 1] = math.exp(eps)
-        K[3, 3] = math.exp(eps)
+        K[1, 1] = K[3, 3] = _exp(eps, "eps")
     elif i == 2:
         K[0, 1] = -eps
         K[2, 3] = -eps
@@ -180,7 +225,7 @@ def adjoint_apply(e: AdjointParams, w: LieCoeffs) -> LieCoeffs:
          w3,
          (-w1*eps4 + w2*eps3 - eps2*w3 + w4) e^{eps1})
     """
-    s = math.exp(e.eps1)
+    s = _exp(e.eps1, "eps1")
     q2 = (-w.w1 * e.eps2 + w.w2) * s
     q4 = (-w.w1 * e.eps4 + w.w2 * e.eps3 - e.eps2 * w.w3 + w.w4) * s
     return LieCoeffs(w.w1, q2, w.w3, q4)
@@ -193,6 +238,7 @@ def adjoint_series_check(i: int, j: int, eps: float) -> float:
     S_j - eps [S_i, S_j] + eps^2/2 [S_i, [S_i, S_j]]; the gap is O(eps^3),
     and exactly zero whenever the bracket chain terminates.
     """
+    import numpy as np
     exact = basis(j).as_array() @ adjoint_exp_matrix(i, eps)
     term = basis(j).as_array()
     series = term.copy()
@@ -226,6 +272,11 @@ def _sgn(v: float) -> int:
     return int(v > 0) - int(v < 0)
 
 
+def _zeros4() -> np.ndarray:
+    import numpy as np
+    return np.zeros(4)
+
+
 def invariant_tuple(w: LieCoeffs) -> InvariantTuple:
     K = killing_form(w, w)
     P = 1 if (w.w1 ** 2 + w.w2 ** 2 + w.w3 ** 2) != 0.0 else 0
@@ -250,10 +301,11 @@ class OptimalClass:
     b: Optional[int] = None
     l1: Optional[float] = None
     l2: Optional[float] = None
-    residue: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    residue: np.ndarray = field(default_factory=_zeros4)
 
     def representative(self) -> np.ndarray:
         """Coefficients of the family representative (residue not included)."""
+        import numpy as np
         if self.family == "T1":
             return np.array([0.0, 0.0, 1.0, float(self.b)])
         if self.family == "T2":
@@ -268,7 +320,7 @@ class OptimalClass:
 def _require_representable(w: LieCoeffs, why: str, *values: float) -> None:
     """ValueError naming w when a value of its classification overflowed."""
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"cannot classify w={w.as_array().tolist()}: {why}")
+        raise ValueError(f"cannot classify w={list(w.as_tuple())}: {why}")
 
 
 def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
@@ -285,6 +337,7 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
     parameters or residue overflow (a leading coefficient tiny against the
     others) raises ValueError naming w.
     """
+    import numpy as np
     if w.is_zero():
         raise ValueError("cannot classify the zero vector")
 
@@ -353,14 +406,22 @@ def group_transform(i: int, eps: float, s: SolutionSampler) -> SolutionSampler:
     G4 (space shift):  rho = m(x - eps, t),        u = n(x - eps, t)
 
     The returned sampler transforms analytic partials by the chain rule when
-    the input provides them, and composes additively in eps.
+    the input provides them, and composes additively in eps.  A non-finite
+    eps, or a G1 eps whose e^{-eps} overflows, is a ValueError.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError(f"generator index must be 1..4, got {i}")
+    if not math.isfinite(eps):
+        raise ValueError(f"G{i}: eps must be finite, got eps={eps}")
+    from .model import Partials, SolutionSampler, StatePoint
     # Dilation a (which also scales the density), boost c, shifts sx and st:
     # the image at (x, t) is the base at (a x - c t - sx, a t - st).
-    a, c, sx, st = {1: (math.exp(-eps), 0.0, 0.0, 0.0), 2: (1.0, 0.0, 0.0, eps),
-                    3: (1.0, eps, 0.0, 0.0), 4: (1.0, 0.0, eps, 0.0)}[i]
+    c, sx, st = {1: (0.0, 0.0, 0.0), 2: (0.0, 0.0, eps), 3: (eps, 0.0, 0.0),
+                 4: (0.0, eps, 0.0)}[i]
+    try:
+        a = math.exp(-eps) if i == 1 else 1.0
+    except OverflowError:
+        raise ValueError(f"G1: e^-eps overflows at eps={eps}") from None
 
     def pullback(x, t):
         return x * a - (c * t + sx), t * a - st

@@ -13,6 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import DomainError
+
 __all__ = [
     "DomainError",
     "require_all",
@@ -33,12 +35,6 @@ __all__ = [
     "residual_from_partials",
     "pde_residual",
 ]
-
-
-class DomainError(ValueError):
-    """Raised when an evaluation point (or FD stencil) leaves a sampler's domain."""
-
-    index = None    # on a grid: flat (C-order) index of the first failing point
 
 
 def require_all(ok, message: str, **values) -> None:

@@ -24,7 +24,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import DomainError, ModelParams, SolutionSampler, require_all
+from . import BCS, SCHEMES, DomainError
+from .model import ModelParams, SolutionSampler, require_all
 
 __all__ = [
     "SolverError",
@@ -39,9 +40,6 @@ __all__ = [
     "convergence_order",
     "ConvergenceResult",
 ]
-
-SCHEMES = ("lax_friedrichs", "rusanov")
-BCS = ("periodic", "dirichlet", "outflow")
 
 
 class SolverError(RuntimeError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import trafficflow.cli as cli
+import trafficflow.solver as solver
 from trafficflow.catalog import ENTRY_PARAMS
 from trafficflow.cli import main
 from trafficflow.solver import PositivityError
@@ -156,6 +157,21 @@ def test_lie_ic(capsys):
     code, rep = out_json(capsys, "lie", "ic", "--e", "1,0,0,4", "--delta", "1",
                          "--x", "0", "--branch", "reciprocal")
     assert rep["theta"] == 0.25
+
+
+@pytest.mark.parametrize("eps,err", [
+    ("-1000", "error: G1: e^-eps overflows at eps=-1000.0\n"),
+    ("nan", "error: G1: eps must be finite, got eps=nan\n"),
+])
+def test_lie_transform_bad_eps_exit_65(capsys, eps, err):
+    got = run_cli(capsys, "lie", "transform", "--generator", "1", "--eps", eps,
+                  "--entry", "T1?p1=1&p2=2&b=1")
+    assert got == (65, "", err)
+
+
+def test_lie_adjoint_overflowing_eps1_exit_65(capsys):
+    got = run_cli(capsys, "lie", "adjoint", "--", "1000,0,0,0", "1,2,3,4")
+    assert got == (65, "", "error: eps1=1000.0 is too large: e^eps1 overflows\n")
 
 
 def test_lie_non_finite_parameters_exit_65(capsys):
@@ -326,7 +342,7 @@ def test_simulate_positivity_abort_exit_4(capsys, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise PositivityError(7, 0.25, -1e-3)
 
-    monkeypatch.setattr(cli, "run", boom)
+    monkeypatch.setattr(solver, "run", boom)
     code, _, err = run_cli(capsys, "simulate", "--ic", "T4?p1=1&b=0",
                            "--t0", "0", "--t-end", "0.1",
                            "--out", str(tmp_path / "x.csv"))
@@ -467,9 +483,10 @@ def test_catalog_list(capsys):
 
 
 def _fresh_modules(code: str) -> list:
-    """The trafficflow modules a fresh interpreter has loaded after running code."""
+    """The trafficflow modules, and numpy, a fresh interpreter has loaded after running code."""
     code += ("\nimport sys\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'trafficflow'))\n")
+             "print(sorted(m for m in sys.modules\n"
+             "             if m == 'numpy' or m.split('.')[0] == 'trafficflow'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -481,15 +498,34 @@ def _fresh_modules(code: str) -> list:
 def test_package_import_loads_no_submodule():
     assert _fresh_modules("import trafficflow") == ["trafficflow"]
     assert _fresh_modules("from trafficflow import ModelParams") == [
-        "trafficflow", "trafficflow.model"]
+        "numpy", "trafficflow", "trafficflow.model"]
 
 
 def test_lie_killing_loads_only_what_it_runs():
-    loaded = _fresh_modules("from trafficflow import cli\n"
-                            "assert cli.main(['lie', 'killing', '--', '0.5,1,0,0']) == 0")
-    assert "trafficflow.lie" in loaded
-    for name in ("catalog", "conservation", "wavefront"):
-        assert f"trafficflow.{name}" not in loaded
+    # The algebra queries run on plain floats: no numpy, model or solver.
+    for argv in (["lie", "commutator", "--", "0.5,1,0,-2", "1,0,3,0"],
+                 ["lie", "killing", "--", "0.5,1,0,0"],
+                 ["lie", "adjoint", "--", "0.1,-0.2,0.3,0.4", "1,2,3,4"],
+                 ["lie", "ic", "--e", "1,0,0.5,1", "--delta", "2", "--x", "1",
+                  "--branch", "reciprocal"]):
+        loaded = _fresh_modules(f"from trafficflow import cli\nassert cli.main({argv!r}) == 0")
+        assert loaded == ["trafficflow", "trafficflow.cli", "trafficflow.lie"], argv
+
+
+def test_only_simulate_loads_the_solver(tmp_path):
+    spec = "T1?p1=1&p2=2&b=1"
+    for argv in (["catalog", "list"],
+                 ["verify", spec, "--nx", "5", "--nt", "5"],
+                 ["conserve", "--entry", spec, "--which", "S4", "--c", "1,1,1", "--nx", "5",
+                  "--nt", "5", "--out", str(tmp_path / "c.csv")],
+                 ["wavefront", "--background", spec, "--pi0", "0.5", "--t-end", "2",
+                  "--n", "50", "--out", str(tmp_path / "w.csv")]):
+        loaded = _fresh_modules(f"from trafficflow import cli\nassert cli.main({argv!r}) == 0")
+        assert "trafficflow.model" in loaded and "trafficflow.solver" not in loaded, argv
+    loaded = _fresh_modules("from trafficflow import cli\nassert cli.main(['simulate', '--ic', "
+                            f"{spec!r}, '--nx', '20', '--t-end', '1.1', '--out', "
+                            f"{str(tmp_path / 's.csv')!r}]) == 0")
+    assert "trafficflow.solver" in loaded
 
 
 def test_catalog_list_loads_neither_lie_nor_conservation():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from trafficflow.catalog import make_entry
-from trafficflow.lie import (AdjointParams, InfinitesimalParams, LieCoeffs,
-                             ad_matrix, adjoint_apply, adjoint_composite_matrix,
+from trafficflow.lie import (STRUCTURE_CONSTANTS, AdjointParams, InfinitesimalParams,
+                             LieCoeffs, ad_matrix, adjoint_apply, adjoint_composite_matrix,
                              adjoint_exp_matrix, adjoint_series_check, basis,
                              classify_optimal, commutator, group_transform,
                              infinitesimals, invariant_ic, invariant_tuple, killing_form)
@@ -372,3 +372,66 @@ def test_ad_matrix_structure():
     M = ad_matrix(w)
     for j in range(1, 5):
         assert np.array_equal(M[:, j - 1], commutator(w, basis(j)).as_array())
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_plain_float_algebra_matches_its_einsum_reference_bit_for_bit():
+    # Reference: the einsum/trace formulas over the structure-constant table,
+    # on vectors with signed zeros and with products that overflow.
+    C = np.array(STRUCTURE_CONSTANTS)
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        a, b = (np.where(rng.random(4) < 0.3, rng.choice([0.0, -0.0], 4),
+                         rng.uniform(-3, 3, 4) * 10.0 ** rng.choice([0, 0, 0, 200], 4))
+                for _ in range(2))
+        A, B = np.einsum("i,ijk->kj", a, C), np.einsum("i,ijk->kj", b, C)
+        wa, wb = LieCoeffs(*a.tolist()), LieCoeffs(*b.tolist())
+        assert _bits(ad_matrix(wa)) == _bits(A)
+        with np.errstate(all="ignore"):
+            bracket = np.einsum("i,j,ijk->k", a, b, C)
+            trace = np.trace(A @ B)
+        assert _bits(killing_form(wa, wb)) == _bits(trace)
+        if np.isfinite(bracket).all():
+            assert _bits(commutator(wa, wb).as_tuple()) == _bits(bracket)
+        else:
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                commutator(wa, wb)
+
+
+def test_structure_constants_are_the_published_brackets():
+    assert np.array(STRUCTURE_CONSTANTS).shape == (4, 4, 4)
+    for i in range(4):
+        for j in range(4):
+            expect = COMMUTATION_TABLE.get((i + 1, j + 1), (0, 0, 0, 0))
+            assert list(STRUCTURE_CONSTANTS[i][j]) == list(expect)
+    assert LieCoeffs(1, -0.0, 3, 4).as_tuple() == (1, -0.0, 3, 4)
+
+
+@pytest.mark.parametrize("i,eps,match", [
+    (1, math.nan, "G1: eps must be finite, got eps=nan"),
+    (3, math.inf, "G3: eps must be finite, got eps=inf"),
+    (4, -math.inf, "G4: eps must be finite, got eps=-inf"),
+    (1, -1000.0, r"G1: e\^-eps overflows at eps=-1000.0"),
+])
+def test_group_transform_rejects_a_non_finite_or_overflowing_eps(i, eps, match):
+    s = make_entry("T1", p1=1.0, p2=2.0, b=1.0).sampler(ModelParams(A=1.0, D=0.0))
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        group_transform(i, eps, s)
+
+
+def test_group_transform_shifts_take_an_eps_whose_exponential_overflows():
+    s = make_entry("T4", p1=1.0, b=0.0).sampler(ModelParams(A=1.0, D=0.0))
+    assert group_transform(2, -1000.0, s).eval(0.5, 1.0) == s.eval(0.5, 1001.0)
+
+
+def test_adjoint_rejects_an_eps1_whose_exponential_overflows():
+    w = LieCoeffs(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(ValueError, match=r"^eps1=1000.0 is too large: e\^eps1 overflows$"):
+        adjoint_apply(AdjointParams(eps1=1000.0), w)
+    with pytest.raises(ValueError, match=r"^eps=710.0 is too large: e\^eps overflows$"):
+        adjoint_exp_matrix(1, 710.0)
+    # An eps1 just below the overflow threshold still maps a vector.
+    assert adjoint_apply(AdjointParams(eps1=709.0), basis(2)).w2 == math.exp(709.0)
