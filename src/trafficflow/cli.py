@@ -17,10 +17,10 @@ or CFL underflow), 5 refuted wavefront background, 64 usage error,
 
 Start-up: this module imports only the standard library and the package
 root, which holds the --scheme/--bc choices and DomainError.  Each command
-imports what it runs: only simulate loads the solver, `lie commutator`,
-`killing`, `adjoint` and `ic` load lie alone and no numpy, `catalog list`
-loads catalog and model, and conserve and wavefront add conservation or
-wavefront to those.
+imports what it runs: only simulate loads the solver, every `lie` command
+but transform loads lie alone and no numpy, `catalog list` loads catalog
+and model, and conserve and wavefront add conservation or wavefront to
+those.
 """
 
 import argparse
@@ -51,8 +51,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):  # a numpy array or scalar: its Python values
-        return _jsonable(obj.tolist())
     if isinstance(obj, float):
         if math.isnan(obj):
             return "nan"

@@ -149,10 +149,18 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
 
 
 def _mixed_u_tx(s: SolutionSampler, x, t, h: float):
-    """Mixed derivative u_tx: t-difference of analytic u_x when available, else 2-D at step h."""
+    """Mixed derivative u_tx: t-difference of analytic u_x when available, else 2-D at step h.
+
+    A difference node outside the domain is a DomainError naming (x, t): a
+    difference across a pole would read as a finite, wrong u_tx.
+    """
+    where = "mixed-derivative stencil at (x={x}, t={t}) leaves domain"
     if s.partials is not None:
         k = 1e-4 * step_scale(x, t)
+        require_all(s.domain(x, t + k) & s.domain(x, t - k), where, x=x, t=t)
         return (s.partials(x, t + k).u_x - s.partials(x, t - k).u_x) / (2.0 * k)
+    require_all(s.domain(x + h, t + h) & s.domain(x + h, t - h) & s.domain(x - h, t + h)
+                & s.domain(x - h, t - h), where, x=x, t=t)
     return (s.eval(x + h, t + h).u - s.eval(x + h, t - h).u
             - s.eval(x - h, t + h).u + s.eval(x - h, t - h).u) / (4.0 * h * h)
 
@@ -220,8 +228,9 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
 
     Converges to 0 at the finite-difference order on genuinely conserved
     rows evaluated on solutions, and to an O(1) value otherwise.  The step,
-    the four stencil nodes and the row are checked once, here; a node that
-    rounds onto (x, t) is a DomainError, since it would read as conserved.
+    the four stencil nodes and the row are checked once, here (the mixed
+    derivative of the viscous S1 and S2 rows checks its own nodes); a node
+    that rounds onto (x, t) is a DomainError, since it would read as conserved.
     """
     require_step(h_step)
     xp, xm, tp, tm = x + h_step, x - h_step, t + h_step, t - h_step

@@ -13,23 +13,20 @@ invariant functions and the one-dimensional optimal-system classification
 are all computed from these structure constants, never hard-coded, so the
 closed-form values quoted in reports stay falsifiable.
 
-The algebra itself (brackets, ad, Killing form, adjoint action) runs on
-plain floats, so the CLI's algebra queries start without numpy; numpy is
-imported only by the functions that return arrays, and the model only by
+Every value is a float or a tuple of floats, and a matrix is a tuple of
+rows, so the module runs without numpy; the model is imported only by
 group_transform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import DomainError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .model import SolutionSampler
 
 __all__ = [
@@ -73,20 +70,8 @@ class LieCoeffs:
     def __post_init__(self):
         _require_finite(self, "coefficient")
 
-    @classmethod
-    def from_array(cls, a) -> LieCoeffs:
-        import numpy as np
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError("expected 4 coefficients")
-        return cls(*a.tolist())
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w1, self.w2, self.w3, self.w4)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self.as_tuple())
 
     def is_zero(self) -> bool:
         return self.w1 == 0.0 and self.w2 == 0.0 and self.w3 == 0.0 and self.w4 == 0.0
@@ -137,7 +122,7 @@ STRUCTURE_CONSTANTS = _structure_constants()
 
 def _total(terms) -> float:
     """Left-to-right sum from 0.0: the order, and so the bits, of the numpy
-    reference formulas (np.einsum, np.trace of a matrix product)."""
+    reference formulas (np.einsum, np.trace and @ of matrix products)."""
     acc = 0.0
     for term in terms:
         acc += term
@@ -160,23 +145,25 @@ def commutator(a: LieCoeffs, b: LieCoeffs) -> LieCoeffs:
                        for k in range(4)))
 
 
-def _ad(w: LieCoeffs) -> tuple:
-    """Rows of ad(w): entry [k][j] is the S_{k+1} coefficient of [w, S_{j+1}]."""
+def ad_matrix(w: LieCoeffs) -> tuple:
+    """Rows of ad(w): entry [k][j] is the S_{k+1} coefficient of [w, S_{j+1}],
+    so column j holds the coefficients of [w, S_{j+1}]."""
     v, C = w.as_tuple(), STRUCTURE_CONSTANTS
     return tuple(tuple(_total(v[i] * C[i][j][k] for i in range(4)) for j in range(4))
                  for k in range(4))
 
 
-def ad_matrix(w: LieCoeffs) -> np.ndarray:
-    """Matrix of ad(w): column j holds the coefficients of [w, S_{j+1}]."""
-    import numpy as np
-    return np.array(_ad(w))
-
-
 def killing_form(a: LieCoeffs, b: LieCoeffs) -> float:
-    """Trace form trace(ad(a) . ad(b)); equals 2*w1^2 on the diagonal."""
-    A, B = _ad(a), _ad(b)
-    return _total(_total(A[k][j] * B[j][k] for j in range(4)) for k in range(4))
+    """Trace form trace(ad(a) . ad(b)); equals 2*w1^2 on the diagonal.
+
+    A value that is not finite (the products overflow) is a ValueError.
+    """
+    A, B = ad_matrix(a), ad_matrix(b)
+    K = _total(_total(A[k][j] * B[j][k] for j in range(4)) for k in range(4))
+    if not math.isfinite(K):
+        raise ValueError(f"Killing form is not finite at a={list(a.as_tuple())}, "
+                         f"b={list(b.as_tuple())}")
+    return K
 
 
 def _exp(eps: float, name: str) -> float:
@@ -187,33 +174,40 @@ def _exp(eps: float, name: str) -> float:
         raise ValueError(f"{name}={eps} is too large: e^{name} overflows") from None
 
 
-def adjoint_exp_matrix(i: int, eps: float) -> np.ndarray:
+def _row_times(v: tuple, M: tuple) -> tuple:
+    """Row vector v times the matrix M (a tuple of rows)."""
+    return tuple(_total(v[k] * M[k][j] for k in range(4)) for j in range(4))
+
+
+def adjoint_exp_matrix(i: int, eps: float) -> tuple:
     """Adjoint transformation matrix K_i(eps) acting on row coefficient vectors.
 
     Row-vector action (w1..w4) @ K_i reproduces the adjoint representation
     table: K1 scales w2, w4 by e^eps; K2 sends (w2, w4) to (w2 - eps*w1,
     w4 - eps*w3); K3 sends w4 to w4 + eps*w2; K4 sends w4 to w4 - eps*w1.
     """
-    import numpy as np
     if i not in (1, 2, 3, 4):
         raise ValueError(f"generator index must be 1..4, got {i}")
-    K = np.eye(4)
+    K = [[float(r == c) for c in range(4)] for r in range(4)]
     if i == 1:
-        K[1, 1] = K[3, 3] = _exp(eps, "eps")
+        K[1][1] = K[3][3] = _exp(eps, "eps")
     elif i == 2:
-        K[0, 1] = -eps
-        K[2, 3] = -eps
+        K[0][1] = -eps
+        K[2][3] = -eps
     elif i == 3:
-        K[1, 3] = eps
+        K[1][3] = eps
     else:
-        K[0, 3] = -eps
-    return K
+        K[0][3] = -eps
+    return tuple(map(tuple, K))
 
 
-def adjoint_composite_matrix(e: AdjointParams) -> np.ndarray:
-    """Composite adjoint matrix K4(eps4) K3(eps3) K2(eps2) K1(eps1)."""
-    return (adjoint_exp_matrix(4, e.eps4) @ adjoint_exp_matrix(3, e.eps3)
-            @ adjoint_exp_matrix(2, e.eps2) @ adjoint_exp_matrix(1, e.eps1))
+def adjoint_composite_matrix(e: AdjointParams) -> tuple:
+    """Composite adjoint matrix K4(eps4) K3(eps3) K2(eps2) K1(eps1), as rows."""
+    M = adjoint_exp_matrix(4, e.eps4)
+    for i, eps in ((3, e.eps3), (2, e.eps2), (1, e.eps1)):
+        K = adjoint_exp_matrix(i, eps)
+        M = tuple(_row_times(row, K) for row in M)
+    return M
 
 
 def adjoint_apply(e: AdjointParams, w: LieCoeffs) -> LieCoeffs:
@@ -238,25 +232,24 @@ def adjoint_series_check(i: int, j: int, eps: float) -> float:
     S_j - eps [S_i, S_j] + eps^2/2 [S_i, [S_i, S_j]]; the gap is O(eps^3),
     and exactly zero whenever the bracket chain terminates.
     """
-    import numpy as np
-    exact = basis(j).as_array() @ adjoint_exp_matrix(i, eps)
-    term = basis(j).as_array()
-    series = term.copy()
-    sign_eps = -eps
+    exact = _row_times(basis(j).as_tuple(), adjoint_exp_matrix(i, eps))
+    term = series = basis(j).as_tuple()
+    ad_T = tuple(zip(*ad_matrix(basis(i))))    # term @ ad^T is ad . term
     fact = 1.0
     for k in range(1, 3):
-        term = ad_matrix(basis(i)) @ term
+        term = _row_times(term, ad_T)
         fact *= k
-        series = series + (sign_eps ** k) / fact * term
-    return float(np.max(np.abs(exact - series)))
+        coef = (-eps) ** k / fact
+        series = tuple(s + coef * v for s, v in zip(series, term))
+    return max(abs(a - b) for a, b in zip(exact, series))
 
 
 @dataclass(frozen=True)
 class InvariantTuple:
     """Adjoint invariants of an algebra element.
 
-    killing = trace form value, M = w1, N = w3; P flags whether
-    w1^2 + w2^2 + w3^2 is nonzero; Q = sgn(w2) when w1 = 0 (else 0);
+    killing = trace form value, M = w1, N = w3; P flags whether any of
+    w1, w2, w3 is nonzero; Q = sgn(w2) when w1 = 0 (else 0);
     R = sgn(w4) when w1 = w2 = w3 = 0 (else 0).
     """
 
@@ -272,17 +265,12 @@ def _sgn(v: float) -> int:
     return int(v > 0) - int(v < 0)
 
 
-def _zeros4() -> np.ndarray:
-    import numpy as np
-    return np.zeros(4)
-
-
 def invariant_tuple(w: LieCoeffs) -> InvariantTuple:
     K = killing_form(w, w)
-    P = 1 if (w.w1 ** 2 + w.w2 ** 2 + w.w3 ** 2) != 0.0 else 0
+    on_s4 = w.w1 == 0.0 and w.w2 == 0.0 and w.w3 == 0.0
     Q = _sgn(w.w2) if w.w1 == 0.0 else 0
-    R = _sgn(w.w4) if (w.w1 == 0.0 and w.w2 == 0.0 and w.w3 == 0.0) else 0
-    return InvariantTuple(killing=K, M=w.w1, N=w.w3, P=P, Q=Q, R=R)
+    R = _sgn(w.w4) if on_s4 else 0
+    return InvariantTuple(killing=K, M=w.w1, N=w.w3, P=0 if on_s4 else 1, Q=Q, R=R)
 
 
 @dataclass(frozen=True)
@@ -301,20 +289,19 @@ class OptimalClass:
     b: Optional[int] = None
     l1: Optional[float] = None
     l2: Optional[float] = None
-    residue: np.ndarray = field(default_factory=_zeros4)
+    residue: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
-    def representative(self) -> np.ndarray:
+    def representative(self) -> tuple[float, float, float, float]:
         """Coefficients of the family representative (residue not included)."""
-        import numpy as np
         if self.family == "T1":
-            return np.array([0.0, 0.0, 1.0, float(self.b)])
+            return (0.0, 0.0, 1.0, float(self.b))
         if self.family == "T2":
-            return np.array([1.0, 0.0, 0.0, float(self.b)])
+            return (1.0, 0.0, 0.0, float(self.b))
         if self.family == "T3":
-            return np.array([self.l1, 0.0, self.l2, float(self.b)])
+            return (float(self.l1), 0.0, float(self.l2), float(self.b))
         if self.family == "T4":
-            return np.array([0.0, 1.0, 0.0, float(self.b)])
-        return np.zeros(4)
+            return (0.0, 1.0, 0.0, float(self.b))
+        return (0.0, 0.0, 0.0, 0.0)
 
 
 def _require_representable(w: LieCoeffs, why: str, *values: float) -> None:
@@ -337,7 +324,6 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
     parameters or residue overflow (a leading coefficient tiny against the
     others) raises ValueError naming w.
     """
-    import numpy as np
     if w.is_zero():
         raise ValueError("cannot classify the zero vector")
 
@@ -370,8 +356,7 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
         _require_representable(w, f"w4={w.w4} is too small against w2={w.w2} and w3={w.w3}",
                                s2_residue)
         e = AdjointParams(eps1=eps1)
-        residue = np.array([0.0, s2_residue, 0.0, 0.0])
-        return OptimalClass(family="T1", b=b, residue=residue), e, scale
+        return OptimalClass(family="T1", b=b, residue=(0.0, s2_residue, 0.0, 0.0)), e, scale
 
     if w.w2 != 0.0:
         scale = w.w2
@@ -384,7 +369,7 @@ def classify_optimal(w: LieCoeffs) -> tuple[OptimalClass, AdjointParams, float]:
     # Pure S4 line: matches no family of the published optimal system.
     scale = abs(w.w4)
     b = _sgn(w.w4)
-    cls = OptimalClass(family="UNREDUCED", b=b, residue=np.array([0.0, 0.0, 0.0, float(b)]))
+    cls = OptimalClass(family="UNREDUCED", b=b, residue=(0.0, 0.0, 0.0, float(b)))
     return cls, AdjointParams(), scale
 
 
@@ -407,7 +392,8 @@ def group_transform(i: int, eps: float, s: SolutionSampler) -> SolutionSampler:
 
     The returned sampler transforms analytic partials by the chain rule when
     the input provides them, and composes additively in eps.  A non-finite
-    eps, or a G1 eps whose e^{-eps} overflows, is a ValueError.
+    eps, or a G1 eps whose e^{-eps} overflows or underflows to 0, is a
+    ValueError.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError(f"generator index must be 1..4, got {i}")
@@ -422,6 +408,8 @@ def group_transform(i: int, eps: float, s: SolutionSampler) -> SolutionSampler:
         a = math.exp(-eps) if i == 1 else 1.0
     except OverflowError:
         raise ValueError(f"G1: e^-eps overflows at eps={eps}") from None
+    if a == 0.0:
+        raise ValueError(f"G1: e^-eps underflows to 0 at eps={eps}")
 
     def pullback(x, t):
         return x * a - (c * t + sx), t * a - st

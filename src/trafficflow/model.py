@@ -118,8 +118,6 @@ class Partials:
     """First derivatives of (rho, u) plus u_xx at a point or on a grid.
 
     Like StatePoint, the fields are floats or arrays broadcast to one shape.
-    ``method`` records provenance: "analytic" for closed-form derivatives,
-    "fd" for central finite differences (with order and step recorded).
     """
 
     rho_t: float
@@ -127,9 +125,6 @@ class Partials:
     u_t: float
     u_x: float
     u_xx: float
-    method: str = "analytic"
-    fd_order: Optional[int] = None
-    fd_step: Optional[float] = None
 
     def __post_init__(self):
         a, b, c, d, e = values = (self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx)
@@ -139,11 +134,6 @@ class Partials:
                 and math.isfinite(d) and math.isfinite(e)):
             self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx = \
                 _validated(("rho_t", "rho_x", "u_t", "u_x", "u_xx"), values)
-        if self.method == "fd":
-            if self.fd_order not in (2, 4):
-                raise ValueError("fd provenance requires order in {2, 4}")
-            if self.fd_step is None or not np.all(self.fd_step > 0.0):
-                raise ValueError("fd provenance requires step > 0")
 
 
 @dataclass(frozen=True)
@@ -275,8 +265,7 @@ def fd_partials_unchecked(s: SolutionSampler, x, t, order: int, h) -> Partials:
     rho_t = sum(w * at_t[k].rho for k, w in zip(offsets, w1)) / h
     u_t = sum(w * at_t[k].u for k, w in zip(offsets, w1)) / h
     u_xx = sum(w * at_x[k].u for k, w in zip(off2, w2)) / (h * h)
-    return Partials(rho_t=rho_t, rho_x=rho_x, u_t=u_t, u_x=u_x, u_xx=u_xx,
-                    method="fd", fd_order=order, fd_step=h)
+    return Partials(rho_t=rho_t, rho_x=rho_x, u_t=u_t, u_x=u_x, u_xx=u_xx)
 
 
 def residual_from_partials(p: ModelParams, s: StatePoint, d: Partials) -> tuple[float, float]:

@@ -60,7 +60,7 @@ class _report:
 
 def _table3(i, j, eps):
     """Exact adjoint action Ad(exp(eps S_i)) S_j as printed in the table."""
-    out = basis(j).as_array()
+    out = np.array(basis(j).as_tuple())
     if i == 1 and j in (2, 4):
         out[j - 1] = math.exp(eps)
     elif i == 2 and j == 1:
@@ -83,17 +83,18 @@ def test_criterion_1_lie_tables_exact():
         for i in range(1, 5):
             for j in range(1, 5):
                 expect = np.array(table2.get((i, j), (0, 0, 0, 0)), dtype=float)
-                assert np.array_equal(commutator(basis(i), basis(j)).as_array(), expect)
+                assert np.array_equal(commutator(basis(i), basis(j)).as_tuple(), expect)
 
         for i in range(1, 5):
             for j in range(1, 5):
                 for eps in (0.3, -0.45):
-                    action = basis(j).as_array() @ adjoint_exp_matrix(i, eps)
+                    action = np.array(basis(j).as_tuple()) @ adjoint_exp_matrix(i, eps)
                     assert np.array_equal(action, _table3(i, j, eps)), (i, j)
                 # first-order consistency with the bracket series
                 eps = 1e-4
-                action = basis(j).as_array() @ adjoint_exp_matrix(i, eps)
-                first = basis(j).as_array() - eps * commutator(basis(i), basis(j)).as_array()
+                action = np.array(basis(j).as_tuple()) @ adjoint_exp_matrix(i, eps)
+                first = (np.array(basis(j).as_tuple())
+                         - eps * np.array(commutator(basis(i), basis(j)).as_tuple()))
                 assert np.max(np.abs(action - first)) <= 2.0 * eps ** 2
                 # exact agreement whenever the bracket chain terminates
                 if (i, j) not in ((1, 2), (1, 4)):
@@ -103,9 +104,9 @@ def test_criterion_1_lie_tables_exact():
             for j in range(1, 5):
                 for k in range(1, 5):
                     X, Y, Z = basis(i), basis(j), basis(k)
-                    total = (commutator(X, commutator(Y, Z)).as_array()
-                             + commutator(Y, commutator(Z, X)).as_array()
-                             + commutator(Z, commutator(X, Y)).as_array())
+                    total = (np.array(commutator(X, commutator(Y, Z)).as_tuple())
+                             + np.array(commutator(Y, commutator(Z, X)).as_tuple())
+                             + np.array(commutator(Z, commutator(X, Y)).as_tuple()))
                     assert np.array_equal(total, np.zeros(4))
         assert time.perf_counter() - t0 < 1.0
 

@@ -161,12 +161,20 @@ def test_lie_ic(capsys):
 
 @pytest.mark.parametrize("eps,err", [
     ("-1000", "error: G1: e^-eps overflows at eps=-1000.0\n"),
+    ("1000", "error: G1: e^-eps underflows to 0 at eps=1000.0\n"),
     ("nan", "error: G1: eps must be finite, got eps=nan\n"),
 ])
 def test_lie_transform_bad_eps_exit_65(capsys, eps, err):
     got = run_cli(capsys, "lie", "transform", "--generator", "1", "--eps", eps,
                   "--entry", "T1?p1=1&p2=2&b=1")
     assert got == (65, "", err)
+
+
+@pytest.mark.parametrize("command", ["killing", "classify"])
+def test_lie_killing_form_that_overflows_exits_65(capsys, command):
+    got = run_cli(capsys, "lie", command, "--", "1e200,0,0,0")
+    assert got == (65, "", "error: Killing form is not finite at a=[1e+200, 0.0, 0.0, 0.0], "
+                           "b=[1e+200, 0.0, 0.0, 0.0]\n")
 
 
 def test_lie_adjoint_overflowing_eps1_exit_65(capsys):
@@ -502,10 +510,11 @@ def test_package_import_loads_no_submodule():
 
 
 def test_lie_killing_loads_only_what_it_runs():
-    # The algebra queries run on plain floats: no numpy, model or solver.
+    # The algebra runs on plain floats: no numpy, model or solver.
     for argv in (["lie", "commutator", "--", "0.5,1,0,-2", "1,0,3,0"],
                  ["lie", "killing", "--", "0.5,1,0,0"],
                  ["lie", "adjoint", "--", "0.1,-0.2,0.3,0.4", "1,2,3,4"],
+                 ["lie", "classify", "--", "0,5,1,0.7"],
                  ["lie", "ic", "--e", "1,0,0.5,1", "--delta", "2", "--x", "1",
                   "--branch", "reciprocal"]):
         loaded = _fresh_modules(f"from trafficflow import cli\nassert cli.main({argv!r}) == 0")

@@ -187,10 +187,35 @@ def test_a_step_that_rounds_away_is_rejected_at_points_and_on_grids():
 
 @pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
 def test_scalar_divergence_checks_its_stencil_once(which):
+    # Four stencil nodes; at D != 0 the S1 and S2 rows also check the two
+    # t-nodes of the mixed derivative at each of those four nodes.
     mp = ModelParams(A=1.0, D=0.4)
     s, calls = _counted(_t1_sampler(mp))
     divergence_residual(which, MultiplierConstants(1.0, 0.5, 0.2), mp, s, 1.0, 1.5, 1e-3)
-    assert calls["domain"] == 4
+    assert calls["domain"] == (12 if which in ("S1", "S2") else 4)
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_mixed_derivative_nodes_outside_the_domain_are_rejected(analytic):
+    # The centre and its order-2 stencil lie inside; a mixed-derivative node
+    # does not: analytic u_x differenced at t - 1e-4 across T1's pole at
+    # t = -1, or the corner (x - h, t - h) of the FD difference.
+    mp = ModelParams(A=1.0, D=0.5)
+    s = base = _t1_sampler(mp)
+    h = 1e-3
+    if analytic:
+        x, t = 0.1, -0.99996
+    else:
+        s = SolutionSampler(eval=base.eval, domain=lambda x, t: base.domain(x, t) & (x + t > 0.0))
+        x, t = 0.5, -0.5 + 1.5 * h
+    c = MultiplierConstants(1.0, 0.0, 0.0)
+    for which in ("S1", "S2"):
+        with pytest.raises(DomainError, match=rf"^mixed-derivative stencil at \(x={x}, t={t}\)"
+                                              " leaves domain$"):
+            symmetry_conserved_vector(which, c, mp, s, x, t, h)
+        with pytest.raises(DomainError, match="mixed-derivative stencil") as e:
+            symmetry_conserved_vector(which, c, mp, s, np.array([1.0, x]), np.array([1.5, t]), h)
+        assert e.value.index == 1
 
 
 @pytest.mark.parametrize("analytic", [True, False])

@@ -26,15 +26,15 @@ def test_commutation_table_all_16():
     for i in range(1, 5):
         for j in range(1, 5):
             expect = np.array(COMMUTATION_TABLE.get((i, j), (0, 0, 0, 0)), dtype=float)
-            got = commutator(basis(i), basis(j)).as_array()
+            got = np.array(commutator(basis(i), basis(j)).as_tuple())
             assert np.array_equal(got, expect), (i, j, got)
 
 
 def test_commutator_spec_examples():
-    assert np.array_equal(commutator(basis(2), basis(1)).as_array(), [0, 1, 0, 0])
-    assert np.array_equal(commutator(basis(3), basis(2)).as_array(), [0, 0, 0, -1])
+    assert np.array_equal(commutator(basis(2), basis(1)).as_tuple(), [0, 1, 0, 0])
+    assert np.array_equal(commutator(basis(3), basis(2)).as_tuple(), [0, 0, 0, -1])
     w = LieCoeffs(0.3, -1.2, 4.0, 2.5)
-    assert np.array_equal(commutator(w, w).as_array(), np.zeros(4))
+    assert np.array_equal(commutator(w, w).as_tuple(), np.zeros(4))
 
 
 def test_antisymmetry_random():
@@ -42,8 +42,8 @@ def test_antisymmetry_random():
     for _ in range(1000):
         a = LieCoeffs(*rng.uniform(-5, 5, 4))
         b = LieCoeffs(*rng.uniform(-5, 5, 4))
-        lhs = commutator(a, b).as_array()
-        rhs = -commutator(b, a).as_array()
+        lhs = np.array(commutator(a, b).as_tuple())
+        rhs = -np.array(commutator(b, a).as_tuple())
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
@@ -52,9 +52,9 @@ def test_jacobi_identity_all_basis_triples():
         for j in range(1, 5):
             for k in range(1, 5):
                 X, Y, Z = basis(i), basis(j), basis(k)
-                total = (commutator(X, commutator(Y, Z)).as_array()
-                         + commutator(Y, commutator(Z, X)).as_array()
-                         + commutator(Z, commutator(X, Y)).as_array())
+                total = (np.array(commutator(X, commutator(Y, Z)).as_tuple())
+                         + np.array(commutator(Y, commutator(Z, X)).as_tuple())
+                         + np.array(commutator(Z, commutator(X, Y)).as_tuple()))
                 assert np.array_equal(total, np.zeros(4)), (i, j, k)
 
 
@@ -62,7 +62,7 @@ def test_bracket_closure_in_derived_span():
     # every basis bracket lies in span{S2, S4}: the algebra is solvable
     for i in range(1, 5):
         for j in range(1, 5):
-            br = commutator(basis(i), basis(j)).as_array()
+            br = np.array(commutator(basis(i), basis(j)).as_tuple())
             assert br[0] == 0.0 and br[2] == 0.0
 
 
@@ -85,8 +85,8 @@ def test_killing_brute_force_oracle():
     for _ in range(50):
         a = LieCoeffs(*rng.uniform(-2, 2, 4))
         b = LieCoeffs(*rng.uniform(-2, 2, 4))
-        Ma = np.column_stack([commutator(a, basis(j)).as_array() for j in range(1, 5)])
-        Mb = np.column_stack([commutator(b, basis(j)).as_array() for j in range(1, 5)])
+        Ma = np.column_stack([commutator(a, basis(j)).as_tuple() for j in range(1, 5)])
+        Mb = np.column_stack([commutator(b, basis(j)).as_tuple() for j in range(1, 5)])
         assert killing_form(a, b) == pytest.approx(float(np.trace(Ma @ Mb)), abs=1e-12)
 
 
@@ -121,8 +121,9 @@ def test_adjoint_actions_first_order_all_16():
     eps = 1e-4
     for i in range(1, 5):
         for j in range(1, 5):
-            exact = basis(j).as_array() @ adjoint_exp_matrix(i, eps)
-            first = basis(j).as_array() - eps * commutator(basis(i), basis(j)).as_array()
+            exact = np.array(basis(j).as_tuple()) @ adjoint_exp_matrix(i, eps)
+            first = (np.array(basis(j).as_tuple())
+                     - eps * np.array(commutator(basis(i), basis(j)).as_tuple()))
             assert np.max(np.abs(exact - first)) <= 2.0 * eps ** 2, (i, j)
 
 
@@ -145,11 +146,11 @@ def test_adjoint_series_check_examples():
 
 def test_adjoint_apply_examples():
     out = adjoint_apply(AdjointParams(eps2=0.7), LieCoeffs(0, 0, 1, 0.7))
-    assert np.allclose(out.as_array(), [0, 0, 1, 0])
+    assert np.allclose(out.as_tuple(), [0, 0, 1, 0])
     out = adjoint_apply(AdjointParams(), LieCoeffs(1.1, -0.2, 0.3, 0.4))
-    assert np.array_equal(out.as_array(), [1.1, -0.2, 0.3, 0.4])
+    assert np.array_equal(out.as_tuple(), [1.1, -0.2, 0.3, 0.4])
     out = adjoint_apply(AdjointParams(math.log(2), 1, 1, 1), LieCoeffs(1, 1, 1, 1))
-    assert np.allclose(out.as_array(), [1, 0, 1, 0], atol=1e-15)
+    assert np.allclose(out.as_tuple(), [1, 0, 1, 0], atol=1e-15)
 
 
 def test_adjoint_apply_equals_matrix_product():
@@ -157,9 +158,18 @@ def test_adjoint_apply_equals_matrix_product():
     for _ in range(1000):
         e = AdjointParams(*rng.uniform(-1.5, 1.5, 4))
         w = LieCoeffs(*rng.uniform(-3, 3, 4))
-        closed = adjoint_apply(e, w).as_array()
-        via_matrix = w.as_array() @ adjoint_composite_matrix(e)
+        closed = np.array(adjoint_apply(e, w).as_tuple())
+        via_matrix = np.array(w.as_tuple()) @ adjoint_composite_matrix(e)
         assert np.max(np.abs(closed - via_matrix)) <= 1e-12 * max(1.0, np.max(np.abs(closed)))
+
+
+def test_composite_matrix_is_the_product_of_its_four_factors_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        e = AdjointParams(*np.where(rng.random(4) < 0.2, rng.choice([0.0, -0.0], 4),
+                                    rng.uniform(-5, 5, 4)).tolist())
+        K = [np.array(adjoint_exp_matrix(i, eps)) for i, eps in zip((1, 2, 3, 4), e.as_tuple())]
+        assert _bits(adjoint_composite_matrix(e)) == _bits(K[3] @ K[2] @ K[1] @ K[0])
 
 
 def test_invariant_tuple_examples():
@@ -169,6 +179,14 @@ def test_invariant_tuple_examples():
     assert (iv.killing, iv.M, iv.N, iv.P, iv.Q, iv.R) == (2.0, 1.0, 1.0, 1, 0, 0)
     iv = invariant_tuple(LieCoeffs(0, 0, 0, -3))
     assert (iv.killing, iv.M, iv.N, iv.P, iv.Q, iv.R) == (0.0, 0.0, 0.0, 0, 0, -1)
+
+
+def test_invariant_p_flag_tests_the_coefficients_not_their_squares():
+    # 1e-200 ** 2 underflows to 0; 1e200 ** 2 overflows.
+    assert invariant_tuple(LieCoeffs(1e-200, 0, 0, 0)).P == 1
+    assert invariant_tuple(LieCoeffs(0, 0, -1e-200, 7)).P == 1
+    with pytest.raises(ValueError, match="^Killing form is not finite"):
+        invariant_tuple(LieCoeffs(1e200, 0, 0, 0))
 
 
 def test_adjoint_invariance_of_tuple():
@@ -192,7 +210,7 @@ def test_adjoint_invariance_of_tuple():
 def test_classify_examples():
     cls, e, scale = classify_optimal(LieCoeffs(0, 0, 1, 0.7))
     assert cls.family == "T1" and cls.b == 1 and scale == 1.0
-    assert np.allclose(adjoint_apply(e, LieCoeffs(0, 0, 1, 0.7)).as_array() / scale,
+    assert np.allclose(np.array(adjoint_apply(e, LieCoeffs(0, 0, 1, 0.7)).as_tuple()) / scale,
                        [0, 0, 1, 1])
 
     cls, e, scale = classify_optimal(LieCoeffs(1, 0, 0, 0))
@@ -232,8 +250,8 @@ def test_classify_reports_boost_residue():
     cls, e, scale = classify_optimal(w)
     assert cls.family == "T1" and cls.b == 1
     assert cls.residue[1] != 0.0
-    reduced = adjoint_apply(e, w).as_array() / scale
-    assert np.allclose(reduced, cls.representative() + cls.residue, atol=1e-12)
+    reduced = np.array(adjoint_apply(e, w).as_tuple()) / scale
+    assert np.allclose(reduced, np.add(cls.representative(), cls.residue), atol=1e-12)
 
 
 def test_classify_roundtrip_random():
@@ -246,9 +264,17 @@ def test_classify_roundtrip_random():
             continue
         wc = LieCoeffs(*w)
         cls, e, scale = classify_optimal(wc)
-        reduced = adjoint_apply(e, wc).as_array() / scale
-        target = cls.representative() + cls.residue
+        reduced = np.array(adjoint_apply(e, wc).as_tuple()) / scale
+        target = np.add(cls.representative(), cls.residue)
         assert np.max(np.abs(reduced - target)) <= 1e-12 * max(1.0, np.max(np.abs(target)))
+
+
+def test_optimal_classes_compare_and_hash():
+    for w in ((0, 5, 1, 0.7), (0, 0, 0, -3), (2, 0, 3, 0)):
+        cls, _, _ = classify_optimal(LieCoeffs(*w))
+        again, _, _ = classify_optimal(LieCoeffs(*w))
+        assert cls == again and hash(cls) == hash(again)
+    assert len({classify_optimal(LieCoeffs(*w))[0] for w in ((1, 0, 0, 0), (2, 0, 0, 0))}) == 1
 
 
 def test_classify_rejects_zero():
@@ -369,9 +395,9 @@ def test_parameters_reject_non_finite_values(bad):
 def test_ad_matrix_structure():
     # ad of a general element, column j = [w, S_j]
     w = LieCoeffs(1.0, 2.0, 3.0, 4.0)
-    M = ad_matrix(w)
+    M = np.array(ad_matrix(w))
     for j in range(1, 5):
-        assert np.array_equal(M[:, j - 1], commutator(w, basis(j)).as_array())
+        assert np.array_equal(M[:, j - 1], commutator(w, basis(j)).as_tuple())
 
 
 def _bits(a) -> bytes:
@@ -393,7 +419,11 @@ def test_plain_float_algebra_matches_its_einsum_reference_bit_for_bit():
         with np.errstate(all="ignore"):
             bracket = np.einsum("i,j,ijk->k", a, b, C)
             trace = np.trace(A @ B)
-        assert _bits(killing_form(wa, wb)) == _bits(trace)
+        if np.isfinite(trace):
+            assert _bits(killing_form(wa, wb)) == _bits(trace)
+        else:
+            with pytest.raises(ValueError, match="^Killing form is not finite at a="):
+                killing_form(wa, wb)
         if np.isfinite(bracket).all():
             assert _bits(commutator(wa, wb).as_tuple()) == _bits(bracket)
         else:
@@ -415,6 +445,7 @@ def test_structure_constants_are_the_published_brackets():
     (3, math.inf, "G3: eps must be finite, got eps=inf"),
     (4, -math.inf, "G4: eps must be finite, got eps=-inf"),
     (1, -1000.0, r"G1: e\^-eps overflows at eps=-1000.0"),
+    (1, 1000.0, r"G1: e\^-eps underflows to 0 at eps=1000.0"),
 ])
 def test_group_transform_rejects_a_non_finite_or_overflowing_eps(i, eps, match):
     s = make_entry("T1", p1=1.0, p2=2.0, b=1.0).sampler(ModelParams(A=1.0, D=0.0))

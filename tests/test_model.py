@@ -125,13 +125,6 @@ def test_fd_residual_order2_convergence():
     assert e1 / e2 >= 2 ** 1.9
 
 
-def test_fd_partials_provenance():
-    d = fd_partials(_t1_sampler(), 0.0, 1.0, order=2, h=1e-3)
-    assert d.method == "fd" and d.fd_order == 2 and d.fd_step == 1e-3
-    d4 = fd_partials(_t1_sampler(), 0.0, 1.0, order=4)
-    assert d4.fd_order == 4 and d4.fd_step > 0
-
-
 def test_fd_stencil_domain_violation():
     s = _t1_sampler(b=0.0)  # domain t > 0
     with pytest.raises(DomainError):
@@ -163,8 +156,6 @@ def test_model_params_validation():
 def test_partials_validation():
     with pytest.raises(DomainError):
         Partials(rho_t=math.nan, rho_x=0, u_t=0, u_x=0, u_xx=0)
-    with pytest.raises(ValueError):
-        Partials(rho_t=0, rho_x=0, u_t=0, u_x=0, u_xx=0, method="fd", fd_order=3, fd_step=1e-3)
 
 
 PARTIALS = ("rho_t", "rho_x", "u_t", "u_x", "u_xx")
