@@ -5,22 +5,18 @@ the nonlinear self-adjointness substitution (h, g) with its multipliers, the
 four symmetry-generated conserved vectors, and numerical divergence checking
 of candidate solutions.
 
-The symmetry-generated (Ux, Ut) pairs are implemented verbatim from their
-published closed forms, sign conventions included.  Numerical divergence
-checking shows that the S2 and S4 rows are genuinely conserved on solutions
-while the S1 and S3 rows, as printed, are not (the bracket multiplying the
-characteristic factor enters with the opposite sign); the harness reports
-the measured divergence instead of silently correcting the formulas.
+The four symmetry-generated (Ux, Ut) rows share one flux (Ibragimov's theorem
+under (h, g)) and are returned as published: the printed S1 and S3 rows keep
+their defect term -2 W^u (h*rho + g*u), which the divergence check reports.
 """
 
 import math
 from dataclasses import dataclass
 
 from .catalog import KINK_SHAPES
-from .model import (DomainError, ModelParams, Partials, SolutionSampler,
-                    StatePoint, fd_partials, fd_partials_unchecked, fd_stencil_inside,
-                    require_all, require_step, residual_from_partials, stencil_resolves,
-                    step_scale)
+from .model import (DomainError, ModelParams, SolutionSampler, StatePoint, fd_partials,
+                    fd_partials_unchecked, fd_stencil_inside, require_all, require_step,
+                    residual_from_partials, stencil_resolves, step_scale)
 
 __all__ = [
     "MultiplierConstants",
@@ -87,13 +83,6 @@ def self_adjoint_substitution(c: MultiplierConstants, p: ModelParams, s: StatePo
     l3 = -c.c1 * p.A / s.rho ** 2
     l4 = -c.c1
     return h, g, l1, l2, l3, l4
-
-
-def _field_partials(s: SolutionSampler, x: float, t: float,
-                    h_step: float) -> tuple[StatePoint, Partials]:
-    st = s.eval(x, t)
-    d = s.partials(x, t) if s.partials is not None else fd_partials(s, x, t, order=2, h=h_step)
-    return st, d
 
 
 def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: SolutionSampler,
@@ -165,24 +154,27 @@ def _mixed_u_tx(s: SolutionSampler, x, t, h: float):
             - s.eval(x - h, t + h).u + s.eval(x - h, t - h).u) / (4.0 * h * h)
 
 
-_WHICH = ("S1", "S2", "S3", "S4")
+# One flux serves the four generators, from each one's characteristic W = -V:
+# Ut = h W^rho + g W^u, Ux = W^rho Q + W^u (sign (h rho + g u) - visc) - D_x(W^u) g D/rho.
+# sign = +1 is Ibragimov's flux; the printed S1 and S3 rows carry -1, which adds
+# the defect term -2 W^u (h rho + g u).  The table is also the row check.
+_PRINTED_SIGN = {"S1": -1.0, "S2": 1.0, "S3": -1.0, "S4": 1.0}
 
 
 def _require_row(which: str) -> None:
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {_WHICH}")
+    if which not in _PRINTED_SIGN:
+        raise ValueError(f"which must be one of {tuple(_PRINTED_SIGN)}")
 
 
 def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams,
                               s: SolutionSampler, x, t, h_step: float) -> tuple[float, float]:
     """Conserved vector (Ux, Ut) generated by one of the four point symmetries.
 
-    Implements the published rows verbatim, at a point or on (x, t) arrays.
-    The mixed derivative u_tx (needed by the viscous parts of the S1 and S2
-    rows) is obtained by differencing analytic u_x in t when available,
-    else by 2-D differences at step h_step, which also serves the order-2
-    FD partials of a sampler without analytic ones.  h_step must be finite
-    and > 0.
+    Returns the published rows, at a point or on (x, t) arrays.  The mixed
+    derivative u_tx (needed by the viscous parts of the S1 and S2 rows) is
+    obtained by differencing analytic u_x in t when available, else by 2-D
+    differences at step h_step, which also serves the order-2 FD partials of
+    a sampler without analytic ones.  h_step must be finite and > 0.
     """
     _require_row(which)
     s.require_in_domain(x, t)
@@ -193,32 +185,29 @@ def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams
 def _vector(which: str, c: MultiplierConstants, p: ModelParams, s: SolutionSampler,
             x, t, h_step: float):
     """The (Ux, Ut) row at points the caller has checked, with a checked row and step."""
-    st, d = _field_partials(s, x, t, h_step)
+    st = s.eval(x, t)
+    d = s.partials(x, t) if s.partials is not None else fd_partials(s, x, t, order=2, h=h_step)
     rho, u = st.rho, st.u
     A, D = p.A, p.D
     c1, c2, c3 = c.c1, c.c2, c.c3
 
     h, g = _substitution(c, p, st)
-    # Recurring brackets of the published rows.
     visc = -c1 * D * d.u_x / rho + D * (c1 * u + c2) * d.rho_x / (rho * rho)
     Q = (c1 * u + c3) * u + (c1 * rho + c2) * A / rho
 
     u_tx = _mixed_u_tx(s, x, t, h_step) if D != 0.0 and which in ("S1", "S2") else 0.0
-    if which == "S1":
-        Ux = (D * (c1 * rho + c1 * u + c2) / rho) * (d.u_x + x * d.u_xx + t * u_tx) \
-            + (x * d.u_x + t * d.u_t) * (visc + h * rho + g * u) \
-            - (rho + x * d.rho_x + t * d.rho_t) * Q
-        Ut = -g * (x * d.u_x + t * d.u_t) - h * (rho + x * d.rho_x + t * d.rho_t)
-    elif which == "S2":
-        Ux = D * g * u_tx / rho + (visc - h * rho - g * u) * d.u_t - d.rho_t * Q
-        Ut = -g * d.u_t - h * d.rho_t
-    elif which == "S3":
-        Ux = D * g * t * d.u_xx / rho \
-            - (visc + h * rho + g * u) * (1.0 - t * d.u_x) - t * d.rho_x * Q
-        Ut = g * (1.0 - t * d.u_x) - h * t * d.rho_x
-    else:  # S4
-        Ux = D * g * d.u_xx / rho + (visc - h * rho - g * u) * d.u_x - d.rho_x * Q
-        Ut = -g * d.u_x - h * d.rho_x
+    if which == "S1":    # x d/dx + t d/dt - rho d/drho
+        V_rho, V_u = rho + x * d.rho_x + t * d.rho_t, x * d.u_x + t * d.u_t
+        DxV_u = d.u_x + x * d.u_xx + t * u_tx
+    elif which == "S2":  # d/dt
+        V_rho, V_u, DxV_u = d.rho_t, d.u_t, u_tx
+    elif which == "S3":  # t d/dx + d/du
+        V_rho, V_u, DxV_u = t * d.rho_x, t * d.u_x - 1.0, t * d.u_xx
+    else:                # S4: d/dx
+        V_rho, V_u, DxV_u = d.rho_x, d.u_x, d.u_xx
+    sign = _PRINTED_SIGN[which]
+    Ux = D * g * DxV_u / rho + (visc - sign * h * rho - sign * g * u) * V_u - V_rho * Q
+    Ut = -g * V_u - h * V_rho
     return Ux, Ut
 
 
@@ -227,16 +216,16 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     """Central-difference approximation of D_x(Ux) + D_t(Ut) at (x, t).
 
     Converges to 0 at the finite-difference order on genuinely conserved
-    rows evaluated on solutions, and to an O(1) value otherwise.  The step,
-    the four stencil nodes and the row are checked once, here (the mixed
+    rows evaluated on solutions, and to an O(1) value otherwise.  The row,
+    the step and the four stencil nodes are checked once, here (the mixed
     derivative of the viscous S1 and S2 rows checks its own nodes); a node
     that rounds onto (x, t) is a DomainError, since it would read as conserved.
     """
+    _require_row(which)
     require_step(h_step)
     xp, xm, tp, tm = x + h_step, x - h_step, t + h_step, t - h_step
     require_all(s.domain(xp, t) & s.domain(xm, t) & s.domain(x, tp) & s.domain(x, tm),
                 "divergence stencil at (x={x}, t={t}) leaves domain", x=x, t=t)
-    _require_row(which)
     require_all(stencil_resolves(x, t, h_step), "divergence stencil at (x={x}, t={t})"
                 f" with step {h_step} rounds onto its centre", x=x, t=t)
     Uxp, _ = _vector(which, c, p, s, xp, t, h_step)
@@ -250,10 +239,16 @@ def kink_ode_oracle(mshape: str, A: float, c1: float, x_fixed: float, t: float) 
     """Residual of the separated flux ODE M^2 N' - N^2 M' + A M^2 M' at fixed x.
 
     N(t) = rho*u of the kink family; the tanh closed form solves this ODE at
-    every fixed x regardless of whether the full system is satisfied.
+    every fixed x regardless of whether the full system is satisfied.  A
+    non-finite input, A < 0 or a residual that overflows is a ValueError.
     """
     if mshape not in KINK_SHAPES:
         raise ValueError(f"unknown kink shape {mshape!r}")
+    for name, v in (("A", A), ("c1", c1), ("x_fixed", x_fixed), ("t", t)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {name}={v}")
+    if A < 0.0:
+        raise ValueError(f"A must be >= 0, got A={A}")
     fM, fMp, _, _ = KINK_SHAPES[mshape]
     M = fM(x_fixed)
     if M == 0.0:
@@ -261,6 +256,11 @@ def kink_ode_oracle(mshape: str, A: float, c1: float, x_fixed: float, t: float) 
     Mp = fMp(x_fixed)
     sa = math.sqrt(A)
     z = sa * Mp * (c1 + t) / M
-    N = -sa * M * math.tanh(z)
-    Nprime = -A * Mp / math.cosh(z) ** 2
-    return M * M * Nprime - N * N * Mp + A * M * M * Mp
+    th = math.tanh(z)
+    N = -sa * M * th
+    # sech^2 as 1 - tanh^2 cannot overflow: it is exactly 0 where cosh(z) overflows.
+    r = M * M * (-A * Mp * (1.0 - th * th)) - N * N * Mp + A * M * M * Mp
+    if not math.isfinite(r):
+        raise ValueError(f"kink ODE residual is not finite for shape {mshape!r}, A={A}, "
+                         f"c1={c1}, x_fixed={x_fixed}, t={t}")
+    return r

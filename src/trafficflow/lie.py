@@ -230,8 +230,11 @@ def adjoint_series_check(i: int, j: int, eps: float) -> float:
 
     Ad(exp(eps S_i)) S_j is compared against
     S_j - eps [S_i, S_j] + eps^2/2 [S_i, [S_i, S_j]]; the gap is O(eps^3),
-    and exactly zero whenever the bracket chain terminates.
+    and exactly zero whenever the bracket chain terminates.  eps must be
+    finite with a finite square, or the series term eps^2/2 overflows.
     """
+    if not math.isfinite(eps * eps):
+        raise ValueError(f"eps must be finite with a finite square, got eps={eps}")
     exact = _row_times(basis(j).as_tuple(), adjoint_exp_matrix(i, eps))
     term = series = basis(j).as_tuple()
     ad_T = tuple(zip(*ad_matrix(basis(i))))    # term @ ad^T is ad . term

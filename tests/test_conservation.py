@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from trafficflow import conservation
 from trafficflow.catalog import make_entry
 from trafficflow.conservation import (MultiplierConstants, adjoint_identity_residual,
                                       basic_conserved, divergence_residual,
@@ -116,10 +118,67 @@ def test_symmetry_vector_examples():
     assert ut == 1.0
 
 
+def _travelling_field():
+    # Not a solution: the rows are algebraic in the fields and their partials,
+    # so a smooth field with all five partials nonzero checks them term by term.
+    def ev(x, t):
+        return StatePoint(rho=2.0 + 0.3 * math.sin(x - 0.5 * t), u=0.5 * math.cos(x + 0.2 * t))
+
+    def pt(x, t):
+        return Partials(rho_t=-0.15 * math.cos(x - 0.5 * t), rho_x=0.3 * math.cos(x - 0.5 * t),
+                        u_t=-0.1 * math.sin(x + 0.2 * t), u_x=-0.5 * math.sin(x + 0.2 * t),
+                        u_xx=-0.5 * math.cos(x + 0.2 * t))
+
+    return SolutionSampler(eval=ev, partials=pt)
+
+
+def _published_row(which, c, p, s, x, t, u_tx):
+    """The four published (Ux, Ut) rows, copied term by term, as a reference."""
+    st, d = s.eval(x, t), s.partials(x, t)
+    rho, u, A, D, c1, c2, c3 = st.rho, st.u, p.A, p.D, c.c1, c.c2, c.c3
+    h, g = c1 * u - c1 * A / rho + c3, (rho + u) * c1 + c2
+    visc = -c1 * D * d.u_x / rho + D * (c1 * u + c2) * d.rho_x / (rho * rho)
+    Q = (c1 * u + c3) * u + (c1 * rho + c2) * A / rho
+    if which == "S1":
+        return ((D * (c1 * rho + c1 * u + c2) / rho) * (d.u_x + x * d.u_xx + t * u_tx)
+                + (x * d.u_x + t * d.u_t) * (visc + h * rho + g * u)
+                - (rho + x * d.rho_x + t * d.rho_t) * Q,
+                -g * (x * d.u_x + t * d.u_t) - h * (rho + x * d.rho_x + t * d.rho_t))
+    if which == "S2":
+        return (D * g * u_tx / rho + (visc - h * rho - g * u) * d.u_t - d.rho_t * Q,
+                -g * d.u_t - h * d.rho_t)
+    if which == "S3":
+        return (D * g * t * d.u_xx / rho - (visc + h * rho + g * u) * (1.0 - t * d.u_x)
+                - t * d.rho_x * Q, g * (1.0 - t * d.u_x) - h * t * d.rho_x)
+    return (D * g * d.u_xx / rho + (visc - h * rho - g * u) * d.u_x - d.rho_x * Q,
+            -g * d.u_x - h * d.rho_x)
+
+
+@pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
+@pytest.mark.parametrize("D", [0.0, 0.4])
+def test_one_flux_gives_the_published_rows(which, D):
+    p, s = ModelParams(A=1.3, D=D), _travelling_field()
+    for cs in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1.3, 0.7, -0.4)):
+        c = MultiplierConstants(*cs)
+        for x, t in ((0.4, 1.0), (-1.1, 2.5), (2.0, 0.3)):
+            u_tx = conservation._mixed_u_tx(s, x, t, 1e-3) if D else 0.0
+            ref = _published_row(which, c, p, s, x, t, u_tx)
+            got = symmetry_conserved_vector(which, c, p, s, x, t, 1e-3)
+            assert got == pytest.approx(ref, rel=1e-13, abs=1e-14), (c, x, t)
+
+
 def test_symmetry_vector_rejects_unknown_row():
     with pytest.raises(ValueError):
         symmetry_conserved_vector("S5", MultiplierConstants(1, 0, 0), MP1,
                                   _t1_sampler(), 1.0, 1.0, 1e-3)
+    # Both public calls check the row before the sampler, also at T1's pole t = -1.
+    s, calls = _counted(_t1_sampler())
+    for call in (symmetry_conserved_vector, divergence_residual):
+        for t in (1.0, -1.0):
+            with pytest.raises(ValueError, match=r"^which must be one of \('S1', 'S2', 'S3', "
+                                                 r"'S4'\)$"):
+                call("S5", MultiplierConstants(1, 0, 0), MP1, s, 1.0, t, 1e-3)
+    assert calls == {"eval": 0, "domain": 0}
 
 
 def _counted(s):
@@ -281,12 +340,16 @@ def test_divergence_converges_on_t1(which, c):
     assert math.log2(vals[1] / vals[2]) >= 1.9
 
 
-@pytest.mark.parametrize("kind,params,mp,pt", [
+# The VERIFIED entries at D = 0 other than T1, with a point inside each domain.
+_VERIFIED_AT_D0 = [
     ("T3", dict(p1=1, b=1), MP1, (0.5, 1.5)),
     ("T2", dict(p1=1, b=0), MP1, (-7.0, 0.5)),
     ("P522", dict(p1=2, p2=1, e2=2, e3=1, e4=3), ModelParams(A=0.0), (0.0, 2.0)),
     ("E3ZERO", dict(p1=1, e1=1, e2=0.5, e4=1), MP1, (-8.0, 0.5)),
-])
+]
+
+
+@pytest.mark.parametrize("kind,params,mp,pt", _VERIFIED_AT_D0)
 def test_divergence_converges_on_all_verified_entries(kind, params, mp, pt):
     s = make_entry(kind, **params).sampler(mp)
     x, t = pt
@@ -309,6 +372,30 @@ def test_printed_s1_s3_rows_do_not_conserve(which):
                                     1.0, 1.5, h)) for h in (4e-3, 2e-3, 1e-3)]
     assert min(vals) > 1e-3
     assert vals[0] / vals[2] < 1.5
+
+
+@pytest.mark.parametrize("kind,params,mp,pt", [
+    ("T1", dict(p1=1, p2=2, b=1), MP1, (1.0, 1.5)),
+    ("T1", dict(p1=1, p2=2, b=1), ModelParams(A=1.0, D=0.4), (1.0, 1.5)),
+] + _VERIFIED_AT_D0)
+def test_derived_s1_s3_rows_conserve_on_all_verified_entries(monkeypatch, kind, params, mp,
+                                                            pt):
+    # The README finding: with the sign of (h*rho + g*u) set back to that of
+    # Ibragimov's flux, the S1 and S3 rows converge at order 2, so the printed
+    # rows' floor comes from their defect term -2 W^u (h*rho + g*u).  Viscous
+    # T1 has u_x != 0, so it also pins the D_x(W^u) term of S1.
+    monkeypatch.setitem(conservation._PRINTED_SIGN, "S1", 1.0)
+    monkeypatch.setitem(conservation._PRINTED_SIGN, "S3", 1.0)
+    s = make_entry(kind, **params).sampler(mp)
+    x, t = pt
+    for which in ("S1", "S3"):
+        for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)):
+            vals = [abs(divergence_residual(which, MultiplierConstants(*c), mp, s,
+                                            x, t, h)) for h in (2e-3, 1e-3, 5e-4)]
+            if max(vals) <= 1e-11:
+                continue  # at rounding level, e.g. S1 on T2 (b = 0)
+            assert math.log2(vals[0] / vals[1]) >= 1.9, (kind, which, c, vals)
+            assert math.log2(vals[1] / vals[2]) >= 1.9, (kind, which, c, vals)
 
 
 def test_divergence_nonzero_on_negative_control():
@@ -341,3 +428,25 @@ def test_kink_ode_oracle():
         A = float(rng.uniform(0.3, 5.0))
         c1 = float(rng.uniform(-2.0, 2.0))
         assert abs(kink_ode_oracle(shape, A, c1, x, t)) <= 1e-10
+
+
+def test_kink_ode_oracle_takes_the_sech_limit_where_cosh_overflows():
+    # Where cosh(z) overflows (t = 1e300, A = 1e308), sech^2 takes its limit 0.
+    assert kink_ode_oracle("gauss", 1.0, 1.0, 0.5, 1e300) == 0.0
+    assert abs(kink_ode_oracle("gauss", 1e308, 1.0, 0.5, 2.0)) <= 1e-14 * 1e308
+    assert abs(kink_ode_oracle("sin", 1e308, 0.0, 1.0, 1.0)) <= 1e-14 * 1e308
+
+
+@pytest.mark.parametrize("args,match", [
+    (("gauss", -1.0, 1.0, 0.5, 1.0), "A must be >= 0, got A=-1.0"),
+    (("gauss", math.nan, 1.0, 0.5, 1.0), "A must be finite, got A=nan"),
+    (("gauss", math.inf, 1.0, 0.5, 1.0), "A must be finite, got A=inf"),
+    (("gauss", 1.0, -math.inf, 0.5, 1.0), "c1 must be finite, got c1=-inf"),
+    (("gauss", 1.0, 1.0, math.nan, 1.0), "x_fixed must be finite, got x_fixed=nan"),
+    (("gauss", 1.0, 1.0, 0.5, math.nan), "t must be finite, got t=nan"),
+    (("sec", 1e308, 0.0, 1.5, 1.0), "kink ODE residual is not finite for shape 'sec', "
+                                    "A=1e+308, c1=0.0, x_fixed=1.5, t=1.0"),
+])
+def test_kink_ode_oracle_rejects_bad_inputs(args, match):
+    with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
+        kink_ode_oracle(*args)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -466,3 +467,14 @@ def test_adjoint_rejects_an_eps1_whose_exponential_overflows():
         adjoint_exp_matrix(1, 710.0)
     # An eps1 just below the overflow threshold still maps a vector.
     assert adjoint_apply(AdjointParams(eps1=709.0), basis(2)).w2 == math.exp(709.0)
+
+
+@pytest.mark.parametrize("eps", [1e200, -1.4e154, math.inf, -math.inf, math.nan])
+def test_adjoint_series_check_rejects_an_eps_whose_square_overflows(eps):
+    # The series term eps ** 2 / 2 would overflow, or the gap would be NaN.
+    for i in (1, 2):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"eps must be finite with a finite square, got eps={eps}") + "$"):
+            adjoint_series_check(i, 1, eps)
+    # An eps whose square is just finite still gives a finite gap.
+    assert math.isfinite(adjoint_series_check(2, 1, -1.3e154))
