@@ -382,7 +382,8 @@ def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
         def pt(x, t):
             m, m1, m2, m3 = fM(x), fMp(x), fMpp(x), fMppp(x)
             z = sa * m1 * (c1 + t) / m
-            sech2 = 1.0 / (_cosh(z) * _cosh(z))
+            with np.errstate(over="ignore"):     # sech^2 = 0 where cosh(z)^2 overflows
+                sech2 = 1.0 / (_cosh(z) * _cosh(z))
             z_t = sa * m1 / m
             z_x = sa * (c1 + t) * (m2 * m - m1 * m1) / (m * m)
             z_xx = (sa * (c1 + t) * (m3 * m * m - 3.0 * m2 * m1 * m + 2.0 * (m1 * m1 * m1))

@@ -77,7 +77,8 @@ def _emit(command: str, argv: list, parameters: dict, files: dict,
     """Write output files plus the RunManifest; print stdout_obj as JSON.
 
     files maps Path -> text content.  Without files, the manifest is
-    embedded in the printed JSON instead.
+    embedded in the printed JSON instead, so every command that writes no
+    file passes a stdout_obj.
     """
     digests = {}
     for path, text in files.items():
@@ -98,8 +99,6 @@ def _emit(command: str, argv: list, parameters: dict, files: dict,
         if not files:
             out["manifest"] = manifest
         sys.stdout.write(_dump_json(out))
-    elif not files:
-        sys.stdout.write(_dump_json({"manifest": manifest}))
 
 
 def parse_entry_spec(spec: str):
@@ -404,19 +403,17 @@ def cmd_lie(args, argv) -> int:
               {"generator": args.generator, "eps": args.eps, "entry": args.entry,
                "A": args.A, "D": args.D}, {}, stdout_obj=result)
         return EXIT_OK
-    if sub == "ic":
-        e = InfinitesimalParams(*_parse_vector(args.e, 4, "--e"))
-        try:
-            theta = invariant_ic(e, args.delta, args.x, args.branch)
-        except DomainError:
-            raise  # a point outside the branch's domain: exit 65 like every DomainError
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        _emit("lie ic", argv, {"e": args.e, "delta": args.delta, "x": args.x,
-                               "branch": args.branch}, {},
-              stdout_obj={"theta": theta})
-        return EXIT_OK
-    raise UsageError(f"unknown lie subcommand {sub!r}")
+    e = InfinitesimalParams(*_parse_vector(args.e, 4, "--e"))    # sub == "ic"
+    try:
+        theta = invariant_ic(e, args.delta, args.x, args.branch)
+    except DomainError:
+        raise  # a point outside the branch's domain: exit 65 like every DomainError
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+    _emit("lie ic", argv, {"e": args.e, "delta": args.delta, "x": args.x,
+                           "branch": args.branch}, {},
+          stdout_obj={"theta": theta})
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- conserve

@@ -185,9 +185,12 @@ def adjoint_exp_matrix(i: int, eps: float) -> tuple:
     Row-vector action (w1..w4) @ K_i reproduces the adjoint representation
     table: K1 scales w2, w4 by e^eps; K2 sends (w2, w4) to (w2 - eps*w1,
     w4 - eps*w3); K3 sends w4 to w4 + eps*w2; K4 sends w4 to w4 - eps*w1.
+    A non-finite eps is a ValueError naming it.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError(f"generator index must be 1..4, got {i}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps={eps} is not finite: K_{i}(eps) would hold it")
     K = [[float(r == c) for c in range(4)] for r in range(4)]
     if i == 1:
         K[1][1] = K[3][3] = _exp(eps, "eps")

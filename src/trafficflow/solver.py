@@ -115,9 +115,6 @@ class Field:
     def momentum(self) -> np.ndarray:
         return self.rho * self.u
 
-    def copy(self) -> "Field":
-        return Field(self.t, self.rho.copy(), self.u.copy())
-
 
 @dataclass
 class SolverConfig:
@@ -316,7 +313,7 @@ def _initial_field(ic: Union[SolutionSampler, Field], grid: Grid, t0: float) -> 
     if isinstance(ic, Field):
         if abs(ic.t - t0) > 1e-12:
             raise ValueError(f"initial field is at t={ic.t}, run starts at t0={t0}")
-        return ic.copy()
+        return ic    # _March copies it into its own buffer
     xs = grid.centers()
     require_all(ic.domain(xs, t0), "initial condition undefined at x={x}, t={t}", x=xs, t=t0)
     st = ic.eval(xs, t0)

@@ -92,38 +92,6 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(parts)))
 
 
-def _bisect(f, a: float, b: float, xtol: float) -> Optional[float]:
-    """Root of f in [a, b] by bisection, or None when f(a), f(b) share a sign.
-
-    The loop of scipy.optimize.bisect (rtol = 4 eps, at most 100 halvings),
-    so roots agree with it bit for bit.  A NaN value of f raises ValueError.
-    """
-    def value(t: float) -> float:
-        v = f(t)
-        if math.isnan(v):
-            raise ValueError(f"bisection met a NaN at t={t}")
-        return v
-
-    fa, fb = value(a), value(b)
-    if fa * fb > 0.0:
-        return None
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    rtol = 4.0 * np.finfo(float).eps
-    dm = b - a
-    for _ in range(100):
-        dm *= 0.5
-        xm = a + dm
-        fm = value(xm)
-        if fm * fa >= 0.0:
-            a = xm
-        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
-    raise RuntimeError(f"bisection did not converge on [{a}, {b}]")
-
-
 def _lambda2(prob: AmplitudeProblem, x: float, t: float) -> float:
     if not prob.background.domain(x, t):
         raise DomainError(f"characteristic path exits the background domain at (x={x}, t={t})")
@@ -235,9 +203,11 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
     E and F are computed by composite Simpson on n panels along one RK4
     characteristic path.  pi_c uses the closed form 3/(2 (t0 + b)) when the
     problem declares the T1-type damping, else a tail-extrapolated limit on
-    a second path.  The shock time is the earliest root of 1 + pi0 F(t) = 0,
-    by bisection on the cubic Hermite interpolant of the node values of F
-    with slopes F' = E, or +inf when no root exists in [t0, t_end].
+    a second path.  The shock time is +inf unless 1 + pi0 F <= 0 at a node.
+    The first such node ends a panel, which is halved on the cubic Hermite
+    interpolant of F (slopes F' = E) until its ends are adjacent doubles;
+    the shock time is the end where 1 + pi0 F > 0, or the node itself when
+    1 + pi0 F = 0 there.  A NaN in the interpolant raises ValueError.
     """
     _require_t_end(prob, t_end)
     if n < 2:
@@ -253,28 +223,32 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
         lim = _limit_F(prob, t_end, n)
         pi_c = 0.0 if lim == math.inf else (1.0 / lim if lim and not math.isnan(lim) else math.nan)
 
+    denom = 1.0 + prob.pi0 * F
+    past = np.flatnonzero(denom <= 0.0)     # never node 0, where F = 0
     shock_time = math.inf
-    if prob.pi0 < 0.0:
-        denom = 1.0 + prob.pi0 * F
-        sign_change = np.nonzero(denom[:-1] * denom[1:] <= 0.0)[0]
-        if sign_change.size:
-            j = int(sign_change[0])
-            ta, tb = float(ts[j]), float(ts[j + 1])
-            h = tb - ta
-            Fa, Fb, hEa, hEb = float(F[j]), float(F[j + 1]), h * float(E[j]), h * float(E[j + 1])
-
-            def F_between(t: float) -> float:
-                # weights exactly (1, 0, 0, 0) at ta and (0, 1, 0, 0) at tb: the node values
-                r = (t - ta) / h
-                w = r * r * (3.0 - 2.0 * r)
-                return (1.0 - w) * Fa + w * Fb + r * (r - 1.0) * ((r - 1.0) * hEa + r * hEb)
-
-            shock_time = _bisect(lambda t: 1.0 + prob.pi0 * F_between(t), ta, tb, xtol=1e-12)
+    if prob.pi0 < 0.0 and past.size:
+        k = int(past[0])
+        ta, tb = float(ts[k - 1]), float(ts[k])
+        h = tb - ta
+        Fa, Fb, hEa, hEb = float(F[k - 1]), float(F[k]), h * float(E[k - 1]), h * float(E[k])
+        # On the cubic Hermite interpolant of F with slopes E (weights exactly (1, 0, 0, 0)
+        # at ta and (0, 1, 0, 0) at tb), 1 + pi0 F > 0 at lo and <= 0 at hi; a root on
+        # the node tb itself is returned as it is.
+        lo, hi = (ta, tb) if denom[k] < 0.0 else (tb, tb)
+        while lo < (t := 0.5 * lo + 0.5 * hi) < hi:
+            r = (t - ta) / h
+            w = r * r * (3.0 - 2.0 * r)
+            v = 1.0 + prob.pi0 * ((1.0 - w) * Fa + w * Fb
+                                  + r * (r - 1.0) * ((r - 1.0) * hEa + r * hEb))
+            if math.isnan(v):
+                raise ValueError(f"shock search met a NaN at t={t}")
+            lo, hi = (t, hi) if v > 0.0 else (lo, t)
+        shock_time = lo
 
     # NaN at and past the shock, where 1 + pi0 F has reached 0: only earlier nodes divide.
     live = ts < shock_time
     pi = np.full_like(ts, math.nan)
-    pi[live] = prob.pi0 * E[live] / (1.0 + prob.pi0 * F[live])
+    pi[live] = prob.pi0 * E[live] / denom[live]
     return AmplitudeSolution(times=ts, xs=xs, psi=psi, E=E, F=F, pi=pi,
                              pi_c=pi_c, shock_time=shock_time)
 

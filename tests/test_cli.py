@@ -223,6 +223,56 @@ def test_lie_ic_theta_that_is_not_finite_exits_65(capsys, argv, err):
     assert got == (65, "", f"error: {err}\n")
 
 
+_T1 = "T1?p1=1&p2=2&b=1"
+_IC_ROWS = [f"{0.05 + 0.1 * i},1.0,0.0" for i in range(10)]
+_CSV_ICS = {
+    "good": ["x,rho,u"] + _IC_ROWS,
+    "header": ["x,u,rho"] + _IC_ROWS,
+    "uneven": ["x,rho,u"] + _IC_ROWS[:5] + [f"{0.06 + 0.1 * i},1.0,0.0" for i in range(5, 10)],
+}
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (f"lie transform --generator 4 --eps 0.5 --entry {_T1} --at 0,-5", 65,
+     "error: transformed sampler undefined at (x=0.0, t=-5.0)"),
+    (f"verify {_T1} --x0 0 --x1 1", 64,
+     "usage error: either give all of --x0 --x1 --t0 --t1 or none"),
+    ("verify T1?p1=1&&p2=2&b=1", 64, "usage error: malformed entry query 'p1=1&&p2=2&b=1'"),
+    ("verify T1?p1", 64, "usage error: malformed entry query 'p1'"),
+    ("verify T1?p1=1&p1=2&p2=2&b=1", 64, "usage error: duplicate keys in entry spec"),
+    ("lie commutator 1,2,3 1,2,3,4", 64,
+     "usage error: first vector needs 4 comma-separated values, got '1,2,3'"),
+    (f"conserve --entry {_T1} --which S4 --c 1,0", 64,
+     "usage error: --c needs 3 comma-separated values, got '1,0'"),
+    ("lie commutator 1,2,3,x 1,2,3,4", 65, "error: first vector: could not convert string"),
+    (f"simulate --ic {_T1} --surface x:0:1 t:1:2:5", 64,
+     "usage error: --surface[0] must look like 'x:min:max:count', got 'x:0:1'"),
+    (f"simulate --ic {_T1} --surface x:0:1:5 t:1:2:abc", 65, "error: --surface[1]: invalid literal"),
+    (f"simulate --ic {_T1} --surface x:1:0:5 t:1:2:5", 64,
+     "usage error: --surface[0]: need count >= 2 and max > min"),
+    (f"simulate --ic {_T1} --surface x:0:1:5 x:1:2:5", 64,
+     "usage error: --surface needs one x spec and one t spec"),
+    ("simulate --ic {tmp}/good.csv --surface x:0:1:5 t:1:2:5", 64,
+     "usage error: --surface mode needs a catalog entry IC"),
+    ("simulate --ic {tmp}/good.csv --bc dirichlet", 64,
+     "usage error: dirichlet bc needs a catalog-entry IC, not a csv field"),
+    ("simulate --ic {tmp}/header.csv", 65, "error: IC csv must have header x,rho,u, got 'x,u,rho'"),
+    ("simulate --ic {tmp}/uneven.csv", 65, "error: IC csv must hold >= 8 uniformly spaced cells"),
+], ids=["transform-at", "partial-region", "malformed-query", "bare-key", "duplicate-key",
+        "vector-arity", "constants-arity", "not-a-number", "axis-fields", "axis-count",
+        "axis-range", "axis-names", "surface-csv", "dirichlet-csv", "csv-header", "csv-spacing"])
+def test_rejections_exit_with_their_code_and_write_nothing(capsys, tmp_path, argv, code, err):
+    for name, rows in _CSV_ICS.items():
+        (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n")
+    before = sorted(tmp_path.iterdir())
+    args = [a.replace("{tmp}", str(tmp_path)) for a in argv.split()]
+    if args[0] == "simulate":
+        args += ["--out", str(tmp_path / "run.csv")]
+    got, out, got_err = run_cli(capsys, *args)
+    assert (got, out) == (code, "") and got_err.startswith(err)
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_simulate_constant_state(capsys, tmp_path):
     out = tmp_path / "t4.csv"
     code, _, _ = run_cli(capsys, "simulate", "--ic", "T4?p1=1&b=0", "--A", "1",
@@ -460,6 +510,32 @@ def test_wavefront_shock_on_a_node(capsys, tmp_path):
     assert code == 0 and err == ""
     assert json.loads(stdout)["shock_time"] == 1.2850000000000001
     assert "inf" not in out.read_text()
+
+
+def test_wavefront_shock_on_a_wide_panel(capsys, tmp_path):
+    # Panels of 1e19 need ~115 halvings to reach adjacent doubles.
+    code, stdout, err = run_cli(capsys, "wavefront", "--background", "T1?p1=1&p2=2&b=1",
+                                "--pi0", "-1", "--t-end", "1e20", "--n", "10",
+                                "--out", str(tmp_path / "w.csv"))
+    assert code == 0 and err == ""
+    assert 1.0 <= json.loads(stdout)["shock_time"] <= 1e20
+
+
+def test_wavefront_nan_in_the_shock_search_exit_65(capsys, tmp_path, monkeypatch):
+    # E = inf on every node makes the cubic between the nodes inf - inf.
+    import trafficflow.wavefront as wavefront
+    real = wavefront._integrate_along
+
+    def overflowed(prob, ts):
+        xs, psi, E, F = real(prob, ts)
+        return xs, psi, np.full_like(E, np.inf), F
+
+    monkeypatch.setattr(wavefront, "_integrate_along", overflowed)
+    code, stdout, err = run_cli(capsys, "wavefront", "--background", "T1?p1=0&p2=1&b=1",
+                                "--pi0", "-1.5", "--t-end", "3", "--n", "10",
+                                "--out", str(tmp_path / "w.csv"))
+    assert (code, stdout) == (65, "") and list(tmp_path.iterdir()) == []
+    assert err.startswith("error: shock search met a NaN at t=")
 
 
 @pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"),

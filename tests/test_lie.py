@@ -469,6 +469,13 @@ def test_adjoint_rejects_an_eps1_whose_exponential_overflows():
     assert adjoint_apply(AdjointParams(eps1=709.0), basis(2)).w2 == math.exp(709.0)
 
 
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_adjoint_exp_matrix_rejects_a_non_finite_eps(i, eps):
+    with pytest.raises(ValueError, match=rf"^eps={eps} is not finite: K_{i}\(eps\) would hold it$"):
+        adjoint_exp_matrix(i, eps)
+
+
 @pytest.mark.parametrize("eps", [1e200, -1.4e154, math.inf, -math.inf, math.nan])
 def test_adjoint_series_check_rejects_an_eps_whose_square_overflows(eps):
     # The series term eps ** 2 / 2 would overflow, or the gap would be NaN.

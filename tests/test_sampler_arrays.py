@@ -97,6 +97,23 @@ def test_custom_kink_written_with_math_takes_arrays():
     assert np.array_equal(s.eval(x[:, 1:2], 1.0).rho, [[math.log(2.0)]])
 
 
+def test_kink_partials_reach_the_sech_limit_without_a_warning():
+    # gauss with c1 = 300 has z = -2 x (300 + t), up to ~1200 on this grid: cosh(z)^2
+    # overflows past |z| ~ 355 and cosh(z) past ~ 710, where sech^2 = 0 is exact.
+    # A RuntimeWarning fails the test (pyproject's filterwarnings).
+    s = make_entry("KINK", mshape="gauss", c1=300).sampler(MP1)
+    x, t = np.meshgrid(np.linspace(-2.0, 2.0, 81), np.array([0.0, 1.0, 2.0]))
+    z = np.abs(2.0 * x * (300.0 + t))
+    assert z.max() > 1200.0
+    d = s.partials(x, t)
+    points = [s.partials(a, b) for a, b in zip(x.ravel().tolist(), t.ravel().tolist())]
+    for name in ("u_t", "u_x", "u_xx"):
+        grid = getattr(d, name)
+        assert _same(grid, [getattr(p, name) for p in points]), name
+        assert np.all(grid[z > 360.0] == 0.0), name
+        assert np.all(np.isfinite(grid)) and np.all(grid[(z > 0.0) & (z < 300.0)] != 0.0), name
+
+
 def test_validation_names_the_first_bad_point():
     with pytest.raises(DomainError, match=r"rho=-1\.0 at grid index \(1,\)") as e:
         StatePoint(rho=np.array([1.0, -1.0, -2.0]), u=0.0)

@@ -1,11 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trafficflow.catalog import make_entry
-from trafficflow.model import ModelParams, SolutionSampler
+from trafficflow.model import DomainError, ModelParams, SolutionSampler
 from trafficflow.solver import (Field, Grid, PositivityError, SolverConfig, SolverError,
                                 _implicit_velocity, convergence_order, error_norms, run, step)
 
@@ -244,6 +245,32 @@ def test_run_rejects_non_finite_times_before_any_step(steps_taken, t0, t_end, sn
     with pytest.raises(ValueError, match="must be finite"):
         run(cfg, s, t0, t_end, snapshots=snaps)
     assert steps_taken == []
+
+
+@pytest.mark.parametrize("ic_t,t_end,snaps,err", [
+    (0.5, 1.0, None, r"^initial field is at t=0.5, run starts at t0=0.0$"),
+    (0.0, -1.0, None, r"^t_end must be >= t0$"),
+    (0.0, 1.0, [-0.5, 0.5], r"^snapshots must lie within \[t0, t_end\]$"),
+    (0.0, 1.0, [0.5, 1.5], r"^snapshots must lie within \[t0, t_end\]$"),
+])
+def test_run_rejects_inconsistent_times_before_any_step(steps_taken, ic_t, t_end, snaps, err):
+    cfg = SolverConfig(grid=Grid.over(0.0, 1.0, 32), params=MP1)
+    f = Field(t=ic_t, rho=np.full(32, 1.0), u=np.zeros(32))
+    with pytest.raises(ValueError, match=err):
+        run(cfg, f, 0.0, t_end, snapshots=snaps)
+    assert steps_taken == []
+
+
+def test_dirichlet_ghost_outside_the_sampler_domain_is_named():
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    g = Grid.over(0.0, 2.0, 40)
+    cut = SolutionSampler(eval=s.eval, partials=s.partials,
+                          domain=lambda x, t: np.logical_and(s.domain(x, t), x <= 2.0))
+    cfg = SolverConfig(grid=g, params=MP1, bc="dirichlet", dirichlet_sampler=cut)
+    ghost = g.x0 + (g.nx + 0.5) * g.dx
+    with pytest.raises(DomainError, match=re.escape(
+            f"dirichlet ghost cell at x={ghost}, t=1.0 outside domain")):
+        run(cfg, s, 1.0, 1.2)
 
 
 def test_run_lands_exactly_on_snapshots():

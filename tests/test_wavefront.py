@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from trafficflow.catalog import make_entry
-from trafficflow.model import DomainError, ModelParams, SolutionSampler
-from trafficflow.wavefront import (AmplitudeProblem, _bisect, _cumulative_simpson,
+from trafficflow.model import DomainError, ModelParams, Partials, SolutionSampler, StatePoint
+from trafficflow.wavefront import (AmplitudeProblem, _cumulative_simpson,
                                    amplitude_direct, amplitude_quadrature,
                                    characteristic_path, psi_along)
 
@@ -184,6 +184,53 @@ def test_shock_on_an_interior_node_is_found(k):
     assert np.all(np.isfinite(sol.pi[:k])) and np.all(np.isnan(sol.pi[k:]))
 
 
+def _hermite_denom(sol, pi0, t):
+    # 1 + pi0 F at t on the cubic Hermite interpolant of (F, F' = E) over the panel holding t
+    k = int(np.searchsorted(sol.times, t, side="right"))
+    ta, tb = float(sol.times[k - 1]), float(sol.times[k])
+    h = tb - ta
+    r = (t - ta) / h
+    w = r * r * (3.0 - 2.0 * r)
+    F = ((1.0 - w) * float(sol.F[k - 1]) + w * float(sol.F[k])
+         + r * (r - 1.0) * ((r - 1.0) * h * float(sol.E[k - 1]) + r * h * float(sol.E[k])))
+    return 1.0 + pi0 * F
+
+
+@pytest.mark.parametrize("pi0,n", [(-0.9, 400), (-1.2, 1000), (-1.5, 2000), (-2.0, 600)])
+def test_shock_time_and_its_next_double_bracket_the_root(pi0, n):
+    # The panel is halved down to adjacent doubles: 1 + pi0 F > 0 at the shock time
+    # and <= 0 one double later, on the same interpolant.
+    sol = amplitude_quadrature(_t1_problem(pi0), 12.0, n=n)
+    t = sol.shock_time
+    assert sol.times[0] < t < sol.times[-1]
+    assert _hermite_denom(sol, pi0, t) > 0.0 >= _hermite_denom(sol, pi0, math.nextafter(t, math.inf))
+    expect = 2.0 * (1.0 - 3.0 / (4.0 * abs(pi0))) ** (-2.0 / 3.0) - 1.0
+    assert abs(t - expect) <= 1e-4
+    assert np.all(np.isfinite(sol.pi[sol.times < t])) and np.all(np.isnan(sol.pi[sol.times > t]))
+
+
+def test_shock_time_on_a_panel_of_1e19():
+    # Panels of 1e19: the search needs ~115 halvings to reach adjacent doubles.
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    prob = AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=-1.0, psi_shift_b=1.0)
+    sol = amplitude_quadrature(prob, 1e20, n=10)
+    assert 1.0 <= sol.shock_time <= 1e20
+    assert _hermite_denom(sol, -1.0, sol.shock_time) > 0.0
+
+
+def test_shock_search_rejects_a_nan_in_the_interpolant():
+    # Psi = 0 until Psi = -532 at t = 8: Simpson on the nodes 0, 4, 8 gives E = (1, e^-177,
+    # e^709), so F and h E overflow at t = 8 and the cubic meets inf - inf inside the panel.
+    flat = SolutionSampler(
+        eval=lambda x, t: StatePoint(rho=1.0 + 0.0 * x, u=0.0 * x),
+        partials=lambda x, t: Partials(rho_t=0.0 * t, rho_x=0.0, u_t=0.0,
+                                       u_x=np.where(t > 6.0, -212.8, 0.0), u_xx=0.0))
+    prob = AmplitudeProblem(background=flat, A=1.0, x0=0.0, t0=0.0, pi0=-1.0, psi_shift_b=1.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match=r"shock search met a NaN at t=6\.0"):
+        amplitude_quadrature(prob, 8.0, n=2)
+
+
 def test_direct_rejects_a_non_positive_step():
     for dt in (0.0, -0.1):
         with pytest.raises(ValueError):
@@ -300,6 +347,40 @@ def test_problem_validation():
             amplitude_direct(prob, t_end, 0.1)
 
 
+def test_tail_pi_c_is_nan_when_the_domain_ends_early():
+    # The tail path runs to t0 + 16 L = 161 with L = 10; this background ends at t = 50.
+    s = make_entry("T1", p1=0, p2=1, b=1).sampler(MP1)
+    short = SolutionSampler(eval=s.eval, partials=s.partials,
+                            domain=lambda x, t: np.logical_and(s.domain(x, t), t < 50.0))
+    prob = AmplitudeProblem(background=short, A=1.0, x0=1.0, t0=1.0, pi0=0.5)
+    sol = amplitude_quadrature(prob, 3.0, n=100)
+    assert math.isnan(sol.pi_c) and np.all(np.isfinite(sol.pi))
+
+
+def test_non_finite_psi_is_singular():
+    # Finite partials whose Psi overflows from t = 2 on.
+    t4 = make_entry("T4", p1=1, b=0).sampler(MP1)
+    steep = SolutionSampler(
+        eval=t4.eval, domain=t4.domain,
+        partials=lambda x, t: Partials(rho_t=0.0 * t, rho_x=0.0, u_t=0.0,
+                                       u_x=np.where(t >= 2.0, 1e308, 0.0), u_xx=0.0))
+    prob = AmplitudeProblem(background=steep, A=1.0, x0=0.0, t0=1.0, pi0=0.5, psi_shift_b=0.0)
+    with np.errstate(over="ignore"), pytest.raises(
+            DomainError, match="^Psi is singular on the integration interval$"):
+        amplitude_quadrature(prob, 3.0, n=10)
+
+
+def test_panel_count_is_at_least_two_and_even():
+    prob = _t1_problem(-1.5)
+    for n in (1, 0, -4):
+        with pytest.raises(ValueError, match="^need at least 2 quadrature panels$"):
+            amplitude_quadrature(prob, 3.0, n=n)
+    odd, even = amplitude_quadrature(prob, 3.0, n=401), amplitude_quadrature(prob, 3.0, n=402)
+    assert len(odd.times) == 403 and odd.shock_time == even.shock_time
+    for name in ("times", "xs", "psi", "E", "F", "pi"):
+        assert np.array_equal(getattr(odd, name), getattr(even, name), equal_nan=True), name
+
+
 def _nodes(n, uniform):
     if uniform:
         return np.linspace(1.0, 3.5, n)
@@ -327,27 +408,9 @@ def test_cumulative_simpson_exact_on_quadratics(n, uniform):
     assert np.allclose(got, exact, rtol=1e-13, atol=1e-12)
 
 
-@pytest.mark.parametrize("f,a,b", [
-    (lambda t: t ** 3 - 2.0, 0.0, 2.0),
-    (lambda t: math.tanh(t - 0.3), -1.0, 4.0),
-    (lambda t: 1.0 - math.exp(t), -0.5, 0.25),
-    (lambda t: t - 1.0, 1.0, 2.0),       # root at the left end
-    (lambda t: t - 2.0, 1.0, 2.0),       # root at the right end
-])
-def test_bisect_matches_scipy(f, a, b):
-    optimize = pytest.importorskip("scipy.optimize")
-    assert _bisect(f, a, b, xtol=1e-12) == optimize.bisect(f, a, b, xtol=1e-12)
-
-
-def test_bisect_without_sign_change_or_with_nan():
-    assert _bisect(lambda t: t * t + 1.0, -1.0, 1.0, xtol=1e-12) is None
-    with pytest.raises(ValueError):
-        _bisect(lambda t: math.nan if t > 0.5 else -1.0, 0.0, 2.0, xtol=1e-12)
-
-
 def test_runtime_imports_no_scipy():
     # A fresh interpreter: the CLI plus a quadrature with tail-extrapolated
-    # pi_c and a bisected shock time must not pull scipy in.
+    # pi_c and a shock time must not pull scipy in.
     code = (
         "import sys\n"
         "import trafficflow.cli\n"
