@@ -155,10 +155,12 @@ def _parse_vector(text: str, n: int, what: str) -> list:
 
 
 def _region_from_args(args, entry, mp):
+    from dataclasses import replace
+
     from .catalog import GridRegion
     explicit = [args.x0, args.x1, args.t0, args.t1]
     if all(v is None for v in explicit):
-        return entry.default_region(mp)
+        return replace(entry.default_region(mp), nx=args.nx, nt=args.nt)
     if any(v is None for v in explicit):
         raise UsageError("either give all of --x0 --x1 --t0 --t1 or none")
     return GridRegion(args.x0, args.x1, args.nx, args.t0, args.t1, args.nt)

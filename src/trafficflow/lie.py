@@ -11,7 +11,9 @@ Nonzero brackets: [S1,S2] = -S2, [S1,S4] = -S4, [S2,S3] = S4 (and their
 antisymmetric partners).  The Killing form, adjoint representation,
 invariant functions and the one-dimensional optimal-system classification
 are all computed from these structure constants, never hard-coded, so the
-closed-form values quoted in reports stay falsifiable.
+closed-form values quoted in reports stay falsifiable.  The adjoint matrix
+K_i(eps) = exp(-eps ad S_i) is read off ad S_i entry by entry, which is exact
+because ad S_1 is diagonal and ad S_2, ad S_3, ad S_4 square to zero.
 
 Every value is a float or a tuple of floats, and a matrix is a tuple of
 rows, so the module runs without numpy; the model is imported only by
@@ -180,28 +182,22 @@ def _row_times(v: tuple, M: tuple) -> tuple:
 
 
 def adjoint_exp_matrix(i: int, eps: float) -> tuple:
-    """Adjoint transformation matrix K_i(eps) acting on row coefficient vectors.
+    """Adjoint matrix K_i(eps) = exp(-eps ad S_i), acting on row coefficient vectors.
 
-    Row-vector action (w1..w4) @ K_i reproduces the adjoint representation
-    table: K1 scales w2, w4 by e^eps; K2 sends (w2, w4) to (w2 - eps*w1,
-    w4 - eps*w3); K3 sends w4 to w4 + eps*w2; K4 sends w4 to w4 - eps*w1.
-    A non-finite eps is a ValueError naming it.
+    The exponential is exact entry by entry: ad S_1 is diagonal, and ad S_2,
+    ad S_3, ad S_4 have a zero diagonal and square to zero, so their series
+    stops after its linear term.  Row-vector action (w1..w4) @ K_i gives the
+    adjoint representation table: K1 scales w2, w4 by e^eps; K2 sends
+    (w2, w4) to (w2 - eps*w1, w4 - eps*w3); K3 sends w4 to w4 + eps*w2; K4
+    sends w4 to w4 - eps*w1.  A non-finite eps is a ValueError naming it.
     """
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"generator index must be 1..4, got {i}")
+    A = ad_matrix(basis(i))
     if not math.isfinite(eps):
         raise ValueError(f"eps={eps} is not finite: K_{i}(eps) would hold it")
-    K = [[float(r == c) for c in range(4)] for r in range(4)]
-    if i == 1:
-        K[1][1] = K[3][3] = _exp(eps, "eps")
-    elif i == 2:
-        K[0][1] = -eps
-        K[2][3] = -eps
-    elif i == 3:
-        K[1][3] = eps
-    else:
-        K[0][3] = -eps
-    return tuple(map(tuple, K))
+    # Off the diagonal, +0.0 where ad S_i has no entry (-eps * 0.0 would be -0.0).
+    return tuple(tuple(_exp(-eps * A[j][j], "eps") if k == j
+                       else (-eps * A[k][j] if A[k][j] else 0.0) for k in range(4))
+                 for j in range(4))
 
 
 def adjoint_composite_matrix(e: AdjointParams) -> tuple:
@@ -238,8 +234,8 @@ def adjoint_series_check(i: int, j: int, eps: float) -> float:
     """
     if not math.isfinite(eps * eps):
         raise ValueError(f"eps must be finite with a finite square, got eps={eps}")
-    exact = _row_times(basis(j).as_tuple(), adjoint_exp_matrix(i, eps))
     term = series = basis(j).as_tuple()
+    exact = adjoint_exp_matrix(i, eps)[j - 1]
     ad_T = tuple(zip(*ad_matrix(basis(i))))    # term @ ad^T is ad . term
     fact = 1.0
     for k in range(1, 3):

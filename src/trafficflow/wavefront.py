@@ -152,7 +152,10 @@ def _integrate_along(prob: AmplitudeProblem, ts: np.ndarray):
     Returns (xs, psi, E, F) on the nodes ts, integrated by cumulative Simpson.
     """
     xs = _rk4_path(prob, ts)
-    psi = psi_along(prob, xs, ts)
+    # Far along the path a background's partials may overflow on the way to
+    # their exact limits (T1's rho_t, u_t -> -0.0), but Psi reads only rho_x, u_x.
+    with np.errstate(over="ignore"):
+        psi = psi_along(prob, xs, ts)
     if not np.all(np.isfinite(psi)):
         raise DomainError("Psi is singular on the integration interval")
     E = np.exp(-_cumulative_simpson(psi, ts))
@@ -266,8 +269,9 @@ class AmplitudeTrace:
 def amplitude_direct(prob: AmplitudeProblem, t_end: float, dt: float) -> AmplitudeTrace:
     """RK4 integration of d pi/dt = -pi^2 - Psi pi along the characteristic.
 
-    Independent oracle for ``amplitude_quadrature``.  When |pi| exceeds 1e12
-    the trace is truncated and a two-step window around the triggering step
+    Independent oracle for ``amplitude_quadrature``.  When |pi| exceeds 1e12,
+    or a step's background evaluation raises OverflowError (pi is then taken as
+    inf), the trace is truncated and a two-step window around the triggering step
     is reported as the blow-up bracket (the threshold crossing can lag the
     pole by up to one step).  A path that leaves the background domain is no
     blow-up: it raises DomainError.
@@ -289,13 +293,12 @@ def amplitude_direct(prob: AmplitudeProblem, t_end: float, dt: float) -> Amplitu
             k3x, k3p = rhs(x + 0.5 * h * k2x, pi + 0.5 * h * k2p, t + 0.5 * h)
             k4x, k4p = rhs(x + h * k3x, pi + h * k3p, t + h)
         except OverflowError:
-            return AmplitudeTrace(times=ts[:k + 1], xs=np.array(xs), pi=np.array(pis),
-                                  blowup_bracket=(float(ts[max(k - 1, 0)]), float(ts[k + 1])))
-        x_new = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        pi_new = pi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            pi_new = math.inf
+        else:
+            pi_new = pi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         if not math.isfinite(pi_new) or abs(pi_new) > BLOWUP_LIMIT:
             return AmplitudeTrace(times=ts[:k + 1], xs=np.array(xs), pi=np.array(pis),
                                   blowup_bracket=(float(ts[max(k - 1, 0)]), float(ts[k + 1])))
-        xs.append(x_new)
+        xs.append(x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x))
         pis.append(pi_new)
     return AmplitudeTrace(times=ts, xs=np.array(xs), pi=np.array(pis))

@@ -352,3 +352,37 @@ def test_p522_region_is_built_only_on_request():
     assert not e.sampler(MP0).domain(0.0, 2.0)
     with pytest.raises(DomainError, match="admit no valid region"):
         e.default_region(MP0)
+
+
+def test_no_interior_fd_stencil_falls_back_to_the_analytic_floor():
+    # T1 cut to |x| < 1e-3: every order-2 stencil of step h0 = 1e-2 leaves the domain.
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    narrow = type(s)(eval=s.eval, partials=s.partials,
+                     domain=lambda x, t: s.domain(x, t) & (np.abs(x) < 1e-3))
+    rep = verify_sampler(MP1, narrow, GridRegion(-5e-4, 5e-4, 5, 1.0, 1.5, 5), tol=1e-8)
+    assert rep.status == VERIFIED
+    assert rep.notes == ["no interior point admitted the FD stencil"]
+    assert rep.fd_steps == [] and rep.fd_floors == [] and rep.conv_ratios == []
+    assert rep.residual_floor == max(rep.max_r1, rep.max_r2)
+
+
+def test_fd_only_solution_verifies_on_its_finest_floor():
+    entry = make_entry("T4", p1=1, b=0)
+    s = entry.sampler(MP1)
+    bare = type(s)(eval=s.eval, domain=s.domain, partials=None)
+    rep = verify_sampler(MP1, bare, entry.default_region(MP1), tol=1e-8)
+    assert rep.status == VERIFIED and rep.partials_method == "fd4"
+    assert len(rep.fd_floors) == 3 and rep.fd_floors[-1] <= 1e-8
+
+
+@pytest.mark.parametrize("e2,e3,e4,x0,x1", [
+    (-2, 1, 3, -5.2625, 2.7375),    # k = 2 e2 e3 < 0: the region opens to the right
+    (2, 0, 3, -5.0, 5.0),           # k = 0: W does not depend on x
+    (2, 1, -2, -7.8, 0.2),          # the vertex t = -e4/e3 = 2 lies inside [1.5, 4]
+])
+def test_p522_default_region_branches(e2, e3, e4, x0, x1):
+    entry = make_entry("P522", p1=2, p2=1, e2=e2, e3=e3, e4=e4)
+    region = entry.default_region(MP0)
+    assert (region.x0, region.x1) == pytest.approx((x0, x1), abs=1e-12)
+    assert (region.nx, region.t0, region.t1, region.nt) == (41, 1.5, 4.0, 41)
+    assert verify_entry(entry, MP0).status == VERIFIED

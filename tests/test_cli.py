@@ -91,6 +91,15 @@ def test_verify_region_outside_domain_exit_65(capsys):
     assert code == 65
 
 
+def test_verify_grid_flags_resize_the_default_region(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    code, rep = out_json(capsys, "verify", "T1?p1=1&p2=2&b=1", "--nx", "5", "--nt", "7",
+                         "--out", str(out))
+    assert code == 0 and rep["status"] == "VERIFIED"
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["parameters"]["region"] == [-5.0, 5.0, 5, -0.5, 2.0, 7]
+
+
 def test_verify_constraint_violation_exit_65(capsys):
     code, _, err = run_cli(capsys, "verify", "T2?p1=1&b=0", "--D", "0.5")
     assert code == 65 and "D=0" in err
@@ -519,6 +528,17 @@ def test_wavefront_shock_on_a_wide_panel(capsys, tmp_path):
                                 "--out", str(tmp_path / "w.csv"))
     assert code == 0 and err == ""
     assert 1.0 <= json.loads(stdout)["shock_time"] <= 1e20
+
+
+def test_wavefront_overflowing_partials_far_along_the_path(capsys, tmp_path):
+    # At t ~ 1e300, T1's rho_t and u_t overflow in w * w on their way to -0.0; Psi reads
+    # neither, so the run is silent under error::RuntimeWarning.
+    code, stdout, err = run_cli(capsys, "wavefront", "--background", "T1?p1=1&p2=2&b=1",
+                                "--pi0", "-1", "--t-end", "1e300", "--n", "10",
+                                "--out", str(tmp_path / "w.csv"))
+    assert code == 0 and err == ""
+    summary = json.loads(stdout)
+    assert summary["pi_c"] == 0.75 and math.isfinite(summary["shock_time"])
 
 
 def test_wavefront_nan_in_the_shock_search_exit_65(capsys, tmp_path, monkeypatch):

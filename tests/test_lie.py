@@ -401,6 +401,15 @@ def test_ad_matrix_structure():
         assert np.array_equal(M[:, j - 1], commutator(w, basis(j)).as_tuple())
 
 
+def test_each_generator_ad_is_diagonal_or_squares_to_zero():
+    # adjoint_exp_matrix reads exp(-eps ad S_i) off ad S_i entry by entry: exact only
+    # for a diagonal ad S_i, or for one with a zero diagonal whose square vanishes.
+    for i in range(1, 5):
+        A = np.array(ad_matrix(basis(i)))
+        diagonal = np.diag(np.diag(A))
+        assert np.array_equal(A, diagonal) or (not diagonal.any() and not (A @ A).any()), i
+
+
 def _bits(a) -> bytes:
     return np.asarray(a, dtype=float).tobytes()
 

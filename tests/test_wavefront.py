@@ -10,7 +10,7 @@ import pytest
 
 from trafficflow.catalog import make_entry
 from trafficflow.model import DomainError, ModelParams, Partials, SolutionSampler, StatePoint
-from trafficflow.wavefront import (AmplitudeProblem, _cumulative_simpson,
+from trafficflow.wavefront import (AmplitudeProblem, _cumulative_simpson, _integrate_along,
                                    amplitude_direct, amplitude_quadrature,
                                    characteristic_path, psi_along)
 
@@ -355,6 +355,38 @@ def test_tail_pi_c_is_nan_when_the_domain_ends_early():
     prob = AmplitudeProblem(background=short, A=1.0, x0=1.0, t0=1.0, pi0=0.5)
     sol = amplitude_quadrature(prob, 3.0, n=100)
     assert math.isnan(sol.pi_c) and np.all(np.isfinite(sol.pi))
+
+
+def test_tail_limit_of_a_saturated_F_is_its_last_mark():
+    # rho = e^{10x}, u = -0.99 gives Psi = 5: F = (1 - e^{-5 (t - t0)}) / 5 reaches its
+    # float limit before t0 + 8L, so the tail sees no growth and takes F at t0 + 16L.
+    flat = SolutionSampler(
+        eval=lambda x, t: StatePoint(rho=np.exp(10.0 * x), u=-0.99 + 0.0 * x),
+        partials=lambda x, t: Partials(rho_t=0.0 * t, rho_x=10.0 * np.exp(10.0 * x),
+                                       u_t=0.0, u_x=0.0, u_xx=0.0))
+    prob = AmplitudeProblem(background=flat, A=1.0, x0=0.0, t0=1.0, pi0=0.5)
+    sol = amplitude_quadrature(prob, 3.0, n=100)
+    ts = np.linspace(1.0, 161.0, 4001)
+    F = _integrate_along(prob, ts)[-1]
+    assert F[2000] == F[4000] and sol.pi_c == 1.0 / float(F[4000])
+    assert abs(sol.pi_c - 5.0) <= 1e-4
+
+
+def test_direct_truncates_where_the_background_overflows():
+    # rho = e^x along x = 700 + 2t: the last RK4 stage of the step from t = 4.5 reaches
+    # x = 710, where math.exp overflows, so the trace ends at t = 4.5.
+    def ev(x, t):
+        return StatePoint(rho=math.exp(x), u=1.0)
+
+    def pt(x, t):
+        return Partials(rho_t=0.0, rho_x=math.exp(x), u_t=0.0, u_x=0.0, u_xx=0.0)
+
+    prob = AmplitudeProblem(background=SolutionSampler(eval=ev, partials=pt),
+                            A=1.0, x0=700.0, t0=0.0, pi0=0.1)
+    tr = amplitude_direct(prob, 10.0, dt=0.5)
+    assert tr.times[-1] == 4.5 and len(tr.xs) == len(tr.pi) == 10
+    assert tr.blowup_bracket == (4.0, 5.0)
+    assert np.all(np.isfinite(tr.pi))
 
 
 def test_non_finite_psi_is_singular():
