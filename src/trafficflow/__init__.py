@@ -29,12 +29,12 @@ _SUBMODULE = {name: module for module, names in {
             "OptimalClass", "adjoint_apply", "adjoint_exp_matrix", "adjoint_series_check",
             "classify_optimal", "commutator", "group_transform", "infinitesimals",
             "invariant_ic", "invariant_tuple", "killing_form"),
-    "catalog": ("CatalogEntry", "GridRegion", "VerifyReport", "make_entry",
+    "catalog": ("CatalogEntry", "GridRegion", "VerifyReport", "kink_ode_oracle", "make_entry",
                 "reduced_ode_residual_T3", "verify_entry", "verify_sampler",
                 "PAPER_CLAIMED", "REFUTED", "VERIFIED"),
     "conservation": ("ConservedPair", "MultiplierConstants", "adjoint_identity_residual",
-                     "basic_conserved", "divergence_residual", "kink_ode_oracle",
-                     "self_adjoint_substitution", "symmetry_conserved_vector"),
+                     "basic_conserved", "divergence_residual", "self_adjoint_substitution",
+                     "symmetry_conserved_vector"),
     "solver": ("ConvergenceResult", "Field", "Grid", "PositivityError", "SolverConfig",
                "SolverError", "Trajectory", "convergence_order", "error_norms", "run", "step"),
     "wavefront": ("AmplitudeProblem", "AmplitudeSolution", "AmplitudeTrace",

@@ -49,6 +49,7 @@ __all__ = [
     "verify_entry",
     "verify_sampler",
     "reduced_ode_residual_T3",
+    "kink_ode_oracle",
 ]
 
 VERIFIED = "VERIFIED"
@@ -100,22 +101,24 @@ def _elementwise(f: Callable) -> Callable:
 _sqrt, _exp, _log, _tanh, _cosh, _sin, _cos, _tan = map(
     _elementwise, (np.sqrt, np.exp, np.log, np.tanh, np.cosh, np.sin, np.cos, np.tan))
 
-# mshape -> (M, M', M'', M'''), each taking a float or an array.  Integer
-# powers are written as products, which round the same for both.
+# mshape -> (M, M', M'', M''', default x-range), each function taking a float or
+# an array.  Integer powers are written as products, which round the same for both.
 KINK_SHAPES: dict[str, tuple] = {
-    "sin": (_sin, _cos, lambda x: -_sin(x), lambda x: -_cos(x)),
-    "cos": (_cos, lambda x: -_sin(x), lambda x: -_cos(x), _sin),
+    "sin": (_sin, _cos, lambda x: -_sin(x), lambda x: -_cos(x), (0.2, 2.9)),
     "sec": (
         lambda x: 1.0 / _cos(x),
         lambda x: _tan(x) / _cos(x),
         lambda x: (_tan(x) * _tan(x) + 1.0 / (_cos(x) * _cos(x))) / _cos(x),
         lambda x: _tan(x) * (_tan(x) * _tan(x) + 5.0 / (_cos(x) * _cos(x))) / _cos(x),
+        (-1.35, 1.35),
     ),
+    "cos": (_cos, lambda x: -_sin(x), lambda x: -_cos(x), _sin, (-1.35, 1.35)),
     "gauss": (
         lambda x: _exp(-x * x),
         lambda x: -2.0 * x * _exp(-x * x),
         lambda x: (4.0 * x * x - 2.0) * _exp(-x * x),
         lambda x: (12.0 * x - 8.0 * (x * x * x)) * _exp(-x * x),
+        (-2.0, 2.0),
     ),
 }
 
@@ -345,26 +348,18 @@ def _pointwise(f: Callable) -> Callable:
     return lambda x: at(x) if isinstance(x, float) else np.vectorize(at, otypes=[float])(x)
 
 
-_KINK_REGIONS = {
-    "sin": (0.2, 2.9),
-    "sec": (-1.35, 1.35),
-    "cos": (-1.35, 1.35),
-    "gauss": (-2.0, 2.0),
-}
-
-
 def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
           Mp: Optional[Callable] = None, Mpp: Optional[Callable] = None,
           Mppp: Optional[Callable] = None):
     if mshape == "custom":
         _require(M is not None and Mp is not None, "custom KINK needs M and M'")
-        shape = tuple(f and _pointwise(f) for f in (M, Mp, Mpp, Mppp))
+        shape = (*(f and _pointwise(f) for f in (M, Mp, Mpp, Mppp)), (-1.0, 1.0))
     else:
         if mshape not in KINK_SHAPES:
             raise ValueError(f"unknown kink shape {mshape!r}; "
                              f"known: {sorted(KINK_SHAPES)} or 'custom'")
         shape = KINK_SHAPES[mshape]
-    fM, fMp, fMpp, fMppp = shape
+    fM, fMp, fMpp, fMppp, (xlo, xhi) = shape
 
     def dom(x, t):
         m = fM(x)
@@ -396,7 +391,6 @@ def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
         return SolutionSampler(eval=ev, domain=dom,
                                partials=pt if fMpp is not None and fMppp is not None else None)
 
-    xlo, xhi = _KINK_REGIONS.get(mshape, (-1.0, 1.0))
     return bind, lambda mp: GridRegion(xlo, xhi, 41, 0.0, 3.0, 41)
 
 
@@ -433,7 +427,7 @@ FAMILIES: dict[str, Family] = {
                      "claimed for D=A=0 but satisfies the system for any A>0 with D=0"),
     "KINK": Family(_kink, ("mshape", "c1"),
                    "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); mshape in "
-                   "{sin, sec, cos, gauss}; D=0; status adjudicated by the harness",
+                   f"{{{', '.join(KINK_SHAPES)}}}; D=0; status adjudicated by the harness",
                    "status adjudicated by the harness, never presumed"),
     "NEGCTRL": Family(_negctrl, (), "rho=x+2, u=1; deliberate non-solution (negative control)",
                       "deliberate non-solution used as a negative control"),
@@ -565,6 +559,37 @@ def verify_entry(entry: CatalogEntry, mp: ModelParams, region: Optional[GridRegi
         rep.notes.append("measured continuity residual floor on probe points: "
                          f"{float(np.max(np.abs(r1))):.6e}")
     return rep
+
+
+def kink_ode_oracle(mshape: str, A: float, c1: float, x_fixed: float, t: float) -> float:
+    """Residual of the separated flux ODE M^2 N' - N^2 M' + A M^2 M' at fixed x.
+
+    N(t) = rho*u of the kink family; the tanh closed form solves this ODE at
+    every fixed x regardless of whether the full system is satisfied.  A
+    non-finite input, A < 0 or a residual that overflows is a ValueError.
+    """
+    if mshape not in KINK_SHAPES:
+        raise ValueError(f"unknown kink shape {mshape!r}")
+    for name, v in (("A", A), ("c1", c1), ("x_fixed", x_fixed), ("t", t)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {name}={v}")
+    if A < 0.0:
+        raise ValueError(f"A must be >= 0, got A={A}")
+    fM, fMp = KINK_SHAPES[mshape][:2]
+    M = fM(x_fixed)
+    if M == 0.0:
+        raise DomainError("M(x) must be nonzero")
+    Mp = fMp(x_fixed)
+    sa = math.sqrt(A)
+    z = sa * Mp * (c1 + t) / M
+    th = math.tanh(z)
+    N = -sa * M * th
+    # sech^2 as 1 - tanh^2 cannot overflow: it is exactly 0 where cosh(z) overflows.
+    r = M * M * (-A * Mp * (1.0 - th * th)) - N * N * Mp + A * M * M * Mp
+    if not math.isfinite(r):
+        raise ValueError(f"kink ODE residual is not finite for shape {mshape!r}, A={A}, "
+                         f"c1={c1}, x_fixed={x_fixed}, t={t}")
+    return r
 
 
 def reduced_ode_residual_T3(p1: float, A: float, tau: float, D: float = 0.0) -> tuple[float, float]:

@@ -51,12 +51,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)         # "nan", "inf" or "-inf"
     return obj
 
 
@@ -80,9 +76,7 @@ def _emit(command: str, argv: list, parameters: dict, files: dict,
     embedded in the printed JSON instead, so every command that writes no
     file passes a stdout_obj.
     """
-    digests = {}
-    for path, text in files.items():
-        digests[str(path)] = _write_text(path, text)
+    digests = {str(path): _write_text(path, text) for path, text in files.items()}
     manifest = {
         "command": command,
         "argv": list(argv),
@@ -91,8 +85,7 @@ def _emit(command: str, argv: list, parameters: dict, files: dict,
         "outputs": digests,
     }
     if files:
-        first = next(iter(files))
-        mpath = Path(str(first) + ".manifest.json")
+        mpath = Path(str(next(iter(files))) + ".manifest.json")
         _write_text(mpath, _dump_json(manifest))
     if stdout_obj is not None:
         out = dict(stdout_obj)
@@ -144,9 +137,9 @@ def parse_entry_spec(spec: str):
     return make_entry(name, **params)
 
 
-def _parse_vector(text: str, n: int, what: str) -> list:
+def _parse_vector(text: str, n: int | None, what: str) -> list:
     parts = text.split(",")
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise UsageError(f"{what} needs {n} comma-separated values, got {text!r}")
     try:
         return [float(p) for p in parts]
@@ -300,7 +293,7 @@ def cmd_simulate(args, argv) -> int:
         grid = Grid.over(x0, x1, args.nx)
         ic = sampler
     t_end = args.t_end if args.t_end is not None else t0 + 1.0
-    snaps = ([float(s) for s in args.snap.split(",")] if args.snap else [t_end])
+    snaps = _parse_vector(args.snap, None, "--snap") if args.snap else [t_end]
 
     cfg = SolverConfig(grid=grid, params=mp, scheme=args.scheme, cfl=args.cfl,
                        bc=args.bc, dirichlet_sampler=sampler if args.bc == "dirichlet" else None)

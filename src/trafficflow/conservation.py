@@ -13,8 +13,7 @@ their defect term -2 W^u (h*rho + g*u), which the divergence check reports.
 import math
 from dataclasses import dataclass
 
-from .catalog import KINK_SHAPES
-from .model import (DomainError, ModelParams, SolutionSampler, StatePoint, fd_partials,
+from .model import (ModelParams, SolutionSampler, StatePoint, fd_partials,
                     fd_partials_unchecked, fd_stencil_inside, require_all, require_step,
                     residual_from_partials, stencil_resolves, step_scale)
 
@@ -26,7 +25,6 @@ __all__ = [
     "adjoint_identity_residual",
     "symmetry_conserved_vector",
     "divergence_residual",
-    "kink_ode_oracle",
 ]
 
 
@@ -234,33 +232,3 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     _, Utm = _vector(which, c, p, s, x, tm, h_step)
     return (Uxp - Uxm) / (2.0 * h_step) + (Utp - Utm) / (2.0 * h_step)
 
-
-def kink_ode_oracle(mshape: str, A: float, c1: float, x_fixed: float, t: float) -> float:
-    """Residual of the separated flux ODE M^2 N' - N^2 M' + A M^2 M' at fixed x.
-
-    N(t) = rho*u of the kink family; the tanh closed form solves this ODE at
-    every fixed x regardless of whether the full system is satisfied.  A
-    non-finite input, A < 0 or a residual that overflows is a ValueError.
-    """
-    if mshape not in KINK_SHAPES:
-        raise ValueError(f"unknown kink shape {mshape!r}")
-    for name, v in (("A", A), ("c1", c1), ("x_fixed", x_fixed), ("t", t)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {name}={v}")
-    if A < 0.0:
-        raise ValueError(f"A must be >= 0, got A={A}")
-    fM, fMp, _, _ = KINK_SHAPES[mshape]
-    M = fM(x_fixed)
-    if M == 0.0:
-        raise DomainError("M(x) must be nonzero")
-    Mp = fMp(x_fixed)
-    sa = math.sqrt(A)
-    z = sa * Mp * (c1 + t) / M
-    th = math.tanh(z)
-    N = -sa * M * th
-    # sech^2 as 1 - tanh^2 cannot overflow: it is exactly 0 where cosh(z) overflows.
-    r = M * M * (-A * Mp * (1.0 - th * th)) - N * N * Mp + A * M * M * Mp
-    if not math.isfinite(r):
-        raise ValueError(f"kink ODE residual is not finite for shape {mshape!r}, A={A}, "
-                         f"c1={c1}, x_fixed={x_fixed}, t={t}")
-    return r

@@ -141,10 +141,13 @@ def basis(i: int) -> LieCoeffs:
 
 
 def commutator(a: LieCoeffs, b: LieCoeffs) -> LieCoeffs:
-    """Bilinear extension of the basis brackets."""
+    """Bilinear extension of the basis brackets; a result that is not finite is a ValueError."""
     av, bv, C = a.as_tuple(), b.as_tuple(), STRUCTURE_CONSTANTS
-    return LieCoeffs(*(_total(av[i] * bv[j] * C[i][j][k] for i in range(4) for j in range(4))
-                       for k in range(4)))
+    v = tuple(_total(av[i] * bv[j] * C[i][j][k] for i in range(4) for j in range(4))
+              for k in range(4))
+    if not all(math.isfinite(c) for c in v):
+        raise ValueError(f"commutator has a non-finite coefficient at a={list(av)}, b={list(bv)}")
+    return LieCoeffs(*v)
 
 
 def ad_matrix(w: LieCoeffs) -> tuple:
@@ -217,10 +220,14 @@ def adjoint_apply(e: AdjointParams, w: LieCoeffs) -> LieCoeffs:
          (-w1*eps2 + w2) e^{eps1},
          w3,
          (-w1*eps4 + w2*eps3 - eps2*w3 + w4) e^{eps1})
+    A result that is not finite is a ValueError naming eps and w.
     """
     s = _exp(e.eps1, "eps1")
     q2 = (-w.w1 * e.eps2 + w.w2) * s
     q4 = (-w.w1 * e.eps4 + w.w2 * e.eps3 - e.eps2 * w.w3 + w.w4) * s
+    if not (math.isfinite(q2) and math.isfinite(q4)):
+        raise ValueError(f"adjoint action has a non-finite coefficient at "
+                         f"eps={list(e.as_tuple())}, w={list(w.as_tuple())}")
     return LieCoeffs(w.w1, q2, w.w3, q4)
 
 

@@ -191,6 +191,20 @@ def test_lie_adjoint_overflowing_eps1_exit_65(capsys):
     assert got == (65, "", "error: eps1=1000.0 is too large: e^eps1 overflows\n")
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["commutator", "--", "1e300,0,0,0", "0,1e300,0,0"],
+     "commutator has a non-finite coefficient at a=[1e+300, 0.0, 0.0, 0.0], "
+     "b=[0.0, 1e+300, 0.0, 0.0]"),
+    (["adjoint", "--", "709,1e300,0,0", "1,1,1,1"],
+     "adjoint action has a non-finite coefficient at eps=[709.0, 1e+300, 0.0, 0.0], "
+     "w=[1.0, 1.0, 1.0, 1.0]"),
+], ids=["commutator", "adjoint"])
+def test_lie_result_that_overflows_names_both_inputs(capsys, argv, err):
+    # The commutator's w1 is NaN (inf times a zero structure constant); the
+    # adjoint action's w2 overflows to -inf.  Neither is a coefficient given.
+    assert run_cli(capsys, "lie", *argv) == (65, "", f"error: {err}\n")
+
+
 def test_lie_non_finite_parameters_exit_65(capsys):
     code, stdout, err = run_cli(capsys, "lie", "ic", "--e", "1,0,nan,0", "--delta", "1",
                                 "--x", "2", "--branch", "power")
@@ -280,6 +294,13 @@ def test_rejections_exit_with_their_code_and_write_nothing(capsys, tmp_path, arg
     got, out, got_err = run_cli(capsys, *args)
     assert (got, out) == (code, "") and got_err.startswith(err)
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_simulate_snapshot_time_that_is_not_a_number_names_its_flag(capsys, tmp_path):
+    got = run_cli(capsys, "simulate", "--ic", "T1?p1=1&p2=2&b=1", "--snap", "0.5,abc",
+                  "--out", str(tmp_path / "run.csv"))
+    assert got == (65, "", "error: --snap: could not convert string to float: 'abc'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_constant_state(capsys, tmp_path):

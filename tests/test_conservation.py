@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from trafficflow import conservation
-from trafficflow.catalog import make_entry
+from trafficflow.catalog import kink_ode_oracle, make_entry
 from trafficflow.conservation import (MultiplierConstants, adjoint_identity_residual,
                                       basic_conserved, divergence_residual,
-                                      kink_ode_oracle, self_adjoint_substitution,
-                                      symmetry_conserved_vector)
+                                      self_adjoint_substitution, symmetry_conserved_vector)
+from trafficflow.lie import InfinitesimalParams, basis, infinitesimals
 from trafficflow.model import (DomainError, ModelParams, Partials, SolutionSampler, StatePoint,
                                fd_partials)
 
@@ -165,6 +165,34 @@ def test_one_flux_gives_the_published_rows(which, D):
             ref = _published_row(which, c, p, s, x, t, u_tx)
             got = symmetry_conserved_vector(which, c, p, s, x, t, 1e-3)
             assert got == pytest.approx(ref, rel=1e-13, abs=1e-14), (c, x, t)
+
+
+@pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
+@pytest.mark.parametrize("kind,params,mp", [
+    ("T1", dict(p1=1, p2=2, b=1), MP1),
+    ("T1", dict(p1=1, p2=2, b=1), ModelParams(A=1.0, D=0.4)),
+    ("T2", dict(p1=1, b=0), MP1),
+    ("T3", dict(p1=1, b=1), MP1),
+    ("KINK", dict(mshape="gauss", c1=1.0), MP1),
+], ids=["T1", "T1-viscous", "T2", "T3", "KINK-gauss"])
+def test_rows_carry_the_characteristics_of_the_lie_generators(which, kind, params, mp):
+    # Ut = -g V^u - h V^rho: c = (0, 1, 0) gives (h, g) = (0, 1) and c = (0, 0, 1)
+    # gives (1, 0), so -Ut reads off each row's V = -eta + xi D_x + tau D_t, which
+    # lie.infinitesimals states for the generator independently of the rows.
+    entry = make_entry(kind, **params)
+    s = entry.sampler(mp)
+    e = InfinitesimalParams(*basis(int(which[1])).as_tuple())
+    xs, ts = entry.default_region(mp).interior(5, 5)
+    for x in xs.tolist():
+        for t in ts.tolist():
+            st, d = s.eval(x, t), s.partials(x, t)
+            xi, tau, eta_rho, eta_u = infinitesimals(e, x, t, st.rho, st.u)
+            _, Ut_u = symmetry_conserved_vector(which, MultiplierConstants(0, 1, 0), mp, s,
+                                                x, t, 1e-3)
+            _, Ut_rho = symmetry_conserved_vector(which, MultiplierConstants(0, 0, 1), mp, s,
+                                                  x, t, 1e-3)
+            assert -Ut_u == -eta_u + xi * d.u_x + tau * d.u_t, (x, t)
+            assert -Ut_rho == -eta_rho + xi * d.rho_x + tau * d.rho_t, (x, t)
 
 
 def test_symmetry_vector_rejects_unknown_row():
