@@ -3,8 +3,8 @@
 Importing the package loads none of its submodules and no numpy: each name
 in ``_SUBMODULE`` is imported from its submodule on first access (PEP 562),
 so a CLI command pays only for the modules it runs.  The few names the CLI
-parser needs before it knows which command runs live here, and their
-submodules re-export them.
+needs before it knows which command runs, or before it has checked an entry
+spec, live here, and their submodules re-export or extend them.
 """
 
 __version__ = "0.1.0"
@@ -12,6 +12,21 @@ __version__ = "0.1.0"
 # Numerical schemes and boundary conditions of the finite-volume solver.
 SCHEMES = ("lax_friedrichs", "rusanov")
 BCS = ("periodic", "dirichlet", "outflow")
+
+# Catalog families: kind -> (required entry keys, one-line `catalog list` summary).
+# ``catalog.FAMILIES`` pairs each row with its factory and report note.
+CATALOG_ROWS = {
+    "T1": (("p1", "p2", "b"), "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D"),
+    "T2": (("p1", "b"), "branch family in sqrt((x+b)^2-4At^2); D=0"),
+    "T3": (("p1", "b"), "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0"),
+    "T4": (("p1", "b"), "constants rho=p1/sqrt(A), u=b+sqrt(A); D=0, A>0"),
+    "P522": (("p1", "p2", "e2", "e3", "e4"),
+             "pressureless similarity solution; requires A=0, D=0"),
+    "E3ZERO": (("p1", "e1", "e2", "e4"), "T2 family in (e1 x + e4, e1 t + e2); D=0"),
+    "KINK": (("mshape", "c1"), "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); mshape in "
+             "{sin, sec, cos, gauss}; D=0; status adjudicated by the harness"),
+    "NEGCTRL": ((), "rho=x+2, u=1; deliberate non-solution (negative control)"),
+}
 
 
 class DomainError(ValueError):

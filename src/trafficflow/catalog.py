@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import CATALOG_ROWS
 from .model import (DomainError, ModelParams, Partials, SolutionSampler,
                     StatePoint, fd_stencil_inside, pde_residual, require_all)
 
@@ -411,29 +412,23 @@ class Family(NamedTuple):
     note: str = ""
 
 
-FAMILIES: dict[str, Family] = {
-    "T1": Family(_t1, ("p1", "p2", "b"),
-                 "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D"),
-    "T2": Family(_t2, ("p1", "b"), "branch family in sqrt((x+b)^2-4At^2); D=0",
-                 "same two-branch family as E3ZERO (cross-reference)"),
-    "T3": Family(_t3, ("p1", "b"),
-                 "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0"),
-    "T4": Family(_t4, ("p1", "b"), "constants rho=p1/sqrt(A), u=b+sqrt(A); D=0, A>0"),
-    "P522": Family(_p522, ("p1", "p2", "e2", "e3", "e4"),
-                   "pressureless similarity solution; requires A=0, D=0"),
-    "E3ZERO": Family(_e3zero, ("p1", "e1", "e2", "e4"),
-                     "T2 family in (e1 x + e4, e1 t + e2); D=0",
-                     "same two-branch family as T2 (cross-reference); "
-                     "claimed for D=A=0 but satisfies the system for any A>0 with D=0"),
-    "KINK": Family(_kink, ("mshape", "c1"),
-                   "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); mshape in "
-                   f"{{{', '.join(KINK_SHAPES)}}}; D=0; status adjudicated by the harness",
-                   "status adjudicated by the harness, never presumed"),
-    "NEGCTRL": Family(_negctrl, (), "rho=x+2, u=1; deliberate non-solution (negative control)",
-                      "deliberate non-solution used as a negative control"),
-}
+# Each family's factory and report note.  Its keys and summary are its row of the
+# package root's CATALOG_ROWS, which the CLI reads without importing this module.
+_FACTORIES = (
+    ("T1", _t1, ""),
+    ("T2", _t2, "same two-branch family as E3ZERO (cross-reference)"),
+    ("T3", _t3, ""),
+    ("T4", _t4, ""),
+    ("P522", _p522, ""),
+    ("E3ZERO", _e3zero, "same two-branch family as T2 (cross-reference); "
+                        "claimed for D=A=0 but satisfies the system for any A>0 with D=0"),
+    ("KINK", _kink, "status adjudicated by the harness, never presumed"),
+    ("NEGCTRL", _negctrl, "deliberate non-solution used as a negative control"),
+)
+FAMILIES: dict[str, Family] = {kind: Family(factory, *CATALOG_ROWS[kind], note)
+                               for kind, factory, note in _FACTORIES}
 
-# Required entry parameters, used by the CLI for exhaustive diagnostics.
+# Required entry parameters of each family.
 ENTRY_PARAMS: dict[str, tuple[str, ...]] = {kind: f.params for kind, f in FAMILIES.items()}
 
 
@@ -441,10 +436,14 @@ def make_entry(kind: str, **params) -> CatalogEntry:
     """Build a catalog entry by family name; see ENTRY_PARAMS for required keys.
 
     Only those keys are recorded, so a custom KINK's callables stay out of id().
+    Every key but mshape is a number and must be finite.
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown catalog entry {kind!r}; known: {sorted(FAMILIES)}")
     fam = FAMILIES[kind]
+    for k in fam.params:
+        if k != "mshape" and k in params and not math.isfinite(params[k]):
+            raise ValueError(f"{kind} entry key {k} must be finite, got {k}={params[k]}")
     bind, region = fam.factory(**params)
     return CatalogEntry(kind, {k: params[k] for k in fam.params}, fam.note, bind, region)
 

@@ -16,11 +16,13 @@ or CFL underflow), 5 refuted wavefront background, 64 usage error,
 65 domain or parse error (a bad CSV initial condition included).
 
 Start-up: this module imports only the standard library and the package
-root, which holds the --scheme/--bc choices and DomainError.  Each command
-imports what it runs: only simulate loads the solver, every `lie` command
-but transform loads lie alone and no numpy, `catalog list` loads catalog
-and model, and conserve and wavefront add conservation or wavefront to
-those.
+root, which holds the --scheme/--bc choices, DomainError and each catalog
+family's keys and summary.  Each command imports what it runs: `catalog
+list` and an entry spec's usage errors load nothing more, every `lie`
+command but transform loads lie alone and no numpy, an entry spec that
+passes its usage checks loads catalog and model, conserve and wavefront
+add conservation or wavefront to those, and only simulate loads the
+solver.
 """
 
 import argparse
@@ -30,7 +32,7 @@ import sys
 import urllib.parse
 from pathlib import Path
 
-from . import BCS, SCHEMES, DomainError, __version__
+from . import BCS, CATALOG_ROWS, SCHEMES, DomainError, __version__
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
@@ -99,13 +101,13 @@ def parse_entry_spec(spec: str):
 
     Unknown names, missing keys and unknown keys are rejected with
     exhaustive diagnostics (usage errors); malformed or out-of-range values
-    raise ValueError.
+    raise ValueError.  Everything up to the values is checked from the
+    package root's CATALOG_ROWS, so a spec usage error loads no numpy.
     """
-    from .catalog import ENTRY_PARAMS, make_entry
     name, _, query = spec.partition("?")
-    if name not in ENTRY_PARAMS:
+    if name not in CATALOG_ROWS:
         raise UsageError(f"unknown catalog entry {name!r}; known entries: "
-                         + ", ".join(sorted(ENTRY_PARAMS)))
+                         + ", ".join(sorted(CATALOG_ROWS)))
     try:
         pairs = urllib.parse.parse_qsl(query, keep_blank_values=True,
                                        strict_parsing=bool(query))
@@ -114,7 +116,7 @@ def parse_entry_spec(spec: str):
     got = dict(pairs)
     if len(got) != len(pairs):
         raise UsageError(f"duplicate keys in entry spec {spec!r}")
-    required = ENTRY_PARAMS[name]
+    required = CATALOG_ROWS[name][0]
     missing = [k for k in required if k not in got]
     unknown = [k for k in got if k not in required]
     problems = []
@@ -134,6 +136,7 @@ def parse_entry_spec(spec: str):
                 params[k] = float(v)
             except ValueError as e:
                 raise ValueError(f"entry key {k}={v!r} is not a number") from e
+    from .catalog import make_entry
     return make_entry(name, **params)
 
 
@@ -170,9 +173,9 @@ def _csv(header: list, rows) -> str:
 
 
 def cmd_verify(args, argv) -> int:
+    entry = parse_entry_spec(args.entry)
     from .catalog import REFUTED, VERIFIED, verify_entry
     from .model import ModelParams
-    entry = parse_entry_spec(args.entry)
     mp = ModelParams(A=args.A, D=args.D)
     region = _region_from_args(args, entry, mp)
     rep = verify_entry(entry, mp, region, tol=args.tol)
@@ -265,12 +268,12 @@ def _field_from_csv(path: Path):
 
 
 def cmd_simulate(args, argv) -> int:
-    from .model import ModelParams
-    from .solver import Field, Grid, SolverConfig, SolverError, error_norms, run
-    mp = ModelParams(A=args.A, D=args.D)
     ic_path = Path(args.ic)
     from_csv = ic_path.suffix == ".csv" and ic_path.exists()
     entry = None if from_csv else parse_entry_spec(args.ic)
+    from .model import ModelParams
+    from .solver import Field, Grid, SolverConfig, SolverError, error_norms, run
+    mp = ModelParams(A=args.A, D=args.D)
 
     if args.surface:
         if entry is None:
@@ -370,9 +373,9 @@ def cmd_lie(args, argv) -> int:
         })
         return EXIT_OK
     if sub == "transform":
+        entry = parse_entry_spec(args.entry)
         from .catalog import GridRegion, verify_sampler
         from .model import ModelParams
-        entry = parse_entry_spec(args.entry)
         mp = ModelParams(A=args.A, D=args.D)
         sampler = entry.sampler(mp)
         transformed = group_transform(args.generator, args.eps, sampler)
@@ -415,11 +418,11 @@ def cmd_lie(args, argv) -> int:
 
 
 def cmd_conserve(args, argv) -> int:
+    entry = parse_entry_spec(args.entry)
     import numpy as np
 
     from .conservation import MultiplierConstants, divergence_residual, symmetry_conserved_vector
     from .model import ModelParams
-    entry = parse_entry_spec(args.entry)
     mp = ModelParams(A=args.A, D=args.D)
     c = MultiplierConstants(*_parse_vector(args.c, 3, "--c"))
     region = _region_from_args(args, entry, mp)
@@ -450,10 +453,10 @@ def cmd_conserve(args, argv) -> int:
 
 
 def cmd_wavefront(args, argv) -> int:
+    entry = parse_entry_spec(args.background)
     from .catalog import VERIFIED, verify_entry
     from .model import ModelParams
     from .wavefront import AmplitudeProblem, amplitude_quadrature
-    entry = parse_entry_spec(args.background)
     mp = ModelParams(A=args.A, D=args.D)
     rep = verify_entry(entry, mp, tol=1e-8)
     if rep.status != VERIFIED:
@@ -484,11 +487,10 @@ def cmd_wavefront(args, argv) -> int:
 
 
 def cmd_catalog(args, argv) -> int:
-    from .catalog import FAMILIES
     lines = []
-    for kind, fam in sorted(FAMILIES.items()):
-        req = ", ".join(fam.params) or "(no parameters)"
-        lines.append(f"{kind:8s} params: {req:28s} {fam.summary}")
+    for kind, (keys, summary) in sorted(CATALOG_ROWS.items()):
+        req = ", ".join(keys) or "(no parameters)"
+        lines.append(f"{kind:8s} params: {req:28s} {summary}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trafficflow.catalog import (GridRegion, PAPER_CLAIMED, REFUTED, VERIFIED,
-                                 make_entry, reduced_ode_residual_T3, verify_entry,
+from trafficflow import CATALOG_ROWS
+from trafficflow.catalog import (FAMILIES, KINK_SHAPES, GridRegion, PAPER_CLAIMED, REFUTED,
+                                 VERIFIED, make_entry, reduced_ode_residual_T3, verify_entry,
                                  verify_sampler)
 from trafficflow.lie import group_transform
 from trafficflow.model import DomainError, ModelParams, fd_partials
@@ -312,6 +313,13 @@ def test_entry_records_id_keys_and_note(kind, params, entry_id, keys, note):
     # params keeps the family's key order whatever the keyword order
     e = make_entry(kind, **params)
     assert (e.id(), list(e.params), e.note) == (entry_id, keys, note)
+
+
+def test_root_rows_are_the_families_keys_and_summaries():
+    assert CATALOG_ROWS == {kind: (f.params, f.summary) for kind, f in FAMILIES.items()}
+    # `catalog list` names the KINK shapes of KINK_SHAPES, in table order.
+    shapes = CATALOG_ROWS["KINK"][1].partition("mshape in {")[2].partition("}")[0]
+    assert tuple(shapes.split(", ")) == tuple(KINK_SHAPES)
 
 
 def test_custom_kink_records_only_its_shape_and_c1():

@@ -76,6 +76,21 @@ def test_verify_bad_value_exit_65(capsys):
     assert code == 65
 
 
+@pytest.mark.parametrize("spec,key", [
+    ("T1?p1=1&p2=2&b=nan", "b=nan"),
+    ("T2?p1=nan&b=1", "p1=nan"),
+    ("T3?p1=1&b=inf", "b=inf"),
+    ("T4?p1=1&b=-inf", "b=-inf"),
+    ("P522?p1=2&p2=1&e2=nan&e3=1&e4=3", "e2=nan"),
+    ("E3ZERO?p1=1&e1=inf&e2=0.5&e4=1", "e1=inf"),
+    ("KINK?mshape=sin&c1=nan", "c1=nan"),
+], ids=["T1", "T2", "T3", "T4", "P522", "E3ZERO", "KINK"])
+def test_verify_non_finite_entry_key_is_named(capsys, spec, key):
+    kind, name = spec.partition("?")[0], key.partition("=")[0]
+    assert run_cli(capsys, "verify", spec) == (
+        65, "", f"error: {kind} entry key {name} must be finite, got {key}\n")
+
+
 def test_verify_invalid_tolerance_exit_65(capsys):
     for tol in ("nan", "-1", "0", "inf"):
         code, out, err = run_cli(capsys, "verify", "T1?p1=1&p2=2&b=1", f"--tol={tol}")
@@ -595,9 +610,22 @@ def test_wavefront_refuted_background_exit_5(capsys):
     assert code == 5 and "REFUTED" in err
 
 
+_CATALOG_LIST = "".join(f"{kind:8s} params: {keys:28s} {summary}\n" for kind, keys, summary in (
+    ("E3ZERO", "p1, e1, e2, e4", "T2 family in (e1 x + e4, e1 t + e2); D=0"),
+    ("KINK", "mshape, c1", "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); "
+     "mshape in {sin, sec, cos, gauss}; D=0; status adjudicated by the harness"),
+    ("NEGCTRL", "(no parameters)", "rho=x+2, u=1; deliberate non-solution (negative control)"),
+    ("P522", "p1, p2, e2, e3, e4", "pressureless similarity solution; requires A=0, D=0"),
+    ("T1", "p1, p2, b", "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D"),
+    ("T2", "p1, b", "branch family in sqrt((x+b)^2-4At^2); D=0"),
+    ("T3", "p1, b", "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0"),
+    ("T4", "p1, b", "constants rho=p1/sqrt(A), u=b+sqrt(A); D=0, A>0"),
+))
+
+
 def test_catalog_list(capsys):
-    code, out, _ = run_cli(capsys, "catalog", "list")
-    assert code == 0
+    code, out, err = run_cli(capsys, "catalog", "list")
+    assert (code, out, err) == (0, _CATALOG_LIST, "")
     for kind in ("T1", "T2", "T3", "T4", "P522", "E3ZERO", "KINK", "NEGCTRL"):
         assert kind in out
     lines = out.splitlines()
@@ -640,8 +668,10 @@ def test_lie_killing_loads_only_what_it_runs():
 
 def test_only_simulate_loads_the_solver(tmp_path):
     spec = "T1?p1=1&p2=2&b=1"
-    for argv in (["catalog", "list"],
-                 ["verify", spec, "--nx", "5", "--nt", "5"],
+    assert _fresh_modules("from trafficflow import cli\n"
+                          "assert cli.main(['catalog', 'list']) == 0") == [
+        "trafficflow", "trafficflow.cli"]
+    for argv in (["verify", spec, "--nx", "5", "--nt", "5"],
                  ["conserve", "--entry", spec, "--which", "S4", "--c", "1,1,1", "--nx", "5",
                   "--nt", "5", "--out", str(tmp_path / "c.csv")],
                  ["wavefront", "--background", spec, "--pi0", "0.5", "--t-end", "2",
@@ -657,8 +687,37 @@ def test_only_simulate_loads_the_solver(tmp_path):
 def test_catalog_list_loads_neither_lie_nor_conservation():
     loaded = _fresh_modules("from trafficflow import cli\n"
                             "assert cli.main(['catalog', 'list']) == 0")
-    assert "trafficflow.catalog" in loaded
-    assert "trafficflow.lie" not in loaded and "trafficflow.conservation" not in loaded
+    assert loaded == ["trafficflow", "trafficflow.cli"]
+
+
+_SPEC_USAGE_ERRORS = {
+    "T9?p1=1": "unknown catalog entry 'T9'; known entries: "
+               "E3ZERO, KINK, NEGCTRL, P522, T1, T2, T3, T4",
+    "T1?p1=1&&p2=2&b=1": "malformed entry query 'p1=1&&p2=2&b=1': bad query field: ''",
+    "T1?p1=1&p1=2&p2=2&b=1": "duplicate keys in entry spec 'T1?p1=1&p1=2&p2=2&b=1'",
+    "T1?p1=1&p2=2": "entry T1 requires keys (p1, p2, b); missing keys: b",
+    "T1?p1=1&p2=2&b=1&zz=3": "entry T1 requires keys (p1, p2, b); unknown keys: zz",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "{spec}"],
+    ["simulate", "--ic", "{spec}"],
+    ["conserve", "--entry", "{spec}", "--which", "S4", "--c", "1,1,1"],
+    ["wavefront", "--background", "{spec}", "--pi0", "0.5"],
+    ["lie", "transform", "--generator", "1", "--eps", "0.1", "--entry", "{spec}"],
+], ids=["verify", "simulate", "conserve", "wavefront", "lie-transform"])
+def test_entry_spec_usage_errors_load_no_numpy(command):
+    # The spec is checked first: the invalid --A behind it is never reached.
+    code = "import contextlib, io\nfrom trafficflow import cli\n"
+    for spec, message in _SPEC_USAGE_ERRORS.items():
+        argv = [a.replace("{spec}", spec) for a in command] + ["--A", "nan"]
+        want = f"usage error: {message}\n"
+        code += (f"with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+                 f"    assert cli.main({argv!r}) == 64\n"
+                 f"assert err.getvalue() == {want!r}, err.getvalue()\n")
+    loaded = _fresh_modules(code)
+    assert "numpy" not in loaded and "trafficflow.model" not in loaded, loaded
 
 
 def test_package_names_are_their_submodules_objects():
