@@ -21,8 +21,8 @@ family's keys and summary.  Each command imports what it runs: `catalog
 list` and an entry spec's usage errors load nothing more, every `lie`
 command but transform loads lie alone and no numpy, an entry spec that
 passes its usage checks loads catalog and model, conserve and wavefront
-add conservation or wavefront to those, and only simulate loads the
-solver.
+add conservation or wavefront to those, and only simulate's finite-volume
+runs load the solver.
 """
 
 import argparse
@@ -272,13 +272,14 @@ def cmd_simulate(args, argv) -> int:
     from_csv = ic_path.suffix == ".csv" and ic_path.exists()
     entry = None if from_csv else parse_entry_spec(args.ic)
     from .model import ModelParams
-    from .solver import Field, Grid, SolverConfig, SolverError, error_norms, run
     mp = ModelParams(A=args.A, D=args.D)
 
     if args.surface:
         if entry is None:
             raise UsageError("--surface mode needs a catalog entry IC")
         return _surface_mode(args, argv, entry, mp)
+
+    from .solver import Field, Grid, SolverConfig, SolverError, error_norms, run
 
     if from_csv:
         grid, rho0, u0 = _field_from_csv(ic_path)
@@ -454,6 +455,10 @@ def cmd_conserve(args, argv) -> int:
 
 def cmd_wavefront(args, argv) -> int:
     entry = parse_entry_spec(args.background)
+    if args.D != 0.0:
+        # For D > 0 the velocity equation is parabolic: a jump in u_x does not ride
+        # u + sqrt(A), and the amplitude law has no meaning.
+        raise ValueError(f"wavefront needs the inviscid system (D = 0), got D={args.D}")
     from .catalog import VERIFIED, verify_entry
     from .model import ModelParams
     from .wavefront import AmplitudeProblem, amplitude_quadrature
@@ -470,7 +475,7 @@ def cmd_wavefront(args, argv) -> int:
     rows = list(zip(sol.times.tolist(), sol.xs.tolist(), sol.psi.tolist(),
                     sol.E.tolist(), sol.F.tolist(), sol.pi.tolist()))
     out = Path(args.out) if args.out else Path("wavefront.csv")
-    summary = {"pi_c": sol.pi_c,
+    summary = {"pi_c": sol.pi_c, "pi_c_err": sol.pi_c_err,
                "shock_time": sol.shock_time if math.isfinite(sol.shock_time) else "inf"}
     files = {
         out: _csv(["t", "x", "psi", "E", "F", "pi"], rows),

@@ -15,8 +15,9 @@ everything else decays.  A direct RK4 integration of the transport equation
 serves as the independent arbiter of the quadrature.
 """
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -92,22 +93,29 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(parts)))
 
 
-def _lambda2(prob: AmplitudeProblem, x: float, t: float) -> float:
-    if not prob.background.domain(x, t):
-        raise DomainError(f"characteristic path exits the background domain at (x={x}, t={t})")
-    return prob.background.eval(x, t).u + math.sqrt(prob.A)
+def _speed(prob: AmplitudeProblem):
+    """The wave speed u + sqrt(A) at (x, t), with the background looked up once."""
+    domain, ev, c = prob.background.domain, prob.background.eval, math.sqrt(prob.A)
+
+    def speed(x: float, t: float) -> float:
+        if not domain(x, t):
+            raise DomainError(f"characteristic path exits the background domain at (x={x}, t={t})")
+        return ev(x, t).u + c
+
+    return speed
 
 
 def _rk4_path(prob: AmplitudeProblem, ts: np.ndarray) -> np.ndarray:
+    speed = _speed(prob)
     xs = np.empty_like(ts)
     xs[0] = prob.x0
     for k in range(len(ts) - 1):
         t, x = float(ts[k]), float(xs[k])
         dt = float(ts[k + 1]) - t
-        k1 = _lambda2(prob, x, t)
-        k2 = _lambda2(prob, x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = _lambda2(prob, x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = _lambda2(prob, x + dt * k3, t + dt)
+        k1 = speed(x, t)
+        k2 = speed(x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = speed(x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = speed(x + dt * k3, t + dt)
         xs[k + 1] = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return xs
 
@@ -173,31 +181,103 @@ class AmplitudeSolution:
     F: np.ndarray
     pi: np.ndarray
     pi_c: float
+    pi_c_err: float             # 0.0 for the closed form
     shock_time: float           # math.inf when no shock forms
 
 
-def _limit_F(prob: AmplitudeProblem, t_end: float, n: int) -> float:
-    """Numeric limit of F(t) as t -> inf by Aitken extrapolation on a tail.
+# The tail of F behind pi_c.  Its nodes depend on t0 alone, never on t_end: TAIL_PANELS0
+# equal panels on [t0, t0 + L0] (h = 0.04 for |t0| <= 1), then TAIL_PANELS on each doubling
+# [t0 + 2^(k-1) L0, t0 + 2^k L0], so every geometric mark t0 + 2^k L0 is a node.
+TAIL_L0 = 10.0                  # times max(1, |t0|)
+TAIL_PANELS0 = 250
+TAIL_PANELS = 32
+TAIL_MIN_DOUBLINGS = 4          # F is always read out to t0 + 16 L0 ...
+TAIL_MAX_DOUBLINGS = 60         # ... and never past t0 + 2^60 L0
+TAIL_RTOL = 1e-10
 
-    F is read at t0 + 4L, 8L and 16L, L = max(t_end - t0, 10), on one path.
-    Returns math.inf when F keeps growing linearly (no damping), and NaN
-    when the background domain does not extend far enough to see the tail.
+
+def _wynn(s: list) -> float:
+    """Wynn's epsilon algorithm on the sequence s: the last entry of its highest even column.
+
+    A column whose differences vanish has converged, and the table stops there.
     """
-    L = max(t_end - prob.t0, 10.0)
-    m = -(-max(n, 4000) // 4) * 4      # a multiple of 4, so each mark is a node
-    ts = np.linspace(prob.t0, prob.t0 + 16.0 * L, m + 1)
-    try:
-        F = _integrate_along(prob, ts)[-1]
-    except DomainError:
-        return math.nan
-    f1, f2, f3 = (float(F[k]) for k in (m // 4, m // 2, m))
-    d1, d2 = f2 - f1, f3 - f2
+    prev, col, best = [0.0] * (len(s) + 1), list(s), s[-1]
+    for k in range(1, len(s)):
+        diffs = [b - a for a, b in zip(col, col[1:])]
+        if 0.0 in diffs:
+            break
+        prev, col = col, [p + 1.0 / d for p, d in zip(prev[1:], diffs)]
+        if k % 2 == 0:
+            best = col[-1]
+    return best
+
+
+def _tail_marks(prob: AmplitudeProblem, thin: int = 1):
+    """Yield F at t0 + L0, then at the end of each doubling, along one path.
+
+    Each stretch is integrated by ``_integrate_along`` from where the last one ended,
+    on 1/thin of the tail's panels; E and F carry over as E(T) and F(T).
+    """
+    L0 = TAIL_L0 * max(1.0, abs(prob.t0))
+    t, x, E, F = prob.t0, prob.x0, 1.0, 0.0
+    panels = TAIL_PANELS0 // thin
+    for k in range(TAIL_MAX_DOUBLINGS + 1):
+        ts = np.linspace(t, prob.t0 + 2.0 ** k * L0, panels + 1)
+        xs, _, Es, Fs = _integrate_along(replace(prob, x0=x, t0=t), ts)
+        t, x = float(ts[-1]), float(xs[-1])
+        F += E * float(Fs[-1])
+        E *= float(Es[-1])
+        yield F
+        panels = TAIL_PANELS // thin
+
+
+def _limit_F(Fm: list) -> float:
+    """Limit of F(t) as t -> inf from its values at the geometric marks.
+
+    F's last mark when F has stopped growing; math.inf when the last increment is at
+    least 0.98 times the one before (F grows without bound); else Wynn's epsilon.
+    """
+    d1, d2 = Fm[-2] - Fm[-3], Fm[-1] - Fm[-2]
     if d2 <= 0.0:
-        return f3
+        return Fm[-1]
     if d2 >= 0.98 * d1:
         return math.inf
-    # geometric-tail sum: remaining increments are d2*r + d2*r^2 + ... with r = d2/d1
-    return f3 + d2 * d2 / (d1 - d2)
+    return _wynn(Fm)
+
+
+def _pi_c_of(lim: float) -> float:
+    return 0.0 if lim == math.inf else (1.0 / lim if lim and not math.isnan(lim) else math.nan)
+
+
+def _critical_amplitude(prob: AmplitudeProblem) -> tuple[float, float]:
+    """pi_c and its error estimate: the closed form, else 1/lim F from the tail.
+
+    The tail extends one doubling at a time, from t0 + 16 L0 on, until two successive
+    Wynn estimates agree to TAIL_RTOL relative to F, F stops growing, or the cap.  A
+    second tail on half the nodes gives the error: the larger of pi_c's change and
+    F's largest change over the marks times both pi_c (~ pi_c^2 dF), since errors of
+    either sign from the first stretch and the doublings can cancel in the limit alone.
+    NaN when the background domain ends before the tail does.
+    """
+    if prob.psi_shift_b is not None:
+        return 3.0 / (2.0 * (prob.t0 + prob.psi_shift_b)), 0.0
+    Fm, est = [], math.nan
+    try:
+        for k, F in enumerate(_tail_marks(prob)):
+            Fm.append(F)
+            prev, est = est, _wynn(Fm)
+            if k >= TAIL_MIN_DOUBLINGS and (F <= Fm[-2] or abs(est - prev) <= TAIL_RTOL * F):
+                break
+    except DomainError:
+        return math.nan, math.nan
+    pi_c = _pi_c_of(_limit_F(Fm))
+    try:
+        half = list(itertools.islice(_tail_marks(prob, thin=2), len(Fm)))
+    except DomainError:
+        return pi_c, math.nan
+    pi_c_half = _pi_c_of(_limit_F(half))
+    spread = max(abs(a - b) for a, b in zip(Fm, half))
+    return pi_c, max(abs(pi_c - pi_c_half), pi_c * pi_c_half * spread)
 
 
 def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) -> AmplitudeSolution:
@@ -205,8 +285,10 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
 
     E and F are computed by composite Simpson on n panels along one RK4
     characteristic path.  pi_c uses the closed form 3/(2 (t0 + b)) when the
-    problem declares the T1-type damping, else a tail-extrapolated limit on
-    a second path.  The shock time is +inf unless 1 + pi0 F <= 0 at a node.
+    problem declares the T1-type damping (pi_c_err = 0), else 1/lim F from
+    Wynn's epsilon on a tail whose nodes do not depend on t_end, with
+    pi_c_err from a second tail on half its nodes (``_critical_amplitude``).
+    The shock time is +inf unless 1 + pi0 F <= 0 at a node.
     The first such node ends a panel, which is halved on the cubic Hermite
     interpolant of F (slopes F' = E) until its ends are adjacent doubles;
     the shock time is the end where 1 + pi0 F > 0, or the node itself when
@@ -220,11 +302,7 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
     ts = np.linspace(prob.t0, t_end, n + 1)
     xs, psi, E, F = _integrate_along(prob, ts)
 
-    if prob.psi_shift_b is not None:
-        pi_c = 3.0 / (2.0 * (prob.t0 + prob.psi_shift_b))
-    else:
-        lim = _limit_F(prob, t_end, n)
-        pi_c = 0.0 if lim == math.inf else (1.0 / lim if lim and not math.isnan(lim) else math.nan)
+    pi_c, pi_c_err = _critical_amplitude(prob)
 
     denom = 1.0 + prob.pi0 * F
     past = np.flatnonzero(denom <= 0.0)     # never node 0, where F = 0
@@ -253,7 +331,7 @@ def amplitude_quadrature(prob: AmplitudeProblem, t_end: float, n: int = 2000) ->
     pi = np.full_like(ts, math.nan)
     pi[live] = prob.pi0 * E[live] / denom[live]
     return AmplitudeSolution(times=ts, xs=xs, psi=psi, E=E, F=F, pi=pi,
-                             pi_c=pi_c, shock_time=shock_time)
+                             pi_c=pi_c, pi_c_err=pi_c_err, shock_time=shock_time)
 
 
 @dataclass
@@ -278,8 +356,10 @@ def amplitude_direct(prob: AmplitudeProblem, t_end: float, dt: float) -> Amplitu
     """
     ts = _time_nodes(prob, t_end, dt)
 
+    speed = _speed(prob)
+
     def rhs(x: float, pi: float, t: float) -> tuple[float, float]:
-        lam = _lambda2(prob, x, t)
+        lam = speed(x, t)
         return lam, -pi * pi - psi_along(prob, x, t) * pi
 
     xs = [prob.x0]

@@ -522,7 +522,7 @@ def test_wavefront_outputs_and_summary(capsys, tmp_path):
                              "--A", "1", "--pi0", "-1.5", "--t-end", "3",
                              "--out", str(out))
     assert code == 0
-    assert summary["pi_c"] == pytest.approx(0.75, abs=1e-6)
+    assert summary["pi_c"] == pytest.approx(0.75, abs=1e-6) and summary["pi_c_err"] == 0.0
     assert summary["shock_time"] == pytest.approx(2.0 ** (5.0 / 3.0) - 1.0, abs=1e-4)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,x,psi,E,F,pi"
@@ -604,6 +604,26 @@ def test_wavefront_non_finite_input_exit_65(capsys, tmp_path, flag, value):
     assert err == f"error: {flag[2:].replace('-', '_')} must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("t_end", ["15", "1e6", "1e20"])
+def test_wavefront_tail_pi_c_does_not_depend_on_t_end(capsys, tmp_path, t_end):
+    # T3 has Psi = 2/t: F(inf) = t0 = 1.  The tail's nodes never see t_end.
+    code, summary = out_json(capsys, "wavefront", "--background", "T3?p1=2&b=1", "--A", "1",
+                             "--pi0", "0.2", "--x0", "0.5", "--t0", "1", "--n", "10",
+                             "--t-end", t_end, "--out", str(tmp_path / "w.csv"))
+    assert code == 0
+    assert abs(summary["pi_c"] - 1.0) <= min(1e-6, summary["pi_c_err"])
+
+
+def test_wavefront_viscous_model_exit_65(capsys, tmp_path, monkeypatch):
+    # For D > 0 the amplitude law has no meaning: the run stops before the background check.
+    import trafficflow.catalog as catalog
+    monkeypatch.setattr(catalog, "verify_entry", lambda *a, **k: pytest.fail("verify_entry ran"))
+    code, stdout, err = run_cli(capsys, "wavefront", "--background", "T1?p1=1&p2=2&b=1",
+                                "--pi0", "-1", "--D", "0.5", "--out", str(tmp_path / "w.csv"))
+    assert (code, stdout) == (65, "") and list(tmp_path.iterdir()) == []
+    assert err == "error: wavefront needs the inviscid system (D = 0), got D=0.5\n"
+
+
 def test_wavefront_refuted_background_exit_5(capsys):
     code, _, err = run_cli(capsys, "wavefront", "--background", "NEGCTRL",
                            "--pi0", "0.5", "--t0", "1", "--t-end", "2")
@@ -675,7 +695,9 @@ def test_only_simulate_loads_the_solver(tmp_path):
                  ["conserve", "--entry", spec, "--which", "S4", "--c", "1,1,1", "--nx", "5",
                   "--nt", "5", "--out", str(tmp_path / "c.csv")],
                  ["wavefront", "--background", spec, "--pi0", "0.5", "--t-end", "2",
-                  "--n", "50", "--out", str(tmp_path / "w.csv")]):
+                  "--n", "50", "--out", str(tmp_path / "w.csv")],
+                 ["simulate", "--ic", spec, "--surface", "x:-1:1:5", "t:1:2:5",
+                  "--out", str(tmp_path / "surf.csv")]):
         loaded = _fresh_modules(f"from trafficflow import cli\nassert cli.main({argv!r}) == 0")
         assert "trafficflow.model" in loaded and "trafficflow.solver" not in loaded, argv
     loaded = _fresh_modules("from trafficflow import cli\nassert cli.main(['simulate', '--ic', "

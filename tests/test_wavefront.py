@@ -111,18 +111,38 @@ def test_t1_F_matches_closed_form():
 
 def test_critical_amplitude_closed_form():
     sol = amplitude_quadrature(_t1_problem(0.5), 10.0, n=500)
-    assert abs(sol.pi_c - 0.75) <= 1e-6
+    assert abs(sol.pi_c - 0.75) <= 1e-6 and sol.pi_c_err == 0.0
 
 
 def test_critical_amplitude_numeric_limit():
     sol = amplitude_quadrature(_t1_problem(0.5, closed_form=False), 10.0, n=1000)
-    assert abs(sol.pi_c - 0.75) <= 1e-3
+    assert abs(sol.pi_c - 0.75) <= 1e-6
 
     t3 = make_entry("T3", p1=2, b=1).sampler(MP1)
     p3 = AmplitudeProblem(background=t3, A=1.0, x0=0.5, t0=1.0, pi0=0.2)
     sol3 = amplitude_quadrature(p3, 15.0, n=1000)
     # Psi = 2/t gives E = t^-2, F(inf) = t0 = 1
-    assert abs(sol3.pi_c - 1.0) <= 1e-3
+    assert abs(sol3.pi_c - 1.0) <= 1e-6
+
+
+def _t3_problem():
+    t3 = make_entry("T3", p1=2, b=1).sampler(MP1)
+    return AmplitudeProblem(background=t3, A=1.0, x0=0.5, t0=1.0, pi0=0.2)
+
+
+@pytest.mark.parametrize("t_end", [3.0, 15.0, 1e6, 1e20])
+@pytest.mark.parametrize("case", ["T1", "T3"])
+def test_tail_pi_c_is_within_its_error_of_exact_for_any_t_end(case, t_end):
+    prob, exact = ((_t1_problem(0.5, closed_form=False), 0.75) if case == "T1"
+                   else (_t3_problem(), 1.0))
+    sol = amplitude_quadrature(prob, t_end, n=10)
+    assert abs(sol.pi_c - exact) <= sol.pi_c_err <= 1e-6
+
+
+def test_tail_pi_c_of_a_slow_background():
+    # b = 1000 keeps F nearly linear well past t0 + 16 L0; the tail runs on until it settles.
+    sol = amplitude_quadrature(_t1_problem(0.5, b=1000.0, closed_form=False), 3.0, n=10)
+    assert abs(sol.pi_c - 3.0 / 2002.0) <= min(1e-6, sol.pi_c_err)
 
 
 def _counted_t1(closed_form):
@@ -142,12 +162,13 @@ def _counted_t1(closed_form):
 
 
 def test_tail_limit_integrates_one_path():
-    # One path to t0 + 16L supplies F at all three marks: 4 RK4 stages on
-    # 1000 + 4000 steps; three restarted tail paths cost 54,084.
+    # The tail extends its path doubling by doubling and never restarts it: 4 RK4 stages on
+    # 1000 main steps, 538 tail steps (to t0 + 2^9 L0) and 269 at half density, plus one
+    # Psi call on the main path and one per stretch of each tail (10 + 10).
     prob, calls = _counted_t1(closed_form=False)
     sol = amplitude_quadrature(prob(-2.0), 3.0, n=1000)
-    assert calls["eval"] <= 23000
-    assert abs(sol.pi_c - 0.75) <= 1e-4
+    assert calls["eval"] <= 7249
+    assert abs(sol.pi_c - 0.75) <= 1e-6
 
 
 def test_shock_on_a_node_divides_by_nothing():
@@ -348,7 +369,7 @@ def test_problem_validation():
 
 
 def test_tail_pi_c_is_nan_when_the_domain_ends_early():
-    # The tail path runs to t0 + 16 L = 161 with L = 10; this background ends at t = 50.
+    # The tail path always runs to t0 + 16 L0 = 161 with L0 = 10; this background ends at t = 50.
     s = make_entry("T1", p1=0, p2=1, b=1).sampler(MP1)
     short = SolutionSampler(eval=s.eval, partials=s.partials,
                             domain=lambda x, t: np.logical_and(s.domain(x, t), t < 50.0))
@@ -359,17 +380,20 @@ def test_tail_pi_c_is_nan_when_the_domain_ends_early():
 
 def test_tail_limit_of_a_saturated_F_is_its_last_mark():
     # rho = e^{10x}, u = -0.99 gives Psi = 5: F = (1 - e^{-5 (t - t0)}) / 5 reaches its
-    # float limit before t0 + 8L, so the tail sees no growth and takes F at t0 + 16L.
+    # float limit before t0 + 4 L0, so the tail sees no growth and takes F at t0 + 16 L0.
     flat = SolutionSampler(
         eval=lambda x, t: StatePoint(rho=np.exp(10.0 * x), u=-0.99 + 0.0 * x),
         partials=lambda x, t: Partials(rho_t=0.0 * t, rho_x=10.0 * np.exp(10.0 * x),
                                        u_t=0.0, u_x=0.0, u_xx=0.0))
     prob = AmplitudeProblem(background=flat, A=1.0, x0=0.0, t0=1.0, pi0=0.5)
     sol = amplitude_quadrature(prob, 3.0, n=100)
-    ts = np.linspace(1.0, 161.0, 4001)
+    # The tail's nodes to t0 + 16 L0: 250 panels on [1, 11], then 32 on each doubling.
+    ts = np.concatenate([np.linspace(1.0, 11.0, 251)] + [
+        np.linspace(1.0 + 10.0 * 2 ** (k - 1), 1.0 + 10.0 * 2 ** k, 33)[1:] for k in range(1, 5)])
     F = _integrate_along(prob, ts)[-1]
-    assert F[2000] == F[4000] and sol.pi_c == 1.0 / float(F[4000])
-    assert abs(sol.pi_c - 5.0) <= 1e-4
+    assert ts[-1] == 161.0 and F[314] == F[-1]             # F at t0 + 4 L0 and t0 + 16 L0
+    assert sol.pi_c == 1.0 / float(F[-1])
+    assert abs(sol.pi_c - 5.0) <= min(1e-4, sol.pi_c_err)
 
 
 def test_direct_truncates_where_the_background_overflows():
