@@ -166,14 +166,15 @@ def _require_inviscid(mp: ModelParams, kind: str) -> None:
         raise ValueError(f"{kind} is claimed for the inviscid model only (D=0), got D={mp.D}")
 
 
+# The samplers build StatePoint(rho, u) and Partials(rho_t, rho_x, u_t, u_x, u_xx)
+# positionally, which costs less per point than passing them by keyword.
 def _t1(p1: float, p2: float, b: float):
     def ev(x, t):
-        return StatePoint(rho=p2 / (t + b), u=(x + p1) / (t + b))
+        return StatePoint(p2 / (t + b), (x + p1) / (t + b))
 
     def pt(x, t):
         w = t + b
-        return Partials(rho_t=-p2 / (w * w), rho_x=0.0,
-                        u_t=-(x + p1) / (w * w), u_x=1.0 / w, u_xx=0.0)
+        return Partials(-p2 / (w * w), 0.0, -(x + p1) / (w * w), 1.0 / w, 0.0)
 
     def dom(x, t):
         return p2 * (t + b) > 0.0
@@ -201,7 +202,7 @@ def _t2_core(p1: float, shift_x: float, scale_x: float, shift_t: float, scale_t:
         def ev(x, t):
             X, T = XT(x, t)
             S = _sqrt(X * X - 4.0 * A * T * T)
-            return StatePoint(rho=2.0 * p1 / (S - X), u=(X + S) / (2.0 * T))
+            return StatePoint(2.0 * p1 / (S - X), (X + S) / (2.0 * T))
 
         def pt(x, t):
             X, T = XT(x, t)
@@ -212,7 +213,7 @@ def _t2_core(p1: float, shift_x: float, scale_x: float, shift_t: float, scale_t:
             u_x = scale_x * (S + X) / (2.0 * T * S)
             u_t = St / (2.0 * T) - scale_t * (X + S) / (2.0 * T * T)
             u_xx = -2.0 * A * scale_x ** 2 * T / (S * S * S)
-            return Partials(rho_t=rho_t, rho_x=rho_x, u_t=u_t, u_x=u_x, u_xx=u_xx)
+            return Partials(rho_t, rho_x, u_t, u_x, u_xx)
 
         def dom(x, t):
             X, T = XT(x, t)
@@ -254,14 +255,14 @@ def _t3(p1: float, b: float):
 
         def ev(x, t):
             rho = (p1 / t) * _exp((t * _log(t) - x - b) / (t * A))
-            return StatePoint(rho=rho, u=(x + b) / t + 1.0)
+            return StatePoint(rho, (x + b) / t + 1.0)
 
         def pt(x, t):
             rho = (p1 / t) * _exp((t * _log(t) - x - b) / (t * A))
             phi_x = -1.0 / (t * A)
             phi_t = 1.0 / (t * A) + (x + b) / (t * t * A)
-            return Partials(rho_t=rho * (-1.0 / t + phi_t), rho_x=rho * phi_x,
-                            u_t=-(x + b) / (t * t), u_x=1.0 / t, u_xx=0.0)
+            return Partials(rho * (-1.0 / t + phi_t), rho * phi_x,
+                            -(x + b) / (t * t), 1.0 / t, 0.0)
 
         def dom(x, t):
             return (t > 0.0) & (t + b != 0.0)
@@ -279,10 +280,9 @@ def _t4(p1: float, b: float):
         _require(mp.A > 0.0, "T4 requires A > 0 (rho = p1/sqrt(A))")
         rho, u = p1 / mp.sqrt_A, b + mp.sqrt_A
         return SolutionSampler(
-            eval=lambda x, t: StatePoint(rho=_filled(rho, x, t), u=u),
+            eval=lambda x, t: StatePoint(_filled(rho, x, t), u),
             domain=lambda x, t: _filled(True, x, t),
-            partials=lambda x, t: Partials(rho_t=_filled(0.0, x, t), rho_x=0.0, u_t=0.0,
-                                           u_x=0.0, u_xx=0.0))
+            partials=lambda x, t: Partials(_filled(0.0, x, t), 0.0, 0.0, 0.0, 0.0))
 
     return bind, lambda mp: GridRegion(-5.0, 5.0, 41, 0.0, 3.0, 41)
 
@@ -297,15 +297,14 @@ def _p522(p1: float, p2: float, e2: float, e3: float, e4: float):
 
     def ev(x, t):
         S = _sqrt(W(x, t))
-        return StatePoint(rho=p1 / S, u=e3 * t / e2 + (e4 - S) / e2)
+        return StatePoint(p1 / S, e3 * t / e2 + (e4 - S) / e2)
 
     def pt(x, t):
         S = _sqrt(W(x, t))
         Sx = -e2 * e3 / S
         St = e3 * (e3 * t + e4) / S
-        return Partials(rho_t=-p1 * St / (S * S), rho_x=-p1 * Sx / (S * S),
-                        u_t=e3 / e2 - St / e2, u_x=-Sx / e2,
-                        u_xx=e2 * e3 ** 2 / (S * S * S))
+        return Partials(-p1 * St / (S * S), -p1 * Sx / (S * S), e3 / e2 - St / e2, -Sx / e2,
+                        e2 * e3 ** 2 / (S * S * S))
 
     def dom(x, t):
         return W(x, t) > 0.0
@@ -373,7 +372,7 @@ def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
         def ev(x, t):
             m = fM(x)
             z = sa * fMp(x) * (c1 + t) / m
-            return StatePoint(rho=m, u=-sa * _tanh(z))
+            return StatePoint(m, -sa * _tanh(z))
 
         def pt(x, t):
             m, m1, m2, m3 = fM(x), fMp(x), fMpp(x), fMppp(x)
@@ -384,10 +383,8 @@ def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
             z_x = sa * (c1 + t) * (m2 * m - m1 * m1) / (m * m)
             z_xx = (sa * (c1 + t) * (m3 * m * m - 3.0 * m2 * m1 * m + 2.0 * (m1 * m1 * m1))
                     / (m * m * m))
-            return Partials(rho_t=0.0, rho_x=m1,
-                            u_t=-sa * sech2 * z_t,
-                            u_x=-sa * sech2 * z_x,
-                            u_xx=-sa * sech2 * (z_xx - 2.0 * _tanh(z) * z_x * z_x))
+            return Partials(0.0, m1, -sa * sech2 * z_t, -sa * sech2 * z_x,
+                            -sa * sech2 * (z_xx - 2.0 * _tanh(z) * z_x * z_x))
 
         return SolutionSampler(eval=ev, domain=dom,
                                partials=pt if fMpp is not None and fMppp is not None else None)
@@ -397,9 +394,8 @@ def _kink(mshape: str, c1: float, M: Optional[Callable] = None,
 
 def _negctrl():
     sampler = SolutionSampler(
-        eval=lambda x, t: StatePoint(rho=x + 2.0, u=1.0), domain=lambda x, t: x > -2.0,
-        partials=lambda x, t: Partials(rho_t=_filled(0.0, x, t), rho_x=1.0, u_t=0.0, u_x=0.0,
-                                       u_xx=0.0))
+        eval=lambda x, t: StatePoint(x + 2.0, 1.0), domain=lambda x, t: x > -2.0,
+        partials=lambda x, t: Partials(_filled(0.0, x, t), 1.0, 0.0, 0.0, 0.0))
     return lambda mp: sampler, lambda mp: GridRegion(-1.0, 5.0, 41, 0.0, 2.0, 41)
 
 

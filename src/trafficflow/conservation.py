@@ -181,19 +181,20 @@ def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams
 
 
 def _vector(which: str, c: MultiplierConstants, p: ModelParams, s: SolutionSampler,
-            x, t, h_step: float):
-    """The (Ux, Ut) row at points the caller has checked, with a checked row and step."""
+            x, t, h_step: float, flux: bool = True):
+    """The (Ux, Ut) row at points the caller has checked, with a checked row and step.
+
+    With flux=False, Ut alone, which needs neither the mixed derivative u_tx
+    nor the flux terms: neither is computed, and DxV_u goes unused.
+    """
     st = s.eval(x, t)
     d = s.partials(x, t) if s.partials is not None else fd_partials(s, x, t, order=2, h=h_step)
     rho, u = st.rho, st.u
-    A, D = p.A, p.D
-    c1, c2, c3 = c.c1, c.c2, c.c3
-
     h, g = _substitution(c, p, st)
-    visc = -c1 * D * d.u_x / rho + D * (c1 * u + c2) * d.rho_x / (rho * rho)
-    Q = (c1 * u + c3) * u + (c1 * rho + c2) * A / rho
+    D = p.D
 
-    u_tx = _mixed_u_tx(s, x, t, h_step) if D != 0.0 and which in ("S1", "S2") else 0.0
+    u_tx = (_mixed_u_tx(s, x, t, h_step) if flux and D != 0.0 and which in ("S1", "S2")
+            else 0.0)
     if which == "S1":    # x d/dx + t d/dt - rho d/drho
         V_rho, V_u = rho + x * d.rho_x + t * d.rho_t, x * d.u_x + t * d.u_t
         DxV_u = d.u_x + x * d.u_xx + t * u_tx
@@ -203,9 +204,15 @@ def _vector(which: str, c: MultiplierConstants, p: ModelParams, s: SolutionSampl
         V_rho, V_u, DxV_u = t * d.rho_x, t * d.u_x - 1.0, t * d.u_xx
     else:                # S4: d/dx
         V_rho, V_u, DxV_u = d.rho_x, d.u_x, d.u_xx
+    Ut = -g * V_u - h * V_rho
+    if not flux:
+        return Ut
+
+    A, c1, c2, c3 = p.A, c.c1, c.c2, c.c3
+    visc = -c1 * D * d.u_x / rho + D * (c1 * u + c2) * d.rho_x / (rho * rho)
+    Q = (c1 * u + c3) * u + (c1 * rho + c2) * A / rho
     sign = _PRINTED_SIGN[which]
     Ux = D * g * DxV_u / rho + (visc - sign * h * rho - sign * g * u) * V_u - V_rho * Q
-    Ut = -g * V_u - h * V_rho
     return Ux, Ut
 
 
@@ -218,6 +225,7 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     the step and the four stencil nodes are checked once, here (the mixed
     derivative of the viscous S1 and S2 rows checks its own nodes); a node
     that rounds onto (x, t) is a DomainError, since it would read as conserved.
+    Ux is taken at the x-nodes only and Ut at the t-nodes only.
     """
     _require_row(which)
     require_step(h_step)
@@ -228,7 +236,7 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
                 f" with step {h_step} rounds onto its centre", x=x, t=t)
     Uxp, _ = _vector(which, c, p, s, xp, t, h_step)
     Uxm, _ = _vector(which, c, p, s, xm, t, h_step)
-    _, Utp = _vector(which, c, p, s, x, tp, h_step)
-    _, Utm = _vector(which, c, p, s, x, tm, h_step)
+    Utp = _vector(which, c, p, s, x, tp, h_step, flux=False)
+    Utm = _vector(which, c, p, s, x, tm, h_step, flux=False)
     return (Uxp - Uxm) / (2.0 * h_step) + (Utp - Utm) / (2.0 * h_step)
 

@@ -426,12 +426,12 @@ def group_transform(i: int, eps: float, s: SolutionSampler) -> SolutionSampler:
     def ev(x, t):
         base = s.eval(*pullback(x, t))
         # Without a boost u is passed on as is: adding 0.0 would turn -0.0 into 0.0.
-        return StatePoint(rho=a * base.rho, u=c + base.u if c else base.u)
+        return StatePoint(a * base.rho, c + base.u if c else base.u)
 
     def pt(x, t):
         d = s.partials(*pullback(x, t))
-        return Partials(rho_t=a * a * d.rho_t - c * d.rho_x, rho_x=a * a * d.rho_x,
-                        u_t=a * d.u_t - c * d.u_x, u_x=a * d.u_x, u_xx=a * a * d.u_xx)
+        return Partials(a * a * d.rho_t - c * d.rho_x, a * a * d.rho_x, a * d.u_t - c * d.u_x,
+                        a * d.u_x, a * a * d.u_xx)
 
     def dom(x, t):
         return s.domain(*pullback(x, t))

@@ -101,7 +101,8 @@ def _validated(names, values) -> tuple:
 class StatePoint:
     """State (rho, u) at a point or on a grid.  Density must be strictly positive.
 
-    Floats are checked on a fast path; arrays are broadcast to one shape."""
+    Fields in order rho, u; samplers pass them positionally.  Floats are
+    checked on a fast path; arrays are broadcast to one shape."""
 
     rho: float
     u: float
@@ -117,7 +118,9 @@ class StatePoint:
 class Partials:
     """First derivatives of (rho, u) plus u_xx at a point or on a grid.
 
-    Like StatePoint, the fields are floats or arrays broadcast to one shape.
+    Fields in order rho_t, rho_x, u_t, u_x, u_xx; samplers pass them
+    positionally.  Like StatePoint, the fields are floats or arrays broadcast
+    to one shape.
     """
 
     rho_t: float
@@ -265,7 +268,7 @@ def fd_partials_unchecked(s: SolutionSampler, x, t, order: int, h) -> Partials:
     rho_t = sum(w * at_t[k].rho for k, w in zip(offsets, w1)) / h
     u_t = sum(w * at_t[k].u for k, w in zip(offsets, w1)) / h
     u_xx = sum(w * at_x[k].u for k, w in zip(off2, w2)) / (h * h)
-    return Partials(rho_t=rho_t, rho_x=rho_x, u_t=u_t, u_x=u_x, u_xx=u_xx)
+    return Partials(rho_t, rho_x, u_t, u_x, u_xx)
 
 
 def residual_from_partials(p: ModelParams, s: StatePoint, d: Partials) -> tuple[float, float]:

@@ -235,12 +235,13 @@ def _limit_F(Fm: list) -> float:
     """Limit of F(t) as t -> inf from its values at the geometric marks.
 
     F's last mark when F has stopped growing; math.inf when the last increment is at
-    least 0.98 times the one before (F grows without bound); else Wynn's epsilon.
+    least the one before (increments that do not shrink sum without bound); else Wynn's
+    epsilon, which also extrapolates increments that shrink slowly.
     """
     d1, d2 = Fm[-2] - Fm[-3], Fm[-1] - Fm[-2]
     if d2 <= 0.0:
         return Fm[-1]
-    if d2 >= 0.98 * d1:
+    if d2 >= d1:
         return math.inf
     return _wynn(Fm)
 

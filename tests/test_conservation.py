@@ -206,11 +206,11 @@ def test_symmetry_vector_rejects_unknown_row():
             with pytest.raises(ValueError, match=r"^which must be one of \('S1', 'S2', 'S3', "
                                                  r"'S4'\)$"):
                 call("S5", MultiplierConstants(1, 0, 0), MP1, s, 1.0, t, 1e-3)
-    assert calls == {"eval": 0, "domain": 0}
+    assert calls == {"eval": 0, "partials": 0, "domain": 0}
 
 
 def _counted(s):
-    calls = {"eval": 0, "domain": 0}
+    calls = {"eval": 0, "partials": 0, "domain": 0}
 
     def count(name, fn):
         def wrapped(x, t):
@@ -218,8 +218,9 @@ def _counted(s):
             return fn(x, t)
         return wrapped
 
-    return SolutionSampler(eval=count("eval", s.eval), domain=count("domain", s.domain),
-                           partials=s.partials), calls
+    return SolutionSampler(
+        eval=count("eval", s.eval), domain=count("domain", s.domain),
+        partials=count("partials", s.partials) if s.partials is not None else None), calls
 
 
 @pytest.mark.parametrize("h_step", [0.0, -1e-3, math.nan, math.inf, 1e-170, 1e-320])
@@ -274,12 +275,14 @@ def test_a_step_that_rounds_away_is_rejected_at_points_and_on_grids():
 
 @pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
 def test_scalar_divergence_checks_its_stencil_once(which):
-    # Four stencil nodes; at D != 0 the S1 and S2 rows also check the two
-    # t-nodes of the mixed derivative at each of those four nodes.
+    # Four stencil nodes, each evaluated once; at D != 0 the S1 and S2 rows
+    # also check and evaluate the two t-nodes of the mixed derivative at each
+    # x-node, the only nodes whose Ux needs u_tx.
     mp = ModelParams(A=1.0, D=0.4)
     s, calls = _counted(_t1_sampler(mp))
     divergence_residual(which, MultiplierConstants(1.0, 0.5, 0.2), mp, s, 1.0, 1.5, 1e-3)
-    assert calls["domain"] == (12 if which in ("S1", "S2") else 4)
+    viscous = which in ("S1", "S2")
+    assert calls == {"eval": 4, "partials": 8 if viscous else 4, "domain": 8 if viscous else 4}
 
 
 @pytest.mark.parametrize("analytic", [True, False])

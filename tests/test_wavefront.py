@@ -396,6 +396,22 @@ def test_tail_limit_of_a_saturated_F_is_its_last_mark():
     assert abs(sol.pi_c - 5.0) <= min(1e-4, sol.pi_c_err)
 
 
+@pytest.mark.parametrize("c", [0.9, 1.0, 1.001, 1.01, 1.05])
+def test_tail_pi_c_of_a_slowly_converging_F(c):
+    # rho = 1, u = 2c x/(5t) gives Psi = c/t: from t0 = 1, E = t^-c and F -> 1/(c - 1)
+    # for c > 1, so pi_c = c - 1, while F grows without bound for c <= 1.  Near c = 1
+    # F's increments over the doublings shrink by only 2^(1-c) each: slowly, but F
+    # converges.
+    s = SolutionSampler(
+        eval=lambda x, t: StatePoint(1.0 + 0.0 * x, 0.4 * c * x / t),
+        domain=lambda x, t: t > 0.0,
+        partials=lambda x, t: Partials(0.0 * x, 0.0, -0.4 * c * x / (t * t),
+                                       0.4 * c / t + 0.0 * x, 0.0))
+    prob = AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=0.5)
+    sol = amplitude_quadrature(prob, 3.0, n=10)
+    assert abs(sol.pi_c - max(c - 1.0, 0.0)) <= sol.pi_c_err + 1e-9
+
+
 def test_direct_truncates_where_the_background_overflows():
     # rho = e^x along x = 700 + 2t: the last RK4 stage of the step from t = 4.5 reaches
     # x = 710, where math.exp overflows, so the trace ends at t = 4.5.
