@@ -93,8 +93,9 @@ class GridRegion:
 def _elementwise(f: Callable) -> Callable:
     """numpy's f, returning a float for a float.
 
-    A point and a grid get the same rounding, and point callers (the RK4
-    path) keep to float arithmetic, several times cheaper than numpy scalars.
+    A point and a grid get the same rounding, and point callers (the steps
+    along a wavefront path) keep to float arithmetic, several times cheaper
+    than numpy scalars.
     """
     return lambda v: float(f(v)) if isinstance(v, float) else f(v)
 

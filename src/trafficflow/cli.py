@@ -476,7 +476,8 @@ def cmd_wavefront(args, argv) -> int:
                     sol.E.tolist(), sol.F.tolist(), sol.pi.tolist()))
     out = Path(args.out) if args.out else Path("wavefront.csv")
     summary = {"pi_c": sol.pi_c, "pi_c_err": sol.pi_c_err,
-               "shock_time": sol.shock_time if math.isfinite(sol.shock_time) else "inf"}
+               "shock_time": sol.shock_time if math.isfinite(sol.shock_time) else "inf",
+               "shock_time_err": sol.shock_time_err}
     files = {
         out: _csv(["t", "x", "psi", "E", "F", "pi"], rows),
         Path(str(out) + ".summary.json"): _dump_json(summary),

@@ -546,6 +546,11 @@ def test_wavefront_zero_amplitude_column(capsys, tmp_path):
     assert all(v == 0.0 for v in pis)
 
 
+def _t1_shock_time(pi0):
+    # T1 with b = 1 from t0 = 1: 1 + pi0 F = 0 at t = 2 (1 - 3/(4 |pi0|))^(-2/3) - 1
+    return 2.0 * (1.0 - 3.0 / (4.0 * abs(pi0))) ** (-2.0 / 3.0) - 1.0
+
+
 def test_wavefront_shock_on_a_node(capsys, tmp_path):
     # pi0 = -1/F at t = 1.285 (node 57 of 400): the shock sits on a node.
     out = tmp_path / "w.csv"
@@ -553,17 +558,23 @@ def test_wavefront_shock_on_a_node(capsys, tmp_path):
                                 "--A", "1", "--pi0", "-4.140703747289027", "--t0", "1",
                                 "--t-end", "3", "--n", "400", "--out", str(out))
     assert code == 0 and err == ""
-    assert json.loads(stdout)["shock_time"] == 1.2850000000000001
-    assert "inf" not in out.read_text()
+    summary = json.loads(stdout)
+    shock = summary["shock_time"]
+    assert abs(shock - _t1_shock_time(-4.140703747289027)) <= summary["shock_time_err"] <= 1e-6
+    text = out.read_text()
+    assert "inf" not in text
+    rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+    assert all(math.isfinite(float(r[5])) == (float(r[0]) < shock) for r in rows)
 
 
 def test_wavefront_shock_on_a_wide_panel(capsys, tmp_path):
-    # Panels of 1e19 need ~115 halvings to reach adjacent doubles.
+    # Ten output panels of 1e19 say nothing about F; the pass resolves it on its own steps.
     code, stdout, err = run_cli(capsys, "wavefront", "--background", "T1?p1=1&p2=2&b=1",
                                 "--pi0", "-1", "--t-end", "1e20", "--n", "10",
                                 "--out", str(tmp_path / "w.csv"))
     assert code == 0 and err == ""
-    assert 1.0 <= json.loads(stdout)["shock_time"] <= 1e20
+    summary = json.loads(stdout)
+    assert abs(summary["shock_time"] - _t1_shock_time(-1.0)) <= summary["shock_time_err"] <= 1e-6
 
 
 def test_wavefront_overflowing_partials_far_along_the_path(capsys, tmp_path):
@@ -577,21 +588,23 @@ def test_wavefront_overflowing_partials_far_along_the_path(capsys, tmp_path):
     assert summary["pi_c"] == 0.75 and math.isfinite(summary["shock_time"])
 
 
-def test_wavefront_nan_in_the_shock_search_exit_65(capsys, tmp_path, monkeypatch):
-    # E = inf on every node makes the cubic between the nodes inf - inf.
+def test_wavefront_non_finite_integration_exit_65(capsys, tmp_path, monkeypatch):
+    # A wave speed that is NaN from t = 2 on: every step past t = 2 is rejected until the
+    # step size underflows there.
     import trafficflow.wavefront as wavefront
-    real = wavefront._integrate_along
+    real = wavefront._rates
 
-    def overflowed(prob, ts):
-        xs, psi, E, F = real(prob, ts)
-        return xs, psi, np.full_like(E, np.inf), F
+    def broken(prob):
+        rates = real(prob)
+        return lambda x, t: (math.nan, 0.0) if t > 2.0 else rates(x, t)
 
-    monkeypatch.setattr(wavefront, "_integrate_along", overflowed)
+    monkeypatch.setattr(wavefront, "_rates", broken)
     code, stdout, err = run_cli(capsys, "wavefront", "--background", "T1?p1=0&p2=1&b=1",
-                                "--pi0", "-1.5", "--t-end", "3", "--n", "10",
+                                "--pi0", "-0.5", "--t-end", "3", "--n", "10",
                                 "--out", str(tmp_path / "w.csv"))
     assert (code, stdout) == (65, "") and list(tmp_path.iterdir()) == []
-    assert err.startswith("error: shock search met a NaN at t=")
+    assert err == ("error: integration along the characteristic stalls at t=2.0: its steps"
+                   " overflow or underflow\n")
 
 
 @pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"),

@@ -10,9 +10,8 @@ import pytest
 
 from trafficflow.catalog import make_entry
 from trafficflow.model import DomainError, ModelParams, Partials, SolutionSampler, StatePoint
-from trafficflow.wavefront import (AmplitudeProblem, _cumulative_simpson, _integrate_along,
-                                   amplitude_direct, amplitude_quadrature,
-                                   characteristic_path, psi_along)
+from trafficflow.wavefront import (RTOL, TAIL_L0, AmplitudeProblem, _march, amplitude_direct,
+                                   amplitude_quadrature, characteristic_path, psi_along)
 
 MP1 = ModelParams(A=1.0)
 
@@ -36,27 +35,16 @@ def test_path_constant_background_exact():
     assert np.max(np.abs(xs - (0.5 + 2.0 * (ts - 1.0)))) <= 1e-13
 
 
-def test_path_t1_linear_ode_oracle():
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+def test_path_t1_linear_ode_oracle(dt):
     # dx/dt = x/(t+1) + 1 with x(1) = 1 has x(t) = (t+1)ln(t+1) + C(t+1),
-    # C = 1/2 - ln 2 by the integrating factor
+    # C = 1/2 - ln 2 by the integrating factor.  The path is read off one error-controlled
+    # pass, so its accuracy does not depend on the spacing dt of the nodes.
     prob = _t1_problem(0.5)
-    ts, xs = characteristic_path(prob, 3.0, 1e-3)
+    ts, xs = characteristic_path(prob, 3.0, dt)
     C = 0.5 - math.log(2.0)
     exact = (ts + 1.0) * np.log(ts + 1.0) + C * (ts + 1.0)
     assert np.max(np.abs(xs - exact)) <= 1e-8
-
-
-def test_path_rk4_order():
-    prob = _t1_problem(0.5)
-    C = 0.5 - math.log(2.0)
-
-    def err(dt):
-        ts, xs = characteristic_path(prob, 3.0, dt)
-        exact = (ts + 1.0) * np.log(ts + 1.0) + C * (ts + 1.0)
-        return float(np.max(np.abs(xs - exact)))
-
-    e1, e2 = err(0.1), err(0.05)
-    assert e1 / e2 == pytest.approx(16.0, rel=0.3)
 
 
 def test_path_exits_domain():
@@ -67,7 +55,10 @@ def test_path_exits_domain():
     limited = SolutionSampler(eval=s4.eval, partials=s4.partials,
                               domain=lambda x, t: x < 2.0)
     prob = AmplitudeProblem(background=limited, A=1.0, x0=0.0, t0=0.0, pi0=0.1)
-    with pytest.raises(DomainError):
+    # x(t) = 2t stays inside up to t = 0.9: steps that overshoot the edge are retried shorter.
+    ts, xs = characteristic_path(prob, 0.9, 0.01)
+    assert ts[-1] == 0.9 and abs(xs[-1] - 1.8) <= 1e-12
+    with pytest.raises(DomainError, match="^characteristic path leaves the background domain "):
         characteristic_path(prob, 5.0, 0.01)   # x(t) = 2t crosses x = 2
 
 
@@ -161,94 +152,94 @@ def _counted_t1(closed_form):
                                         psi_shift_b=1.0 if closed_form else None), calls
 
 
-def test_tail_limit_integrates_one_path():
-    # The tail extends its path doubling by doubling and never restarts it: 4 RK4 stages on
-    # 1000 main steps, 538 tail steps (to t0 + 2^9 L0) and 269 at half density, plus one
-    # Psi call on the main path and one per stretch of each tail (10 + 10).
-    prob, calls = _counted_t1(closed_form=False)
-    sol = amplitude_quadrature(prob(-2.0), 3.0, n=1000)
-    assert calls["eval"] <= 7249
-    assert abs(sol.pi_c - 0.75) <= 1e-6
+@pytest.mark.parametrize("closed_form", [True, False])
+def test_background_calls_do_not_depend_on_n(closed_form):
+    # The passes' steps depend on the problem alone, the shock search halves a step on its
+    # dense output, and Psi on the output nodes is one array call.
+    prob, calls = _counted_t1(closed_form)
+    counts = []
+    for n in (10, 1000):
+        calls.update(eval=0, partials=0)
+        sol = amplitude_quadrature(prob(-2.0), 3.0, n=n)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert abs(sol.pi_c - 0.75) <= sol.pi_c_err <= 1e-6
+    expect = 2.0 * (1.0 - 3.0 / (4.0 * 2.0)) ** (-2.0 / 3.0) - 1.0
+    assert abs(sol.shock_time - expect) <= 1e-9 and sol.shock_time_err <= 1e-6
 
 
-def test_shock_on_a_node_divides_by_nothing():
-    # T4 has Psi = 0, so F = t - t0 and 1 + pi0 F vanishes on the last node.
+def test_tail_pi_c_is_bit_identical_for_any_t_end():
+    prob = _t1_problem(0.5, closed_form=False)
+    sols = [amplitude_quadrature(prob, t_end, n=10) for t_end in (3.0, 15.0, 1e6, 1e20)]
+    assert len({(s.pi_c, s.pi_c_err) for s in sols}) == 1
+
+
+def _assert_shock(sol, exact):
+    # Within its error of the exact time; pi finite before it and NaN at and past it.
+    t = sol.shock_time
+    assert abs(t - exact) <= sol.shock_time_err <= 1e-6
+    assert np.all(np.isfinite(sol.pi[sol.times < t])) and np.all(np.isnan(sol.pi[sol.times >= t]))
+
+
+@pytest.mark.parametrize("t_end,n", [(3.0, 400), (4.0, 300)])
+def test_shock_on_a_node_divides_by_nothing(t_end, n):
+    # T4 has Psi = 0, so F = t - t0 and 1 + pi0 F vanishes at t = 3: the last node of 400
+    # when t_end = 3, where a root one double past t_end is still within its error of it,
+    # and node 200 of 300 when t_end = 4.
     s = make_entry("T4", p1=1, b=0.5).sampler(MP1)
     prob = AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=-0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = amplitude_quadrature(prob, 3.0, n=400)
-    assert sol.shock_time == 3.0
-    assert np.isnan(sol.pi[-1]) and np.all(np.isfinite(sol.pi[:-1]))
+        sol = amplitude_quadrature(prob, t_end, n=n)
+    assert 3.0 in sol.times
+    _assert_shock(sol, 3.0)
 
 
-def test_shock_time_reads_the_node_data():
-    # One RK4 path of 1000 steps (4 evals each) plus Psi along it (1 eval, 1 partials):
-    # the shock bisection evaluates no background of its own.
-    prob, calls = _counted_t1(closed_form=True)
-    sol = amplitude_quadrature(prob(-2.0), 3.0, n=1000)
-    assert calls["eval"] <= 4001 and calls["partials"] == 1
-    expect = 2.0 * (1.0 - 3.0 / (4.0 * 2.0)) ** (-2.0 / 3.0) - 1.0
-    assert abs(sol.shock_time - expect) <= 1e-9
+@pytest.mark.parametrize("t_end", [3.0 - 1e-6, 2.5])
+def test_a_shock_past_t_end_is_not_reported(t_end):
+    # The root at t = 3 lies further past t_end than its error: no shock, and pi finite.
+    s = make_entry("T4", p1=1, b=0.5).sampler(MP1)
+    prob = AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=-0.5)
+    sol = amplitude_quadrature(prob, t_end, n=100)
+    assert sol.shock_time == math.inf and sol.shock_time_err == 0.0
+    assert np.all(np.isfinite(sol.pi))
 
 
 @pytest.mark.parametrize("k", [57, 71, 85])
 def test_shock_on_an_interior_node_is_found(k):
-    # pi0 = -1/F[k] puts the root of 1 + pi0 F on node k exactly; the bracket
-    # [t_k-1, t_k] must see the same sign change as the node values.
+    # pi0 = -1/F(t_k) puts the root of 1 + pi0 F on node k of 400.
     prob, _ = _counted_t1(closed_form=True)
-    base = amplitude_quadrature(prob(-2.0), 3.0, n=400)
+    t_k = float(np.linspace(1.0, 3.0, 401)[k])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = amplitude_quadrature(prob(-1.0 / float(base.F[k])), 3.0, n=400)
-    assert sol.shock_time == sol.times[k]
-    assert np.all(np.isfinite(sol.pi[:k])) and np.all(np.isnan(sol.pi[k:]))
-
-
-def _hermite_denom(sol, pi0, t):
-    # 1 + pi0 F at t on the cubic Hermite interpolant of (F, F' = E) over the panel holding t
-    k = int(np.searchsorted(sol.times, t, side="right"))
-    ta, tb = float(sol.times[k - 1]), float(sol.times[k])
-    h = tb - ta
-    r = (t - ta) / h
-    w = r * r * (3.0 - 2.0 * r)
-    F = ((1.0 - w) * float(sol.F[k - 1]) + w * float(sol.F[k])
-         + r * (r - 1.0) * ((r - 1.0) * h * float(sol.E[k - 1]) + r * h * float(sol.E[k])))
-    return 1.0 + pi0 * F
+        sol = amplitude_quadrature(prob(-1.0 / float(_t1_F_exact(t_k))), 3.0, n=400)
+    _assert_shock(sol, t_k)
 
 
 @pytest.mark.parametrize("pi0,n", [(-0.9, 400), (-1.2, 1000), (-1.5, 2000), (-2.0, 600)])
-def test_shock_time_and_its_next_double_bracket_the_root(pi0, n):
-    # The panel is halved down to adjacent doubles: 1 + pi0 F > 0 at the shock time
-    # and <= 0 one double later, on the same interpolant.
+def test_shock_time_is_within_its_error_of_the_root(pi0, n):
     sol = amplitude_quadrature(_t1_problem(pi0), 12.0, n=n)
-    t = sol.shock_time
-    assert sol.times[0] < t < sol.times[-1]
-    assert _hermite_denom(sol, pi0, t) > 0.0 >= _hermite_denom(sol, pi0, math.nextafter(t, math.inf))
-    expect = 2.0 * (1.0 - 3.0 / (4.0 * abs(pi0))) ** (-2.0 / 3.0) - 1.0
-    assert abs(t - expect) <= 1e-4
-    assert np.all(np.isfinite(sol.pi[sol.times < t])) and np.all(np.isnan(sol.pi[sol.times > t]))
+    _assert_shock(sol, 2.0 * (1.0 - 3.0 / (4.0 * abs(pi0))) ** (-2.0 / 3.0) - 1.0)
 
 
 def test_shock_time_on_a_panel_of_1e19():
-    # Panels of 1e19: the search needs ~115 halvings to reach adjacent doubles.
+    # Ten output panels of 1e19 say nothing about F; the pass resolves it on its own steps.
     s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
     prob = AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=-1.0, psi_shift_b=1.0)
     sol = amplitude_quadrature(prob, 1e20, n=10)
-    assert 1.0 <= sol.shock_time <= 1e20
-    assert _hermite_denom(sol, -1.0, sol.shock_time) > 0.0
+    _assert_shock(sol, 2.0 * 4.0 ** (2.0 / 3.0) - 1.0)
 
 
-def test_shock_search_rejects_a_nan_in_the_interpolant():
-    # Psi = 0 until Psi = -532 at t = 8: Simpson on the nodes 0, 4, 8 gives E = (1, e^-177,
-    # e^709), so F and h E overflow at t = 8 and the cubic meets inf - inf inside the panel.
+def test_an_overflowing_E_is_a_domain_error():
+    # Psi = 0 until Psi = -532 past t = 6: E = e^(532 (t - 6)) overflows near t = 7.334.
+    # The steps approach that point, each step past it overflows, and the pass stalls there.
     flat = SolutionSampler(
         eval=lambda x, t: StatePoint(rho=1.0 + 0.0 * x, u=0.0 * x),
         partials=lambda x, t: Partials(rho_t=0.0 * t, rho_x=0.0, u_t=0.0,
                                        u_x=np.where(t > 6.0, -212.8, 0.0), u_xx=0.0))
     prob = AmplitudeProblem(background=flat, A=1.0, x0=0.0, t0=0.0, pi0=-1.0, psi_shift_b=1.0)
-    with np.errstate(over="ignore"), pytest.raises(ValueError,
-                                                   match=r"shock search met a NaN at t=6\.0"):
+    with pytest.raises(DomainError, match=r"^integration along the characteristic stalls at "
+                                          r"t=7\.33[0-9]*: its steps overflow or underflow$"):
         amplitude_quadrature(prob, 8.0, n=2)
 
 
@@ -378,6 +369,18 @@ def test_tail_pi_c_is_nan_when_the_domain_ends_early():
     assert math.isnan(sol.pi_c) and np.all(np.isfinite(sol.pi))
 
 
+def test_tail_pi_c_is_nan_when_the_domain_ends_just_past_t_end():
+    # The steps close in on the edge at t = 50 and still cover t_end = 49.9.
+    s = make_entry("T1", p1=0, p2=1, b=1).sampler(MP1)
+    short = SolutionSampler(eval=s.eval, partials=s.partials,
+                            domain=lambda x, t: np.logical_and(s.domain(x, t), t < 50.0))
+    prob = AmplitudeProblem(background=short, A=1.0, x0=1.0, t0=1.0, pi0=0.5)
+    sol = amplitude_quadrature(prob, 49.9, n=100)
+    assert math.isnan(sol.pi_c) and math.isnan(sol.pi_c_err) and np.all(np.isfinite(sol.pi))
+    with pytest.raises(DomainError, match="^characteristic path leaves the background domain "):
+        amplitude_quadrature(prob, 50.1, n=100)
+
+
 def test_tail_limit_of_a_saturated_F_is_its_last_mark():
     # rho = e^{10x}, u = -0.99 gives Psi = 5: F = (1 - e^{-5 (t - t0)}) / 5 reaches its
     # float limit before t0 + 4 L0, so the tail sees no growth and takes F at t0 + 16 L0.
@@ -387,12 +390,9 @@ def test_tail_limit_of_a_saturated_F_is_its_last_mark():
                                        u_t=0.0, u_x=0.0, u_xx=0.0))
     prob = AmplitudeProblem(background=flat, A=1.0, x0=0.0, t0=1.0, pi0=0.5)
     sol = amplitude_quadrature(prob, 3.0, n=100)
-    # The tail's nodes to t0 + 16 L0: 250 panels on [1, 11], then 32 on each doubling.
-    ts = np.concatenate([np.linspace(1.0, 11.0, 251)] + [
-        np.linspace(1.0 + 10.0 * 2 ** (k - 1), 1.0 + 10.0 * 2 ** k, 33)[1:] for k in range(1, 5)])
-    F = _integrate_along(prob, ts)[-1]
-    assert ts[-1] == 161.0 and F[314] == F[-1]             # F at t0 + 4 L0 and t0 + 16 L0
-    assert sol.pi_c == 1.0 / float(F[-1])
+    Fm = _march(prob, RTOL, prob.t0, None)[1]        # F at t0 + 2^k L0 for k = 0 ... 4
+    assert len(Fm) == 5 and Fm[2] == Fm[-1]            # F at t0 + 4 L0 and t0 + 16 L0
+    assert sol.pi_c == 1.0 / Fm[-1]
     assert abs(sol.pi_c - 5.0) <= min(1e-4, sol.pi_c_err)
 
 
@@ -442,43 +442,78 @@ def test_non_finite_psi_is_singular():
         amplitude_quadrature(prob, 3.0, n=10)
 
 
-def test_panel_count_is_at_least_two_and_even():
-    prob = _t1_problem(-1.5)
+def test_panel_count_is_at_least_two():
+    prob = _t1_problem(-1.5, closed_form=False)
     for n in (1, 0, -4):
         with pytest.raises(ValueError, match="^need at least 2 quadrature panels$"):
             amplitude_quadrature(prob, 3.0, n=n)
+    # n sets the output alone: an odd n gives n + 1 nodes, and the scalars do not move.
     odd, even = amplitude_quadrature(prob, 3.0, n=401), amplitude_quadrature(prob, 3.0, n=402)
-    assert len(odd.times) == 403 and odd.shock_time == even.shock_time
-    for name in ("times", "xs", "psi", "E", "F", "pi"):
-        assert np.array_equal(getattr(odd, name), getattr(even, name), equal_nan=True), name
+    assert len(odd.times) == 402 and len(even.times) == 403
+    for name in ("pi_c", "pi_c_err", "shock_time", "shock_time_err"):
+        assert getattr(odd, name) == getattr(even, name), name
 
 
-def _nodes(n, uniform):
-    if uniform:
-        return np.linspace(1.0, 3.5, n)
-    return 1.0 + np.cumsum(np.random.default_rng(n).uniform(0.05, 1.0, n))
+
+def _psi_5_over_t_problem():
+    # rho = 1, u = 2x/t gives Psi = 5/t and, from x(1) = 0, the path x = t^2 - t.
+    s = SolutionSampler(
+        eval=lambda x, t: StatePoint(1.0 + 0.0 * x, 2.0 * x / t),
+        domain=lambda x, t: t > 0.0,
+        partials=lambda x, t: Partials(0.0 * x, 0.0, -2.0 * x / (t * t), 2.0 / t + 0.0 * x,
+                                       0.0))
+    return AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=0.5)
 
 
-@pytest.mark.parametrize("uniform", [True, False])
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 16, 17, 101])
-def test_cumulative_simpson_matches_scipy(n, uniform):
-    integrate = pytest.importorskip("scipy.integrate")
-    x = _nodes(n, uniform)
-    y = np.exp(-x) * np.sin(3.0 * x) + np.random.default_rng(n + 1).normal(scale=0.1, size=n)
-    assert np.array_equal(_cumulative_simpson(y, x),
-                          integrate.cumulative_simpson(y, x=x, initial=0.0))
+@pytest.mark.parametrize("case", ["T1 b=1", "Psi=5/t"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 17, 101])
+def test_dense_output_matches_closed_forms(n, case):
+    # x, E and F on any n + 1 nodes, odd n and nodes far from the steps included.
+    if case == "T1 b=1":
+        prob = _t1_problem(0.5, closed_form=False)
+        sol = amplitude_quadrature(prob, 3.0, n=n)
+        ts = sol.times
+        exact = ((ts + 1.0) * np.log(ts + 1.0) + (0.5 - math.log(2.0)) * (ts + 1.0),
+                 ((ts + 1.0) / 2.0) ** -2.5, _t1_F_exact(ts))
+    else:
+        sol = amplitude_quadrature(_psi_5_over_t_problem(), 3.0, n=n)
+        ts = sol.times
+        exact = (ts * ts - ts, ts ** -5.0, (1.0 - ts ** -4.0) / 4.0)
+    assert len(ts) == n + 1 and ts[0] == 1.0 and ts[-1] == 3.0
+    for name, want in zip(("xs", "E", "F"), exact):
+        assert np.max(np.abs(getattr(sol, name) - want)) <= 1e-9, name
 
 
-@pytest.mark.parametrize("uniform", [True, False])
-@pytest.mark.parametrize("n", [3, 4, 7, 16])
-def test_cumulative_simpson_exact_on_quadratics(n, uniform):
-    # Every interval comes from a parabola through three nodes, so quadratics
-    # integrate exactly on any node spacing.
-    x = _nodes(n, uniform)
-    got = _cumulative_simpson(2.0 - x + 3.0 * x * x, x)
-    exact = 2.0 * (x - x[0]) - (x * x - x[0] ** 2) / 2.0 + (x ** 3 - x[0] ** 3)
-    assert np.allclose(got, exact, rtol=1e-13, atol=1e-12)
+@pytest.mark.parametrize("t0", [0.0, -1.5])
+@pytest.mark.parametrize("n", [2, 3, 7, 16])
+def test_dense_output_exact_on_a_quartic_path(n, t0):
+    # rho = 1, u = t^3: x = x0 + (t^4 - t0^4)/4 + t - t0, Psi = 0, E = 1, F = t - t0.  The
+    # error estimate vanishes, the steps grow fivefold up to 9 long, and the 4th-order dense
+    # output still reproduces the quartic between them.
+    s = SolutionSampler(
+        eval=lambda x, t: StatePoint(1.0 + 0.0 * x, t ** 3 + 0.0 * x),
+        partials=lambda x, t: Partials(0.0 * x, 0.0 * x, 3.0 * t * t + 0.0 * x, 0.0 * x,
+                                       0.0 * x))
+    prob = AmplitudeProblem(background=s, A=1.0, x0=0.5, t0=t0, pi0=0.1)
+    sol = amplitude_quadrature(prob, 3.0, n=n)
+    ts = sol.times
+    assert np.allclose(sol.xs, 0.5 + (ts ** 4 - t0 ** 4) / 4.0 + (ts - t0), rtol=1e-13,
+                       atol=1e-12)
+    assert np.allclose(sol.F, ts - t0, rtol=0.0, atol=1e-14) and np.all(sol.E == 1.0)
 
+
+@pytest.mark.parametrize("rtol", [RTOL, 32.0 * RTOL])
+@pytest.mark.parametrize("t0", [-0.5, 0.0, 1.0, 7.0, 1e3])
+def test_steps_land_on_every_mark(t0, rtol):
+    # Each pass ends a step exactly on t0 + 2^k L0 and flags it, and the steps tile the path.
+    prob = _t1_problem(0.5, p1=1.0, p2=2.0, x0=0.0, t0=t0, closed_form=False)
+    steps, Fm, shock, error = _march(prob, rtol, t0, 5)
+    L0 = TAIL_L0 * max(1.0, abs(t0))
+    assert error is None and shock == math.inf and len(Fm) == 5
+    assert [t_new for _, t_new, _, on_mark in steps if on_mark] == [
+        t0 + 2.0 ** k * L0 for k in range(5)]
+    assert steps[0][0] == t0 and all(a[1] == b[0] for a, b in zip(steps, steps[1:]))
+    assert Fm == [q[0][2] + q[1][2] for _, _, q, on_mark in steps if on_mark]
 
 def test_runtime_imports_no_scipy():
     # A fresh interpreter: the CLI plus a quadrature with tail-extrapolated
@@ -501,3 +536,15 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("case", ["T1 b=0.1", "Psi=5/t"])
+def test_tail_pi_c_of_a_fast_background(case):
+    # Psi is large at t0 in both: the steps follow it, where a fixed first step would not.
+    if case == "T1 b=0.1":
+        prob, exact = _t1_problem(0.5, b=0.1, x0=0.0, t0=0.5, closed_form=False), 1.5 / 0.6
+    else:
+        # From t0 = 1, E = t^-5 and F -> 1/4.
+        prob, exact = _psi_5_over_t_problem(), 4.0
+    sol = amplitude_quadrature(prob, 3.0, n=10)
+    assert abs(sol.pi_c - exact) <= sol.pi_c_err <= 1e-6
