@@ -447,13 +447,19 @@ def make_entry(kind: str, **params) -> CatalogEntry:
 
 @dataclass
 class VerifyReport:
-    """Outcome of verifying one entry over a grid region."""
+    """Outcome of verifying one entry over a grid region.
+
+    max_r1_at and max_r2_at are the [x, t] grid points of max_r1 and max_r2,
+    the first in C order (x fastest) on ties.
+    """
 
     entry_id: str
     status: str
     tol: float
     max_r1: float
     max_r2: float
+    max_r1_at: list
+    max_r2_at: list
     partials_method: str
     fd_steps: list = field(default_factory=list)
     fd_floors: list = field(default_factory=list)
@@ -467,23 +473,37 @@ class VerifyReport:
         return out
 
 
-def _fd2_floor(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.ndarray,
-               h: float) -> Optional[float]:
-    """Largest |r1|, |r2| of the order-2 FD residual on the 1-D probe arrays x, t.
+def _peak(r, x: np.ndarray, t: np.ndarray) -> tuple[float, list]:
+    """max |r| over the grid (x, t) and its first [x, t] point in C order."""
+    a = np.abs(r).ravel()
+    i = int(np.argmax(a))
+    return float(a[i]), [float(x.flat[i]), float(t.flat[i])]
 
-    Points whose stencil leaves the domain, or whose residual is not finite,
-    are skipped; None when no point is left.
+
+def _fd2_floors(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.ndarray,
+                steps: list) -> list:
+    """Largest |r1|, |r2| of the order-2 FD residual on the 1-D probe arrays x, t at each step.
+
+    One residual call covers every (step, point) pair.  A pair whose stencil
+    leaves the domain, or whose residual is not finite, is skipped; a step
+    with no pair left gets None.
     """
-    keep = np.broadcast_to(fd_stencil_inside(sampler, x, t, 2, h), x.shape).copy()
+    xs, ts = np.tile(x, len(steps)), np.tile(t, len(steps))
+    hs = np.repeat(steps, x.size)
+    keep = np.broadcast_to(fd_stencil_inside(sampler, xs, ts, 2, hs), xs.shape).copy()
+    worst = np.zeros(xs.shape)
     while keep.any():
         try:
-            r1, r2 = pde_residual(mp, sampler, x[keep], t[keep], method="fd2", h=h)
-            return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+            r1, r2 = pde_residual(mp, sampler, xs[keep], ts[keep], method="fd2", h=hs[keep])
+            worst[keep] = np.maximum(np.abs(r1), np.abs(r2))
+            break
         except DomainError as e:
             if e.index is None:
                 raise
             keep[np.flatnonzero(keep)[e.index]] = False
-    return None
+    per_step = zip(worst.reshape(len(steps), -1).max(axis=1),
+                   keep.reshape(len(steps), -1).any(axis=1))
+    return [float(w) if admitted else None for w, admitted in per_step]
 
 
 def verify_sampler(mp: ModelParams, sampler: SolutionSampler, region: GridRegion,
@@ -502,17 +522,17 @@ def verify_sampler(mp: ModelParams, sampler: SolutionSampler, region: GridRegion
     has_analytic = sampler.partials is not None
     method = "analytic" if has_analytic else "fd4"
     r1, r2 = pde_residual(mp, sampler, x, t, method=method)
-    max_r1, max_r2 = float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))
+    (max_r1, max_r1_at), (max_r2, max_r2_at) = _peak(r1, x, t), _peak(r2, x, t)
     rep = VerifyReport(entry_id=entry_id, status=PAPER_CLAIMED, tol=tol,
-                       max_r1=max_r1, max_r2=max_r2, partials_method=method)
+                       max_r1=max_r1, max_r2=max_r2, max_r1_at=max_r1_at, max_r2_at=max_r2_at,
+                       partials_method=method)
 
     # Step-refinement cross-check: order-2 FD at h, h/2, h/4 on interior points.
     px, pt = (a.ravel() for a in np.meshgrid(*region.interior(5, 5)))
     h0 = 1e-2 * max(1.0, abs(region.x0), abs(region.x1), abs(region.t0), abs(region.t1))
+    steps = [h0, h0 / 2, h0 / 4]
     floors = rep.fd_floors
-    for k in range(3):
-        h = h0 / 2 ** k
-        worst = _fd2_floor(mp, sampler, px, pt, h)
+    for h, worst in zip(steps, _fd2_floors(mp, sampler, px, pt, steps)):
         if worst is None:
             rep.notes.append("no interior point admitted the FD stencil")
             break

@@ -8,7 +8,8 @@ from trafficflow.catalog import (FAMILIES, KINK_SHAPES, GridRegion, PAPER_CLAIME
                                  VERIFIED, make_entry, reduced_ode_residual_T3, verify_entry,
                                  verify_sampler)
 from trafficflow.lie import group_transform
-from trafficflow.model import DomainError, ModelParams, fd_partials
+from trafficflow.model import (DomainError, ModelParams, SolutionSampler, StatePoint,
+                               fd_partials, fd_stencil_inside, pde_residual)
 
 MP1 = ModelParams(A=1.0)
 MP0 = ModelParams(A=0.0)
@@ -372,6 +373,74 @@ def test_no_interior_fd_stencil_falls_back_to_the_analytic_floor():
     assert rep.notes == ["no interior point admitted the FD stencil"]
     assert rep.fd_steps == [] and rep.fd_floors == [] and rep.conv_ratios == []
     assert rep.residual_floor == max(rep.max_r1, rep.max_r2)
+
+
+def _t1_cut(half: float, where: str) -> SolutionSampler:
+    """T1 (p1=3, p2=2, b=1) with nothing past |x| = half: its domain ends there, or its domain
+    stays whole and eval returns a NaN velocity there, which pde_residual rejects by index.
+
+    With p1 > p2 the FD2 error of r2 exceeds that of r1, so the floors read both."""
+    s = make_entry("T1", p1=3, p2=2, b=1).sampler(MP1)
+    if where == "domain":
+        return SolutionSampler(eval=s.eval, partials=s.partials,
+                               domain=lambda x, t: s.domain(x, t) & (np.abs(x) < half))
+
+    def ev(x, t):
+        st = s.eval(x, t)
+        return StatePoint(st.rho, np.where(np.abs(x) < half, st.u, np.nan))
+
+    return SolutionSampler(eval=ev, partials=s.partials, domain=s.domain)
+
+
+@pytest.mark.parametrize("where", ["domain", "eval"])
+def test_fd_floors_skip_per_step_the_points_whose_stencil_leaves(where):
+    # Probe x in {0, +-0.0072, +-0.0144} and h0 = 0.015: the h0 stencil fits only at x = 0,
+    # the h0/2 stencil at |x| <= 0.0072, the h0/4 stencil everywhere.
+    half = 2e-2
+    cut = _t1_cut(half, where)
+    region = GridRegion(-0.018, 0.018, 5, 1.0, 1.5, 5)
+    rep = verify_sampler(MP1, cut, region, tol=1e-8)
+    px, pt = (a.ravel() for a in np.meshgrid(*region.interior(5, 5)))
+    steps, floors, admitted = [0.015, 0.0075, 0.00375], [], []
+    for h in steps:
+        m = (np.abs(px + h) < half) & (np.abs(px - h) < half)
+        r1, r2 = pde_residual(MP1, cut, px[m], pt[m], method="fd2", h=h)
+        floors.append(float(max(np.max(np.abs(r1)), np.max(np.abs(r2)))))
+        admitted.append(int(m.sum()))
+    assert admitted == [5, 15, 25]
+    assert rep.status == VERIFIED and rep.notes == []
+    assert rep.fd_steps == steps
+    assert rep.fd_floors == floors
+    assert rep.conv_ratios == [floors[0] / floors[1], floors[1] / floors[2]]
+    assert rep.residual_floor == floors[2]
+
+
+def test_fd_floors_stop_at_the_first_step_that_admits_no_point():
+    # |x| < 1.1e-2 with h0 = 0.015: no h0 stencil fits, though the h0/4 stencils do.
+    cut = _t1_cut(1.1e-2, "domain")
+    region = GridRegion(-1.1e-3, 1.1e-3, 5, 1.0, 1.5, 5)
+    px, pt = (a.ravel() for a in np.meshgrid(*region.interior(5, 5)))
+    assert not fd_stencil_inside(cut, px, pt, 2, 0.015).any()
+    assert fd_stencil_inside(cut, px, pt, 2, 0.015 / 4).all()
+    rep = verify_sampler(MP1, cut, region, tol=1e-8)
+    assert rep.status == VERIFIED
+    assert rep.notes == ["no interior point admitted the FD stencil"]
+    assert rep.fd_steps == [] and rep.fd_floors == [] and rep.conv_ratios == []
+    assert rep.residual_floor == max(rep.max_r1, rep.max_r2)
+
+
+@pytest.mark.parametrize("kind,params", [("NEGCTRL", {}), ("KINK", dict(mshape="gauss", c1=1))])
+def test_verify_reports_where_its_maximum_residuals_sit(kind, params):
+    # NEGCTRL's r1 = 1 ties at every grid point, so its location is the first one.
+    entry = make_entry(kind, **params)
+    s, region = entry.sampler(MP1), entry.default_region(MP1)
+    rep = verify_entry(entry, MP1)
+    x, t = np.meshgrid(region.xs(), region.ts())
+    grid = pde_residual(MP1, s, x, t)
+    for k, (peak, at) in enumerate(((rep.max_r1, rep.max_r1_at), (rep.max_r2, rep.max_r2_at))):
+        assert abs(pde_residual(MP1, s, *at)[k]) == peak
+        first = np.flatnonzero(np.abs(grid[k]).ravel() == peak)[0]
+        assert at == [x.flat[first], t.flat[first]]
 
 
 def test_fd_only_solution_verifies_on_its_finest_floor():

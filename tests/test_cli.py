@@ -47,6 +47,20 @@ def test_verify_kink_refuted_exit_two(capsys, tmp_path):
     assert Path(str(out) + ".manifest.json").exists()
 
 
+def test_verify_reports_the_points_of_its_maximum_residuals(capsys, tmp_path):
+    out = tmp_path / "negctrl.json"
+    code, rep = out_json(capsys, "verify", "NEGCTRL", "--A", "1", "--out", str(out))
+    assert code == 2
+    assert rep["max_r1_at"] == [-1.0, 0.0] and rep["max_r2_at"] == [-1.0, 0.0]
+    saved = json.loads(out.read_text())
+    assert (saved["max_r1_at"], saved["max_r2_at"]) == (rep["max_r1_at"], rep["max_r2_at"])
+    code, rep = out_json(capsys, "lie", "transform", "--generator", "4", "--eps", "0.5",
+                         "--entry", "T1?p1=1&p2=2&b=1", "--A", "1", "--verify")
+    assert code == 0
+    for at in (rep["verify"]["max_r1_at"], rep["verify"]["max_r2_at"]):
+        assert len(at) == 2 and all(math.isfinite(v) for v in at)
+
+
 def test_verify_inconclusive_exit_three(capsys):
     # a tolerance below the double-precision floor cannot be certified
     code, rep = out_json(capsys, "verify", "T1?p1=1&p2=2&b=1", "--tol", "1e-18")

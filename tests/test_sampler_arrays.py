@@ -172,7 +172,8 @@ def test_verify_sampler_calls_do_not_grow_with_the_grid(analytic):
         assert rep.status == (catalog.VERIFIED if analytic else catalog.PAPER_CLAIMED)
         counts.append(calls)
     assert counts[0] == counts[1] == counts[2]
-    assert counts[1]["eval"] == (19 if analytic else 28)
+    # One primary pass (1 call analytic, 10 FD4) and one six-node FD2 pass for all three steps.
+    assert counts[1]["eval"] == (7 if analytic else 16)
 
 
 def test_grid_consumers_make_one_call_per_stencil_node():
