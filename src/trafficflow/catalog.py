@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import CATALOG_ROWS
-from .model import (DomainError, ModelParams, Partials, SolutionSampler,
-                    StatePoint, fd_stencil_inside, pde_residual, require_all)
+from .model import (FD_NODES, DomainError, ModelParams, Partials, SolutionSampler,
+                    StatePoint, pde_residual, require_all, stencil_inside)
 
 __all__ = [
     "VERIFIED",
@@ -490,7 +490,7 @@ def _fd2_floors(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.
     """
     xs, ts = np.tile(x, len(steps)), np.tile(t, len(steps))
     hs = np.repeat(steps, x.size)
-    keep = np.broadcast_to(fd_stencil_inside(sampler, xs, ts, 2, hs), xs.shape).copy()
+    keep = np.broadcast_to(stencil_inside(sampler, xs, ts, hs, FD_NODES[2]), xs.shape).copy()
     worst = np.zeros(xs.shape)
     while keep.any():
         try:

@@ -13,9 +13,9 @@ their defect term -2 W^u (h*rho + g*u), which the divergence check reports.
 import math
 from dataclasses import dataclass
 
-from .model import (ModelParams, SolutionSampler, StatePoint, fd_partials,
-                    fd_partials_unchecked, fd_stencil_inside, require_all, require_step,
-                    residual_from_partials, stencil_resolves, step_scale)
+from .model import (FD_NODES, ModelParams, SolutionSampler, StatePoint, fd_partials,
+                    fd_partials_unchecked, require_stencil, require_step,
+                    residual_from_partials, step_scale)
 
 __all__ = [
     "MultiplierConstants",
@@ -96,16 +96,11 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
 
     This is a reporting operation, at a point or on (x, t) arrays: the
     defects converge at O(h_step^2) to zero when the identity holds (it does
-    for D = 0) and to the identity's intrinsic defect otherwise.  h_step
-    must be finite and > 0, and no stencil node may round onto its centre.
+    for D = 0) and to the identity's intrinsic defect otherwise.  Its five
+    nodes, the centre and (x +- h_step, t), (x, t +- h_step), are the order-2
+    FD stencil and pass require_stencil once, before any evaluation.
     """
-    s.require_in_domain(x, t)
-    require_step(h_step)
-    where = f"FD stencil at (x={{x}}, t={{t}}) with step {h_step}"
-    require_all(fd_stencil_inside(s, x, t, 2, h_step), where + " leaves domain", x=x, t=t)
-    require_all(stencil_resolves(x, t, h_step), where + " rounds onto its centre", x=x, t=t)
-
-    # The checks above cover the order-2 FD stencil, so it is not checked again.
+    require_stencil(s, x, t, h_step, FD_NODES[2], "adjoint-identity")
     st = s.eval(x, t)
     d = s.partials(x, t) if s.partials is not None else fd_partials_unchecked(s, x, t, 2, h_step)
     rho, u = st.rho, st.u
@@ -141,13 +136,11 @@ def _mixed_u_tx(s: SolutionSampler, x, t, h: float):
     A difference node outside the domain is a DomainError naming (x, t): a
     difference across a pole would read as a finite, wrong u_tx.
     """
-    where = "mixed-derivative stencil at (x={x}, t={t}) leaves domain"
     if s.partials is not None:
         k = 1e-4 * step_scale(x, t)
-        require_all(s.domain(x, t + k) & s.domain(x, t - k), where, x=x, t=t)
+        require_stencil(s, x, t, k, ((0, 1), (0, -1)), "mixed-derivative")
         return (s.partials(x, t + k).u_x - s.partials(x, t - k).u_x) / (2.0 * k)
-    require_all(s.domain(x + h, t + h) & s.domain(x + h, t - h) & s.domain(x - h, t + h)
-                & s.domain(x - h, t - h), where, x=x, t=t)
+    require_stencil(s, x, t, h, ((1, 1), (1, -1), (-1, 1), (-1, -1)), "mixed-derivative")
     return (s.eval(x + h, t + h).u - s.eval(x + h, t - h).u
             - s.eval(x - h, t + h).u + s.eval(x - h, t - h).u) / (4.0 * h * h)
 
@@ -221,19 +214,15 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     """Central-difference approximation of D_x(Ux) + D_t(Ut) at (x, t).
 
     Converges to 0 at the finite-difference order on genuinely conserved
-    rows evaluated on solutions, and to an O(1) value otherwise.  The row,
-    the step and the four stencil nodes are checked once, here (the mixed
-    derivative of the viscous S1 and S2 rows checks its own nodes); a node
-    that rounds onto (x, t) is a DomainError, since it would read as conserved.
+    rows evaluated on solutions, and to an O(1) value otherwise.  The row is
+    checked, then the four stencil nodes pass require_stencil once, here (the
+    mixed derivative of the viscous S1 and S2 rows checks its own nodes); a
+    node that rounds onto (x, t) would read as conserved.
     Ux is taken at the x-nodes only and Ut at the t-nodes only.
     """
     _require_row(which)
-    require_step(h_step)
+    require_stencil(s, x, t, h_step, ((1, 0), (-1, 0), (0, 1), (0, -1)), "divergence")
     xp, xm, tp, tm = x + h_step, x - h_step, t + h_step, t - h_step
-    require_all(s.domain(xp, t) & s.domain(xm, t) & s.domain(x, tp) & s.domain(x, tm),
-                "divergence stencil at (x={x}, t={t}) leaves domain", x=x, t=t)
-    require_all(stencil_resolves(x, t, h_step), "divergence stencil at (x={x}, t={t})"
-                f" with step {h_step} rounds onto its centre", x=x, t=t)
     Uxp, _ = _vector(which, c, p, s, xp, t, h_step)
     Uxm, _ = _vector(which, c, p, s, xm, t, h_step)
     Utp = _vector(which, c, p, s, x, tp, h_step, flux=False)

@@ -27,9 +27,10 @@ __all__ = [
     "characteristic_eigenvectors",
     "fd_partials",
     "fd_partials_unchecked",
-    "fd_stencil_inside",
+    "FD_NODES",
     "require_step",
-    "stencil_resolves",
+    "require_stencil",
+    "stencil_inside",
     "step_scale",
     "default_fd_step",
     "residual_from_partials",
@@ -209,6 +210,10 @@ _FD_STENCILS = {
 }
 _FD2_SECOND = ((-1, 0, 1), (1.0, -2.0, 1.0))
 _FD4_SECOND = ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0))
+# The nodes (i, j), at (x + i*h, t + j*h), that fd_partials evaluates: the u_xx
+# row in x, centre included, and the first-derivative row in t.
+FD_NODES = {order: tuple((k, 0) for k in off2) + tuple((0, k) for k in _FD_STENCILS[order][0])
+            for order, off2 in ((2, _FD2_SECOND[0]), (4, _FD4_SECOND[0]))}
 
 
 def require_step(h) -> None:
@@ -221,39 +226,42 @@ def require_step(h) -> None:
         raise ValueError(f"h_step must be > 0 and finite with a nonzero square, got {h}")
 
 
-def stencil_resolves(x, t, h):
-    """Where x +- h and t +- h all differ from x and t: a step that rounds away reads as 0."""
-    return (x + h != x) & (x - h != x) & (t + h != t) & (t - h != t)
-
-
-def fd_stencil_inside(s: SolutionSampler, x, t, order: int, h):
-    """Where the order-2 or order-4 FD stencil of step h lies inside the domain."""
-    off2 = (_FD2_SECOND if order == 2 else _FD4_SECOND)[0]
+def stencil_inside(s: SolutionSampler, x, t, h, nodes):
+    """Where every node (i, j) of a stencil, the point (x + i*h, t + j*h), is in the domain."""
     inside = True
-    for k in off2:
-        inside = inside & s.domain(x + k * h, t) & s.domain(x, t + k * h)
+    for i, j in nodes:
+        inside = inside & s.domain(x + i * h, t + j * h)
     return inside
+
+
+def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> None:
+    """The check every finite difference at (x, t) with step h makes before it evaluates.
+
+    h, a float or an array, must pass require_step (a ValueError).  Every
+    node (i, j) must lie inside the domain, and x +- h and t +- h must all
+    differ from x and t, since a step that rounds away reads as 0; otherwise
+    a DomainError names the first failing point and its own step.
+    """
+    require_step(h)
+    where = what + " stencil at (x={x}, t={t}) with step {h}"
+    require_all(stencil_inside(s, x, t, h, nodes), where + " leaves the domain", x=x, t=t, h=h)
+    require_all((x + h != x) & (x - h != x) & (t + h != t) & (t - h != t),
+                where + " rounds onto its centre", x=x, t=t, h=h)
 
 
 def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:
     """Central finite-difference partials of a sampler at (x, t).
 
-    The full stencil (width 2 or 4 in each direction) must lie inside the
-    sampler domain, and no node may round onto the centre, otherwise a
-    DomainError is raised.  A given step h must be finite and > 0, with a
-    square that does not underflow.  Each
-    stencil node is evaluated once, with one sampler call per node for a
-    whole grid.
+    The stencil (width 2 or 4 in each direction, its centre included) passes
+    require_stencil before any node is evaluated, the default step
+    1e-3 * max(1, |x|, |t|) too.  Each stencil node is evaluated once, with
+    one sampler call per node for a whole grid.
     """
     if order not in (2, 4):
         raise ValueError("fd order must be 2 or 4")
     if h is None:
         h = default_fd_step(x, t)
-    else:
-        require_step(h)
-    where = f"order-{order} FD stencil with h={{h}} at (x={{x}}, t={{t}})"
-    require_all(fd_stencil_inside(s, x, t, order, h), where + " leaves the domain", h=h, x=x, t=t)
-    require_all(stencil_resolves(x, t, h), where + " rounds onto its centre", h=h, x=x, t=t)
+    require_stencil(s, x, t, h, FD_NODES[order], f"order-{order} FD")
     return fd_partials_unchecked(s, x, t, order, h)
 
 
@@ -288,14 +296,15 @@ def pde_residual(p: ModelParams, s: SolutionSampler, x, t,
 
     method: "auto" (analytic partials when available, else order-4 FD),
     "analytic", "fd2" or "fd4".  Residuals are returned as raw signed values,
-    floats at a point and arrays on a grid.
+    floats at a point and arrays on a grid.  The centre is checked against
+    the domain first: on its own for analytic partials, with the stencil for FD.
     """
-    s.require_in_domain(x, t)
     if method == "auto":
         method = "analytic" if s.partials is not None else "fd4"
     if method == "analytic":
         if s.partials is None:
             raise ValueError("sampler has no analytic partials")
+        s.require_in_domain(x, t)
         d = s.partials(x, t)
     elif method in ("fd2", "fd4"):
         d = fd_partials(s, x, t, order=int(method[2]), h=h)

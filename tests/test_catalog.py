@@ -8,8 +8,8 @@ from trafficflow.catalog import (FAMILIES, KINK_SHAPES, GridRegion, PAPER_CLAIME
                                  VERIFIED, make_entry, reduced_ode_residual_T3, verify_entry,
                                  verify_sampler)
 from trafficflow.lie import group_transform
-from trafficflow.model import (DomainError, ModelParams, SolutionSampler, StatePoint,
-                               fd_partials, fd_stencil_inside, pde_residual)
+from trafficflow.model import (FD_NODES, DomainError, ModelParams, SolutionSampler, StatePoint,
+                               fd_partials, pde_residual, stencil_inside)
 
 MP1 = ModelParams(A=1.0)
 MP0 = ModelParams(A=0.0)
@@ -420,8 +420,8 @@ def test_fd_floors_stop_at_the_first_step_that_admits_no_point():
     cut = _t1_cut(1.1e-2, "domain")
     region = GridRegion(-1.1e-3, 1.1e-3, 5, 1.0, 1.5, 5)
     px, pt = (a.ravel() for a in np.meshgrid(*region.interior(5, 5)))
-    assert not fd_stencil_inside(cut, px, pt, 2, 0.015).any()
-    assert fd_stencil_inside(cut, px, pt, 2, 0.015 / 4).all()
+    assert not stencil_inside(cut, px, pt, 0.015, FD_NODES[2]).any()
+    assert stencil_inside(cut, px, pt, 0.015 / 4, FD_NODES[2]).all()
     rep = verify_sampler(MP1, cut, region, tol=1e-8)
     assert rep.status == VERIFIED
     assert rep.notes == ["no interior point admitted the FD stencil"]

@@ -273,6 +273,23 @@ def test_a_step_that_rounds_away_is_rejected_at_points_and_on_grids():
     assert abs(divergence_residual("S1", c, MP1, s, 1.0, 1.5, 1e-3)) > 0.05
 
 
+def test_a_per_point_step_is_named_by_the_failing_point():
+    # At t = 1e17 a step of 1e-3 rounds away; with a step per point, the message
+    # names the failing point's own step, not the whole array.
+    s, c = _t1_sampler(), MultiplierConstants(1, 0, 0)
+    x = np.array([0.0, 1.0, 2.0])
+    for call, what in ((lambda x, t, h: divergence_residual("S1", c, MP1, s, x, t, h),
+                        "divergence"),
+                       (lambda x, t, h: adjoint_identity_residual(c, MP1, s, x, t, h),
+                        "adjoint-identity")):
+        with pytest.raises(DomainError, match=rf"^{what} stencil at \(x=0\.0, t=1e\+17\) with "
+                                              r"step 0\.001 rounds onto its centre$"):
+            call(x, 1e17, np.full(3, 1e-3))
+        with pytest.raises(DomainError, match=r"\(x=1\.0, t=1e\+17\) with step 0\.002 ") as e:
+            call(1.0, np.array([1.5, 1e17]), np.array([1e-3, 2e-3]))
+        assert e.value.index == 1
+
+
 @pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
 def test_scalar_divergence_checks_its_stencil_once(which):
     # Four stencil nodes, each evaluated once; at D != 0 the S1 and S2 rows
@@ -285,6 +302,16 @@ def test_scalar_divergence_checks_its_stencil_once(which):
     assert calls == {"eval": 4, "partials": 8 if viscous else 4, "domain": 8 if viscous else 4}
 
 
+@pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
+def test_divergence_without_analytic_partials_checks_each_fd_stencil_once(which):
+    # Four stencil nodes, then each node's order-2 FD stencil of 5 nodes: 24
+    # domain calls, and 24 evaluations.
+    base = _t1_sampler()
+    s, calls = _counted(SolutionSampler(eval=base.eval, domain=base.domain))
+    divergence_residual(which, MultiplierConstants(1.0, 0.5, 0.2), MP1, s, 1.0, 1.5, 1e-3)
+    assert calls == {"eval": 24, "partials": 0, "domain": 24}
+
+
 @pytest.mark.parametrize("analytic", [True, False])
 def test_mixed_derivative_nodes_outside_the_domain_are_rejected(analytic):
     # The centre and its order-2 stencil lie inside; a mixed-derivative node
@@ -294,14 +321,14 @@ def test_mixed_derivative_nodes_outside_the_domain_are_rejected(analytic):
     s = base = _t1_sampler(mp)
     h = 1e-3
     if analytic:
-        x, t = 0.1, -0.99996
+        x, t, step = 0.1, -0.99996, "0.0001"     # 1e-4 * max(1, |x|, |t|)
     else:
         s = SolutionSampler(eval=base.eval, domain=lambda x, t: base.domain(x, t) & (x + t > 0.0))
-        x, t = 0.5, -0.5 + 1.5 * h
+        x, t, step = 0.5, -0.5 + 1.5 * h, "0.001"
     c = MultiplierConstants(1.0, 0.0, 0.0)
     for which in ("S1", "S2"):
         with pytest.raises(DomainError, match=rf"^mixed-derivative stencil at \(x={x}, t={t}\)"
-                                              " leaves domain$"):
+                                              rf" with step {step} leaves the domain$"):
             symmetry_conserved_vector(which, c, mp, s, x, t, h)
         with pytest.raises(DomainError, match="mixed-derivative stencil") as e:
             symmetry_conserved_vector(which, c, mp, s, np.array([1.0, x]), np.array([1.5, t]), h)
@@ -310,14 +337,14 @@ def test_mixed_derivative_nodes_outside_the_domain_are_rejected(analytic):
 
 @pytest.mark.parametrize("analytic", [True, False])
 def test_adjoint_identity_checks_its_stencil_once(analytic):
-    # The centre plus the order-2 stencil's 3 nodes in x and 3 in t: 7 domain
-    # calls, with or without analytic partials.
+    # The order-2 stencil's 5 nodes, its centre among them, each checked once:
+    # 5 domain calls, with or without analytic partials.
     s = _t1_sampler()
     if not analytic:
         s = SolutionSampler(eval=s.eval, domain=s.domain)
     s, calls = _counted(s)
     adjoint_identity_residual(MultiplierConstants(1, 0, 0), MP1, s, 1.0, 1.5, 1e-3)
-    assert calls["domain"] == 7
+    assert calls["domain"] == 5
 
 
 def _public_divergence(which, c, p, s, x, t, h):

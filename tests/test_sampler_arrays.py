@@ -13,7 +13,7 @@ from trafficflow import catalog, cli, conservation, solver, wavefront
 from trafficflow.catalog import GridRegion, make_entry, verify_entry, verify_sampler
 from trafficflow.lie import group_transform
 from trafficflow.model import (DomainError, ModelParams, Partials, SolutionSampler,
-                               StatePoint, fd_partials)
+                               StatePoint, fd_partials, pde_residual)
 
 MP1 = ModelParams(A=1.0)
 FIELDS = ("rho_t", "rho_x", "u_t", "u_x", "u_xx")
@@ -160,6 +160,80 @@ def test_fd_partials_evaluates_each_stencil_node_once():
     assert calls["eval"] == 9 + 5
 
 
+@pytest.mark.parametrize("order, nodes", [(2, 5), (4, 9)])
+def test_fd_partials_checks_each_stencil_node_once(order, nodes):
+    # The u_xx row in x, its centre included, and the first-derivative row in t.
+    s, calls = _counted(make_entry("T1", p1=1, p2=2, b=1).sampler(MP1))
+    fd_partials(s, 1.0, 1.5, order=order, h=1e-3)
+    assert calls["domain"] == calls["eval"] == nodes
+
+
+def _recording(s):
+    """s, and a log of the points each call of domain, eval and partials receives."""
+    log = []
+
+    def record(name, fn):
+        def wrapped(x, t):
+            xs, ts = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+            log.append((name, set(zip(xs.ravel().tolist(), ts.ravel().tolist()))))
+            return fn(x, t)
+        return wrapped
+
+    recorded = SolutionSampler(
+        eval=record("eval", s.eval), domain=record("domain", s.domain),
+        partials=record("partials", s.partials) if s.partials is not None else None)
+    return recorded, log
+
+
+def _evaluated_unchecked(log):
+    """Points passed to eval or partials before any domain call received them."""
+    checked, unchecked = set(), set()
+    for name, points in log:
+        if name == "domain":
+            checked |= points
+        else:
+            unchecked |= points - checked
+    return unchecked
+
+
+def _checked_calls():
+    """(name, call) pairs; make each call before drawing the next, since the lambdas
+    read the loop variables."""
+    c = conservation.MultiplierConstants(1.0, 0.5, 0.2)
+    x, t = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(1, 2, 3))
+    for D in (0.0, 0.4):
+        mp = ModelParams(A=1.0, D=D)
+        yield f"pde_residual:analytic:D={D}", lambda s: pde_residual(mp, s, x, t, "analytic")
+        for which in ("S1", "S2", "S3", "S4"):
+            yield (f"symmetry_conserved_vector:{which}:D={D}",
+                   lambda s: conservation.symmetry_conserved_vector(which, c, mp, s, x, t, 1e-3))
+            yield (f"divergence_residual:{which}:D={D}",
+                   lambda s: conservation.divergence_residual(which, c, mp, s, x, t, 1e-3))
+    yield "adjoint_identity_residual", \
+        lambda s: conservation.adjoint_identity_residual(c, MP1, s, x, t, 1e-3)
+    for order in (2, 4):
+        yield f"fd_partials:{order}", lambda s: fd_partials(s, x, t, order=order)
+        yield f"pde_residual:fd{order}", lambda s: pde_residual(MP1, s, x, t, f"fd{order}")
+    yield "verify_sampler", \
+        lambda s: verify_sampler(MP1, s, GridRegion(-1.0, 1.0, 6, 1.0, 2.0, 6), tol=1e-8)
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_nothing_is_evaluated_before_its_domain_check(analytic):
+    # Within each call, every point that eval or partials receives has been
+    # passed to domain first.
+    base = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    if not analytic:
+        base = SolutionSampler(eval=base.eval, domain=base.domain)
+    for name, call in _checked_calls():
+        if name.startswith("pde_residual:analytic") and not analytic:
+            continue
+        s, log = _recording(base)
+        call(s)
+        assert any(kind == "eval" for kind, _ in log), name
+        assert not _evaluated_unchecked(log), name
+
+
 @pytest.mark.parametrize("analytic", [True, False])
 def test_verify_sampler_calls_do_not_grow_with_the_grid(analytic):
     base = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
@@ -242,7 +316,8 @@ def test_conserve_names_the_first_failing_point_in_grid_order(tmp_path, capsys):
                      "--out", str(tmp_path / "c.csv")])
     assert code == cli.EXIT_DOMAIN
     assert capsys.readouterr().err == \
-        "error: divergence stencil at (x=0.36000000000000004, t=0.1) leaves domain\n"
+        ("error: divergence stencil at (x=0.36000000000000004, t=0.1) with step 0.5"
+         " leaves the domain\n")
 
 
 def test_fd_probe_skips_points_with_a_non_finite_residual():
