@@ -30,7 +30,7 @@ CATALOG_ROWS = {
 
 
 class DomainError(ValueError):
-    """Raised when an evaluation point (or FD stencil) leaves a sampler's domain."""
+    """Raised when a point read or an FD stencil leaves a sampler's domain or is not finite."""
 
     index = None    # on a grid: flat (C-order) index of the first failing point
 

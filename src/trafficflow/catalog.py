@@ -33,7 +33,7 @@ import numpy as np
 
 from . import CATALOG_ROWS
 from .model import (FD_NODES, DomainError, ModelParams, Partials, SolutionSampler,
-                    StatePoint, pde_residual, require_all, stencil_inside)
+                    StatePoint, pde_residual, stencil_inside)
 
 __all__ = [
     "VERIFIED",
@@ -72,8 +72,8 @@ class GridRegion:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise ValueError("region needs at least a 2x2 grid")
-        if not (self.x1 > self.x0 and self.t1 > self.t0):
-            raise ValueError("region bounds must be increasing")
+        if not (0.0 < self.x1 - self.x0 < math.inf and 0.0 < self.t1 - self.t0 < math.inf):
+            raise ValueError(f"region bounds must be finite and increasing, got {self}")
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x0, self.x1, self.nx)
@@ -516,8 +516,7 @@ def verify_sampler(mp: ModelParams, sampler: SolutionSampler, region: GridRegion
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     x, t = np.meshgrid(region.xs(), region.ts())     # C order: x runs fastest
-    require_all(sampler.domain(x, t), "region point (x={x}, t={t}) outside entry domain",
-                x=x, t=t)
+    sampler.require_in_domain(x, t, "region point")
 
     has_analytic = sampler.partials is not None
     method = "analytic" if has_analytic else "fd4"

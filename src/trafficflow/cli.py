@@ -214,8 +214,6 @@ def _parse_axis(spec: str, what: str):
 
 def _surface_mode(args, argv, entry, mp) -> int:
     import numpy as np
-
-    from .model import require_all
     a1, v1 = _parse_axis(args.surface[0], "--surface[0]")
     a2, v2 = _parse_axis(args.surface[1], "--surface[1]")
     axes = {a1: v1, a2: v2}
@@ -223,8 +221,7 @@ def _surface_mode(args, argv, entry, mp) -> int:
         raise UsageError("--surface needs one x spec and one t spec")
     sampler = entry.sampler(mp)
     x, t = np.meshgrid(axes["x"], axes["t"])
-    require_all(sampler.domain(x, t), "surface point (x={x}, t={t}) outside entry domain",
-                x=x, t=t)
+    sampler.require_in_domain(x, t, "surface point")
     st = sampler.eval(x, t)
     rows = zip(t.ravel().tolist(), x.ravel().tolist(), st.rho.ravel().tolist(),
                st.u.ravel().tolist())
@@ -378,13 +375,11 @@ def cmd_lie(args, argv) -> int:
         from .catalog import GridRegion, verify_sampler
         from .model import ModelParams
         mp = ModelParams(A=args.A, D=args.D)
-        sampler = entry.sampler(mp)
-        transformed = group_transform(args.generator, args.eps, sampler)
+        transformed = group_transform(args.generator, args.eps, entry.sampler(mp))
         samples = []
         for spec in args.at or []:
             x, t = _parse_vector(spec, 2, "--at")
-            if not transformed.domain(x, t):
-                raise DomainError(f"transformed sampler undefined at (x={x}, t={t})")
+            transformed.require_in_domain(x, t, "--at point")
             st = transformed.eval(x, t)
             samples.append({"x": x, "t": t, "rho": st.rho, "u": st.u})
         result = {"generator": args.generator, "eps": args.eps, "samples": samples}

@@ -17,7 +17,6 @@ from . import DomainError
 
 __all__ = [
     "DomainError",
-    "require_all",
     "ModelParams",
     "StatePoint",
     "Partials",
@@ -78,6 +77,13 @@ class ModelParams:
     @property
     def sqrt_A(self) -> float:
         return math.sqrt(self.A)
+
+
+def _finite(x, t):
+    """Whether x and t are finite: a bool for floats, a mask on arrays."""
+    if isinstance(x, float) and isinstance(t, float):
+        return math.isfinite(x) and math.isfinite(t)
+    return np.isfinite(x) & np.isfinite(t)
 
 
 # Value types of a single point; anything else is taken for an array.
@@ -155,9 +161,12 @@ class SolutionSampler:
     domain: Callable[[float, float], bool] = field(default=lambda x, t: True)
     partials: Optional[Callable[[float, float], Partials]] = None
 
-    def require_in_domain(self, x, t) -> None:
-        require_all(self.domain(x, t), "point (x={x}, t={t}) is outside the sampler domain",
-                    x=x, t=t)
+    def require_in_domain(self, x, t, what: str = "point") -> None:
+        """DomainError at the first point not finite or not inside; a float one skips domain."""
+        ok = _finite(x, t)
+        ok = ok is not False and ok & self.domain(x, t)
+        if ok is not True:    # a float point inside needs no require_all call
+            require_all(ok, what + " (x={x}, t={t}) is outside the sampler domain", x=x, t=t)
 
 
 def pressure(p: ModelParams, s: StatePoint, u_x: float) -> float:
@@ -237,13 +246,13 @@ def stencil_inside(s: SolutionSampler, x, t, h, nodes):
 def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> None:
     """The check every finite difference at (x, t) with step h makes before it evaluates.
 
-    h, a float or an array, must pass require_step (a ValueError).  Every
-    node (i, j) must lie inside the domain, and x +- h and t +- h must all
-    differ from x and t, since a step that rounds away reads as 0; otherwise
-    a DomainError names the first failing point and its own step.
+    x and t must be finite and h, a float or an array, pass require_step (a ValueError).
+    Every node (i, j) must lie in the domain and x +- h, t +- h must differ from x, t (a step
+    that rounds away reads as 0); else a DomainError names the first bad point and its step.
     """
-    require_step(h)
     where = what + " stencil at (x={x}, t={t}) with step {h}"
+    require_all(_finite(x, t), where + " leaves the domain", x=x, t=t, h=h)
+    require_step(h)
     require_all(stencil_inside(s, x, t, h, nodes), where + " leaves the domain", x=x, t=t, h=h)
     require_all((x + h != x) & (x - h != x) & (t + h != t) & (t - h != t),
                 where + " rounds onto its centre", x=x, t=t, h=h)

@@ -24,8 +24,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import BCS, SCHEMES, DomainError
-from .model import ModelParams, SolutionSampler, require_all
+from . import BCS, SCHEMES
+from .model import ModelParams, SolutionSampler
 
 __all__ = [
     "SolverError",
@@ -63,8 +63,8 @@ class Grid:
     nx: int
 
     def __post_init__(self):
-        if self.dx <= 0.0:
-            raise ValueError("dx must be > 0")
+        if not (0.0 < self.dx < math.inf and -math.inf < self.x0 < math.inf):
+            raise ValueError(f"x0 and dx must be finite and dx > 0, got {self}")
         if self.nx < 8:
             raise ValueError("need at least 8 cells")
 
@@ -140,12 +140,10 @@ class SolverConfig:
 
 def _dirichlet_ghosts(cfg: SolverConfig, t: float) -> list:
     """The sampler's states at the ghost centres x0 - dx/2 and x1 + dx/2 at time t."""
-    g = cfg.grid
-    s = cfg.dirichlet_sampler
+    g, s = cfg.grid, cfg.dirichlet_sampler
     states = []
     for xg in (g.x0 - 0.5 * g.dx, g.x0 + (g.nx + 0.5) * g.dx):
-        if not s.domain(xg, t):
-            raise DomainError(f"dirichlet ghost cell at x={xg}, t={t} outside domain")
+        s.require_in_domain(xg, t, "dirichlet ghost cell")
         states.append(s.eval(xg, t))
     return states
 
@@ -315,7 +313,7 @@ def _initial_field(ic: Union[SolutionSampler, Field], grid: Grid, t0: float) -> 
             raise ValueError(f"initial field is at t={ic.t}, run starts at t0={t0}")
         return ic    # _March copies it into its own buffer
     xs = grid.centers()
-    require_all(ic.domain(xs, t0), "initial condition undefined at x={x}, t={t}", x=xs, t=t0)
+    ic.require_in_domain(xs, t0, "initial condition at cell centre")
     st = ic.eval(xs, t0)
     return Field(t=t0, rho=st.rho, u=st.u)
 
@@ -362,7 +360,7 @@ def error_norms(f: Field, s: SolutionSampler, grid: Grid) -> dict:
     is second-order consistent and adequate for first-order schemes.
     """
     xs = grid.centers()
-    require_all(s.domain(xs, f.t), "sampler undefined at x={x}, t={t}", x=xs, t=f.t)
+    s.require_in_domain(xs, f.t, "reference at cell centre")
     st = s.eval(xs, f.t)
     out = {}
     for name, got, ref in (("rho", f.rho, st.rho), ("u", f.u, st.u)):

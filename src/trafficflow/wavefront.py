@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DomainError, SolutionSampler, require_all
+from .model import DomainError, SolutionSampler
 
 __all__ = [
     "AmplitudeProblem",
@@ -73,8 +73,7 @@ def _rates(prob: AmplitudeProblem):
     bg, c = prob.background, math.sqrt(prob.A)
 
     def rates(x, t):
-        require_all(bg.domain(x, t), "characteristic path leaves the background domain at "
-                    "(x={x}, t={t})", x=x, t=t)
+        bg.require_in_domain(x, t, "characteristic path point")
         st, d = bg.eval(x, t), bg.partials(x, t)
         return st.u + c, 0.5 * (c * d.rho_x / st.rho + 5.0 * d.u_x)
 
@@ -132,10 +131,10 @@ def _steps(prob: AmplitudeProblem, rtol: float):
 
     Yields (t, t_new, q, on_mark) for each accepted step, q the rows of its dense output.
     A step is retried shorter when its local error exceeds rtol max(1, |y|) in any
-    component, when it is not finite, and when a stage overflows, leaves the background
-    domain or meets a singular Psi: the steps close in on such an edge and cover any
-    time before it.  When the step size underflows it raises that stage's DomainError,
-    or else one saying that the pass stalls.
+    component, when it is not finite, and when a stage overflows, reads the background
+    outside its domain or meets a singular Psi: the steps close in on such an edge and
+    cover any time before it.  When the step size underflows it raises that stage's
+    DomainError, or else one saying that the pass stalls.
     """
     rates = _rates(prob)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ def test_region_validation():
         GridRegion(0, 1, 1, 0, 1, 11)
     with pytest.raises(ValueError):
         GridRegion(1, 0, 11, 0, 1, 11)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, math.inf, 1.0, 2.0), (-math.inf, 1.0, 1.0, 2.0),
+                                    (0.0, 1.0, math.nan, 2.0), (0.0, 1.0, 1.0, math.inf),
+                                    (-1e308, 1e308, 1.0, 2.0)])
+def test_region_bounds_must_be_finite(bounds):
+    # A span that overflows is no finite region either: linspace would fill it with inf.
+    x0, x1, t0, t1 = bounds
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "region bounds must be finite and increasing, got "
+            f"GridRegion(x0={x0}, x1={x1}, nx=11, t0={t0}, t1={t1}, nt=11)") + "$"):
+        GridRegion(x0, x1, 11, t0, t1, 11)
 
 
 def test_unknown_entry_rejected():

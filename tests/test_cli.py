@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -286,7 +287,7 @@ _CSV_ICS = {
 
 @pytest.mark.parametrize("argv,code,err", [
     (f"lie transform --generator 4 --eps 0.5 --entry {_T1} --at 0,-5", 65,
-     "error: transformed sampler undefined at (x=0.0, t=-5.0)"),
+     "error: --at point (x=0.0, t=-5.0) is outside the sampler domain\n"),
     (f"verify {_T1} --x0 0 --x1 1", 64,
      "usage error: either give all of --x0 --x1 --t0 --t1 or none"),
     ("verify T1?p1=1&&p2=2&b=1", 64, "usage error: malformed entry query 'p1=1&&p2=2&b=1'"),
@@ -323,6 +324,31 @@ def test_rejections_exit_with_their_code_and_write_nothing(capsys, tmp_path, arg
     got, out, got_err = run_cli(capsys, *args)
     assert (got, out) == (code, "") and got_err.startswith(err)
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv,err", [
+    (f"verify {_T1} --x0 0 --x1 inf --t0 1 --t1 2",
+     "region bounds must be finite and increasing, got GridRegion(x0=0.0, x1=inf, nx=41, "
+     "t0=1.0, t1=2.0, nt=41)"),
+    (f"simulate --ic {_T1} --x0 0 --x1 inf",
+     "x0 and dx must be finite and dx > 0, got Grid(x0=0.0, dx=inf, nx=100)"),
+    (f"simulate --ic {_T1} --x0 nan --x1 2",
+     "x0 and dx must be finite and dx > 0, got Grid(x0=nan, dx=nan, nx=100)"),
+], ids=["verify", "simulate", "simulate-nan"])
+def test_non_finite_grid_bounds_exit_65_before_anything_is_evaluated(capsys, tmp_path, argv,
+                                                                      err):
+    # stderr holds the error alone: no numpy warning from a grid built on inf.
+    args = argv.split() + (["--out", str(tmp_path / "run.csv")] if "simulate" in argv else [])
+    assert run_cli(capsys, *args) == (65, "", f"error: {err}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("at,point", [("nan,1", "(x=nan, t=1.0)"), ("inf,1", "(x=inf, t=1.0)"),
+                                      ("0.5,-inf", "(x=0.5, t=-inf)")])
+def test_lie_transform_at_a_non_finite_point_names_it(capsys, at, point):
+    got = run_cli(capsys, "lie", "transform", "--generator", "2", "--eps", "0.1",
+                  "--entry", _T1, "--at", at)
+    assert got == (65, "", f"error: --at point {point} is outside the sampler domain\n")
 
 
 def test_simulate_snapshot_time_that_is_not_a_number_names_its_flag(capsys, tmp_path):
@@ -832,3 +858,21 @@ def test_csv_uses_lf_and_header(capsys, tmp_path):
     data = out.read_bytes()
     assert b"\r" not in data
     assert data.startswith(b"t,x,rho,u\n")
+
+
+def _readme_examples() -> list:
+    """The trafficflow commands of the README's command-line block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command-line interface\n", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("trafficflow ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    examples = _readme_examples()
+    assert len(examples) == 13
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        want = 2 if argv[:2] == ["verify", "KINK?mshape=gauss&c1=1"] else 0   # REFUTED
+        code = main(argv)
+        assert code == want, (argv, capsys.readouterr().err)

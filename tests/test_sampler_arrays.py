@@ -5,6 +5,7 @@ a grid costs one sampler call per stencil node instead of one per point.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,65 @@ def test_nothing_is_evaluated_before_its_domain_check(analytic):
         call(s)
         assert any(kind == "eval" for kind, _ in log), name
         assert not _evaluated_unchecked(log), name
+
+
+def _point_reads():
+    """(name, call) pairs of the consumers that read a sampler at points, not on stencils."""
+    grid = solver.Grid.over(0.0, 2.0, 16)
+    field = solver.Field(1.0, np.ones(16), np.zeros(16))
+    yield "_initial_field", lambda s: solver._initial_field(s, grid, 1.0)
+    yield "error_norms", lambda s: solver.error_norms(field, s, grid)
+    for D in (0.0, 0.5):    # D > 0 also reads the ghosts at t + dt
+        yield f"dirichlet step:D={D}", lambda s: solver.step(field, solver.SolverConfig(
+            grid=grid, params=ModelParams(A=1.0, D=D), bc="dirichlet", dirichlet_sampler=s))
+
+    def problem(s):
+        return wavefront.AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=1.0, pi0=0.1)
+
+    yield "characteristic_path", lambda s: wavefront.characteristic_path(problem(s), 2.0, 0.1)
+    yield "amplitude_quadrature", lambda s: wavefront.amplitude_quadrature(problem(s), 2.0, 20)
+
+
+def test_point_reads_are_checked_before_anything_is_evaluated():
+    base = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    for name, call in _point_reads():
+        s, log = _recording(base)
+        call(s)
+        assert any(kind == "eval" for kind, _ in log), name
+        assert not _evaluated_unchecked(log), name
+
+
+_NON_FINITE = [(math.nan, 1.5), (math.inf, 1.5), (1.0, math.inf)]
+
+
+@pytest.mark.parametrize("x,t", _NON_FINITE)
+@pytest.mark.parametrize("kind,params", [("T1", dict(p1=1, p2=2, b=1)),
+                                         ("T3", dict(p1=1.2, b=0.5))])
+def test_a_non_finite_point_is_outside_every_domain(kind, params, x, t):
+    s = make_entry(kind, **params).sampler(MP1)
+    c = conservation.MultiplierConstants(1.0, 0.5, 0.2)
+    calls = [lambda: pde_residual(MP1, s, x, t, "analytic"),
+             lambda: pde_residual(MP1, s, x, t, "fd2", h=1e-3),
+             lambda: pde_residual(MP1, s, x, t, "fd4"),      # default step: inf at x = inf
+             lambda: conservation.symmetry_conserved_vector("S2", c, MP1, s, x, t, 1e-3),
+             lambda: conservation.divergence_residual("S2", c, MP1, s, x, t, 1e-3)]
+    for call in calls:
+        with pytest.raises(DomainError, match=re.escape(f"(x={x}, t={t}) ")
+                           + "(is outside the sampler domain|with step .* leaves the domain)$"):
+            call()
+
+
+def test_a_non_finite_point_never_reaches_domain():
+    # domain's own math may raise on such a float (math.exp(inf) overflows, say).
+    s, log = _recording(make_entry("T1", p1=1, p2=2, b=1).sampler(MP1))
+    for x, t in _NON_FINITE:
+        with pytest.raises(DomainError, match=re.escape(f"wall point (x={x}, t={t}) is outside")):
+            s.require_in_domain(x, t, "wall point")
+    assert log == []
+    x = np.array([0.0, math.nan, math.inf])
+    with pytest.raises(DomainError, match=r"^point \(x=nan, t=1\.5\) is outside") as e:
+        s.require_in_domain(x, 1.5)
+    assert e.value.index == 1
 
 
 @pytest.mark.parametrize("analytic", [True, False])

@@ -19,6 +19,14 @@ def _riemann_field(grid, rho_l=2.0, rho_r=1.0):
     return Field(t=0.0, rho=rho, u=np.zeros(grid.nx))
 
 
+@pytest.mark.parametrize("x0,dx", [(0.0, math.inf), (0.0, math.nan), (math.inf, 0.1),
+                                   (-math.inf, 0.1), (math.nan, 0.1), (0.0, 0.0), (0.0, -0.1)])
+def test_grid_needs_finite_origin_and_positive_finite_spacing(x0, dx):
+    with pytest.raises(ValueError, match=re.escape(
+            f"x0 and dx must be finite and dx > 0, got Grid(x0={x0}, dx={dx}, nx=16)")):
+        Grid(x0=x0, dx=dx, nx=16)
+
+
 def test_constant_state_is_fixed_point():
     g = Grid.over(0.0, 1.0, 64)
     cfg = SolverConfig(grid=g, params=MP1, scheme="rusanov", bc="periodic")
@@ -269,7 +277,7 @@ def test_dirichlet_ghost_outside_the_sampler_domain_is_named():
     cfg = SolverConfig(grid=g, params=MP1, bc="dirichlet", dirichlet_sampler=cut)
     ghost = g.x0 + (g.nx + 0.5) * g.dx
     with pytest.raises(DomainError, match=re.escape(
-            f"dirichlet ghost cell at x={ghost}, t=1.0 outside domain")):
+            f"dirichlet ghost cell (x={ghost}, t=1.0) is outside the sampler domain")):
         run(cfg, s, 1.0, 1.2)
 
 

@@ -10,10 +10,12 @@ import pytest
 
 from trafficflow.catalog import make_entry
 from trafficflow.model import DomainError, ModelParams, Partials, SolutionSampler, StatePoint
+from trafficflow.solver import Field, Grid, SolverConfig, run
 from trafficflow.wavefront import (RTOL, TAIL_L0, AmplitudeProblem, _march, amplitude_direct,
                                    amplitude_quadrature, characteristic_path, psi_along)
 
 MP1 = ModelParams(A=1.0)
+_LEAVES = r"^characteristic path point \(x=\S+, t=\S+\) is outside the sampler domain$"
 
 
 def _t1_problem(pi0, p1=0.0, p2=1.0, b=1.0, x0=1.0, t0=1.0, closed_form=True):
@@ -58,7 +60,7 @@ def test_path_exits_domain():
     # x(t) = 2t stays inside up to t = 0.9: steps that overshoot the edge are retried shorter.
     ts, xs = characteristic_path(prob, 0.9, 0.01)
     assert ts[-1] == 0.9 and abs(xs[-1] - 1.8) <= 1e-12
-    with pytest.raises(DomainError, match="^characteristic path leaves the background domain "):
+    with pytest.raises(DomainError, match=_LEAVES):
         characteristic_path(prob, 5.0, 0.01)   # x(t) = 2t crosses x = 2
 
 
@@ -377,7 +379,7 @@ def test_tail_pi_c_is_nan_when_the_domain_ends_just_past_t_end():
     prob = AmplitudeProblem(background=short, A=1.0, x0=1.0, t0=1.0, pi0=0.5)
     sol = amplitude_quadrature(prob, 49.9, n=100)
     assert math.isnan(sol.pi_c) and math.isnan(sol.pi_c_err) and np.all(np.isfinite(sol.pi))
-    with pytest.raises(DomainError, match="^characteristic path leaves the background domain "):
+    with pytest.raises(DomainError, match=_LEAVES):
         amplitude_quadrature(prob, 50.1, n=100)
 
 
@@ -548,3 +550,41 @@ def test_tail_pi_c_of_a_fast_background(case):
         prob, exact = _psi_5_over_t_problem(), 4.0
     sol = amplitude_quadrature(prob, 3.0, n=10)
     assert abs(sol.pi_c - exact) <= sol.pi_c_err <= 1e-6
+
+
+def test_a_finite_volume_front_follows_the_derived_damping_not_the_printed_one():
+    # D = 0 is isothermal gas dynamics: w = u + ln rho rides the fast characteristic and a
+    # jump pi = [u_x] = [w_x]/2 across it damps with Psi' = (rho_x/rho + 3 u_x)/2, not the
+    # printed (rho_x/rho + 5 u_x)/2.  On T1 (p1 = 0, p2 = 1, b = 1) from t0 = 0, rho = 1 and
+    # u = x, so Psi' = 3/(2 (t + 1)).  The jump goes into w alone (z = u - ln rho is left as
+    # it is) and the solver, which knows nothing of Psi, carries it: the steepest -w_x
+    # behind the front converges toward the derived law.  The package keeps the printed
+    # Psi; this test reports the difference rather than repairing it.
+    s = make_entry("T1", p1=0, p2=1, b=1).sampler(MP1)
+    pi0, times = -1.0, [0.5, 1.0, 2.0]
+    prob = AmplitudeProblem(background=s, A=1.0, x0=0.0, t0=0.0, pi0=pi0, psi_shift_b=1.0)
+    _, front = characteristic_path(prob, 2.0, 0.5)               # x(t) = (t + 1) ln(t + 1)
+    printed_pi = amplitude_quadrature(prob, 2.0, n=4).pi         # both on t = 0, 0.5, ..., 2
+    w_x = {t: 1.0 / (t + 1.0) for t in times}                    # the background's w_x
+    printed = {t: -(w_x[t] + 2.0 * printed_pi[int(2 * t)]) for t in times}
+    E = {t: (t + 1.0) ** -1.5 for t in times}                    # exp(-int Psi')
+    F = {t: 2.0 * (1.0 - (t + 1.0) ** -0.5) for t in times}      # int E
+    derived = {t: -(w_x[t] + 2.0 * pi0 * E[t] / (1.0 + pi0 * F[t])) for t in times}
+    steepest = {}
+    for nx in (800, 1600, 3200):
+        g = Grid.over(-2.0, 5.0, nx)
+        xs = g.centers()
+        st, ramp = s.eval(xs, 0.0), pi0 * np.clip(xs, -1.0, 0.0)
+        ic = Field(0.0, st.rho * np.exp(ramp), st.u + ramp)       # w += 2 pi0 clip(x, -1, 0)
+        cfg = SolverConfig(grid=g, params=MP1, scheme="rusanov", cfl=0.9, bc="outflow")
+        traj = run(cfg, ic, 0.0, 2.0, snapshots=times)
+        for t, f in zip(traj.times, traj.fields):
+            minus_w_x = -np.diff(f.u + np.log(f.rho)) / g.dx
+            i = int(np.argmax(minus_w_x))
+            steepest[t, nx] = minus_w_x[i], g.x0 + (i + 1) * g.dx
+    for t in times:
+        got = [steepest[t, nx][0] for nx in (800, 1600, 3200)]
+        assert got[0] < got[1] < got[2] < derived[t], (t, got, derived[t])
+        assert got[0] > printed[t] + 0.6, (t, got, printed[t])
+        # The steepest slope is the wave's: it sits just behind the front, not in the ramp.
+        assert 0.05 < front[int(2 * t)] - steepest[t, 3200][1] < 0.15, (t, steepest[t, 3200])
