@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import CATALOG_ROWS
-from .model import (FD_NODES, DomainError, ModelParams, Partials, SolutionSampler,
-                    StatePoint, pde_residual, stencil_inside)
+from .model import (DomainError, ModelParams, Partials, SolutionSampler, StatePoint,
+                    pde_residual)
 
 __all__ = [
     "VERIFIED",
@@ -484,13 +484,13 @@ def _fd2_floors(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.
                 steps: list) -> list:
     """Largest |r1|, |r2| of the order-2 FD residual on the 1-D probe arrays x, t at each step.
 
-    One residual call covers every (step, point) pair.  A pair whose stencil
-    leaves the domain, or whose residual is not finite, is skipped; a step
-    with no pair left gets None.
+    One residual call checks each (step, point) pair's stencil once; a pair whose
+    stencil leaves the domain, or whose residual is not finite, is dropped by the
+    DomainError's index and the call retried.  A step with no pair left gets None.
     """
     xs, ts = np.tile(x, len(steps)), np.tile(t, len(steps))
     hs = np.repeat(steps, x.size)
-    keep = np.broadcast_to(stencil_inside(sampler, xs, ts, hs, FD_NODES[2]), xs.shape).copy()
+    keep = np.ones(xs.shape, dtype=bool)
     worst = np.zeros(xs.shape)
     while keep.any():
         try:

@@ -209,6 +209,8 @@ def _parse_axis(spec: str, what: str):
         raise ValueError(f"{what}: {e}") from e
     if n < 2 or hi <= lo:
         raise UsageError(f"{what}: need count >= 2 and max > min")
+    if not math.isfinite(hi - lo):     # a NaN bound passes hi <= lo
+        raise ValueError(f"{what}: bounds and their span must be finite, got {spec!r}")
     return axis, np.linspace(lo, hi, n)
 
 

@@ -13,9 +13,9 @@ their defect term -2 W^u (h*rho + g*u), which the divergence check reports.
 import math
 from dataclasses import dataclass
 
-from .model import (FD_NODES, ModelParams, SolutionSampler, StatePoint, fd_partials,
-                    fd_partials_unchecked, require_stencil, require_step,
-                    residual_from_partials, step_scale)
+from .model import (FD_NODES, ModelParams, Partials, SolutionSampler, StatePoint, fd_partials,
+                    read_stencil, require_stencil, require_step, residual_from_partials,
+                    step_scale)
 
 __all__ = [
     "MultiplierConstants",
@@ -98,15 +98,13 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
     defects converge at O(h_step^2) to zero when the identity holds (it does
     for D = 0) and to the identity's intrinsic defect otherwise.  Its five
     nodes, the centre and (x +- h_step, t), (x, t +- h_step), are the order-2
-    FD stencil and pass require_stencil once, before any evaluation.
+    FD stencil, read once (read_stencil), which also gives FD-only partials.
     """
-    require_stencil(s, x, t, h_step, FD_NODES[2], "adjoint-identity")
-    st = s.eval(x, t)
-    d = s.partials(x, t) if s.partials is not None else fd_partials_unchecked(s, x, t, 2, h_step)
+    at = read_stencil(s, x, t, h_step, FD_NODES[2], "adjoint-identity")
+    st, xp, xm, tp, tm = at[0, 0], at[1, 0], at[-1, 0], at[0, 1], at[0, -1]
+    d = s.partials(x, t) if s.partials is not None else Partials.from_stencil(at, 2, h_step)
     rho, u = st.rho, st.u
     _, g0, l1, l2, l3, l4 = self_adjoint_substitution(c, p, st)
-    xp, xm, tp, tm = (s.eval(x + h_step, t), s.eval(x - h_step, t),
-                      s.eval(x, t + h_step), s.eval(x, t - h_step))
     (h_xp, g_xp), (h_xm, g_xm), (h_tp, g_tp), (h_tm, g_tm) = (
         _substitution(c, p, q) for q in (xp, xm, tp, tm))
     h_x = (h_xp - h_xm) / (2.0 * h_step)
@@ -140,9 +138,8 @@ def _mixed_u_tx(s: SolutionSampler, x, t, h: float):
         k = 1e-4 * step_scale(x, t)
         require_stencil(s, x, t, k, ((0, 1), (0, -1)), "mixed-derivative")
         return (s.partials(x, t + k).u_x - s.partials(x, t - k).u_x) / (2.0 * k)
-    require_stencil(s, x, t, h, ((1, 1), (1, -1), (-1, 1), (-1, -1)), "mixed-derivative")
-    return (s.eval(x + h, t + h).u - s.eval(x + h, t - h).u
-            - s.eval(x - h, t + h).u + s.eval(x - h, t - h).u) / (4.0 * h * h)
+    at = read_stencil(s, x, t, h, ((1, 1), (1, -1), (-1, 1), (-1, -1)), "mixed-derivative")
+    return (at[1, 1].u - at[1, -1].u - at[-1, 1].u + at[-1, -1].u) / (4.0 * h * h)
 
 
 # One flux serves the four generators, from each one's characteristic W = -V:
@@ -180,8 +177,8 @@ def _vector(which: str, c: MultiplierConstants, p: ModelParams, s: SolutionSampl
     With flux=False, Ut alone, which needs neither the mixed derivative u_tx
     nor the flux terms: neither is computed, and DxV_u goes unused.
     """
-    st = s.eval(x, t)
     d = s.partials(x, t) if s.partials is not None else fd_partials(s, x, t, order=2, h=h_step)
+    st = s.eval(x, t) if s.partials is not None else d.centre
     rho, u = st.rho, st.u
     h, g = _substitution(c, p, st)
     D = p.D

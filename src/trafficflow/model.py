@@ -25,10 +25,10 @@ __all__ = [
     "characteristic_speeds",
     "characteristic_eigenvectors",
     "fd_partials",
-    "fd_partials_unchecked",
     "FD_NODES",
     "require_step",
     "require_stencil",
+    "read_stencil",
     "stencil_inside",
     "step_scale",
     "default_fd_step",
@@ -86,21 +86,20 @@ def _finite(x, t):
     return np.isfinite(x) & np.isfinite(t)
 
 
-# Value types of a single point; anything else is taken for an array.
-_POINT_TYPES = frozenset((float, int, np.float64))
 _INVALID = {"rho": "density must be finite and > 0, got rho={v}",
             "u": "velocity must be finite, got u={v}"}
 
 
-def _validated(names, values) -> tuple:
-    """The values, broadcast to one shape on a grid; DomainError unless finite, rho > 0."""
-    where = ""
-    if not _POINT_TYPES.issuperset(map(type, values)):
+def _validated(ok, names, values) -> tuple:
+    """The values, broadcast on a grid; a DomainError naming the first bad field unless ok holds."""
+    grid = isinstance(ok, np.ndarray)
+    if grid:
         values = np.broadcast_arrays(*values)
-        where = " at grid index {index}"
-    for name, v in zip(names, values):
-        ok = np.isfinite(v) & (v > 0.0) if name == "rho" else np.isfinite(v)
-        require_all(ok, _INVALID.get(name, f"non-finite derivative {name}={{v}}") + where, v=v)
+    if ok is False or not ok.all():
+        where = " at grid index {index}" if grid else ""
+        for name, v in zip(names, values):
+            ok = np.isfinite(v) & (v > 0.0) if name == "rho" else np.isfinite(v)
+            require_all(ok, _INVALID.get(name, f"non-finite derivative {name}={{v}}") + where, v=v)
     return values
 
 
@@ -108,17 +107,16 @@ def _validated(names, values) -> tuple:
 class StatePoint:
     """State (rho, u) at a point or on a grid.  Density must be strictly positive.
 
-    Fields in order rho, u; samplers pass them positionally.  Floats are
-    checked on a fast path; arrays are broadcast to one shape."""
+    Fields in order rho, u; samplers pass them positionally.  One expression
+    checks a point and a grid alike; arrays are broadcast to one shape."""
 
     rho: float
     u: float
 
     def __post_init__(self):
-        rho, u = self.rho, self.u
-        if not (type(rho) in _POINT_TYPES and type(u) in _POINT_TYPES
-                and math.isfinite(rho) and rho > 0.0 and math.isfinite(u)):
-            self.rho, self.u = _validated(("rho", "u"), (rho, u))
+        ok = (self.rho > 0.0) & (self.rho < math.inf) & (abs(self.u) < math.inf)
+        if ok is not True:    # a valid float point needs no _validated call
+            self.rho, self.u = _validated(ok, ("rho", "u"), (self.rho, self.u))
 
 
 @dataclass(slots=True)
@@ -138,12 +136,27 @@ class Partials:
 
     def __post_init__(self):
         a, b, c, d, e = values = (self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx)
-        if not (type(a) in _POINT_TYPES and type(b) in _POINT_TYPES and type(c) in _POINT_TYPES
-                and type(d) in _POINT_TYPES and type(e) in _POINT_TYPES
-                and math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
-                and math.isfinite(d) and math.isfinite(e)):
+        ok = ((abs(a) < math.inf) & (abs(b) < math.inf) & (abs(c) < math.inf)
+              & (abs(d) < math.inf) & (abs(e) < math.inf))
+        if ok is not True:
             self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx = \
-                _validated(("rho_t", "rho_x", "u_t", "u_x", "u_xx"), values)
+                _validated(ok, ("rho_t", "rho_x", "u_t", "u_x", "u_xx"), values)
+
+    @staticmethod
+    def from_stencil(at: dict, order: int, h) -> "Partials":
+        """Order-2 or -4 central differences of read_stencil's states; ``centre`` is at[0, 0]."""
+        (offsets, w1), (off2, w2) = _FD_STENCILS[order]
+        rho_x = sum(w * at[k, 0].rho for k, w in zip(offsets, w1)) / h
+        u_x = sum(w * at[k, 0].u for k, w in zip(offsets, w1)) / h
+        rho_t = sum(w * at[0, k].rho for k, w in zip(offsets, w1)) / h
+        u_t = sum(w * at[0, k].u for k, w in zip(offsets, w1)) / h
+        u_xx = sum(w * at[k, 0].u for k, w in zip(off2, w2)) / (h * h)
+        return _StencilPartials(rho_t, rho_x, u_t, u_x, u_xx, at[0, 0])
+
+
+@dataclass(slots=True)
+class _StencilPartials(Partials):
+    centre: StatePoint      # the state at (x, t), from the stencil read that gave the partials
 
 
 @dataclass(frozen=True)
@@ -212,17 +225,16 @@ def default_fd_step(x, t):
     return 1e-3 * step_scale(x, t)
 
 
-# Central first-derivative stencils: (offsets, weights)
+# Central stencils by order: first-derivative (offsets, weights), then u_xx's.
 _FD_STENCILS = {
-    2: ((-1, 1), (-0.5, 0.5)),
-    4: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
+    2: (((-1, 1), (-0.5, 0.5)), ((-1, 0, 1), (1.0, -2.0, 1.0))),
+    4: (((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
+        ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0))),
 }
-_FD2_SECOND = ((-1, 0, 1), (1.0, -2.0, 1.0))
-_FD4_SECOND = ((-2, -1, 0, 1, 2), (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0, 16.0 / 12.0, -1.0 / 12.0))
-# The nodes (i, j), at (x + i*h, t + j*h), that fd_partials evaluates: the u_xx
+# The nodes (i, j), at (x + i*h, t + j*h), that fd_partials reads: the u_xx
 # row in x, centre included, and the first-derivative row in t.
-FD_NODES = {order: tuple((k, 0) for k in off2) + tuple((0, k) for k in _FD_STENCILS[order][0])
-            for order, off2 in ((2, _FD2_SECOND[0]), (4, _FD4_SECOND[0]))}
+FD_NODES = {order: tuple((k, 0) for k in second[0]) + tuple((0, k) for k in first[0])
+            for order, (first, second) in _FD_STENCILS.items()}
 
 
 def require_step(h) -> None:
@@ -258,34 +270,23 @@ def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> None:
                 where + " rounds onto its centre", x=x, t=t, h=h)
 
 
+def read_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> dict:
+    """{(i, j): state at (x + i*h, t + j*h)}: every node passes require_stencil, then one eval."""
+    require_stencil(s, x, t, h, nodes, what)
+    return {(i, j): s.eval(x + i * h, t + j * h) for i, j in nodes}
+
+
 def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:
     """Central finite-difference partials of a sampler at (x, t).
 
-    The stencil (width 2 or 4 in each direction, its centre included) passes
-    require_stencil before any node is evaluated, the default step
-    1e-3 * max(1, |x|, |t|) too.  Each stencil node is evaluated once, with
-    one sampler call per node for a whole grid.
+    The stencil (width 2 or 4 each way, centre included) is read once, by read_stencil,
+    at step h, by default 1e-3 * max(1, |x|, |t|); ``centre`` holds the state at (x, t).
     """
     if order not in (2, 4):
         raise ValueError("fd order must be 2 or 4")
-    if h is None:
-        h = default_fd_step(x, t)
-    require_stencil(s, x, t, h, FD_NODES[order], f"order-{order} FD")
-    return fd_partials_unchecked(s, x, t, order, h)
-
-
-def fd_partials_unchecked(s: SolutionSampler, x, t, order: int, h) -> Partials:
-    """fd_partials for a caller that has checked the order, the step and the stencil."""
-    offsets, w1 = _FD_STENCILS[order]
-    off2, w2 = _FD2_SECOND if order == 2 else _FD4_SECOND
-    at_x = {k: s.eval(x + k * h, t) for k in off2}
-    at_t = {k: s.eval(x, t + k * h) for k in offsets}
-    rho_x = sum(w * at_x[k].rho for k, w in zip(offsets, w1)) / h
-    u_x = sum(w * at_x[k].u for k, w in zip(offsets, w1)) / h
-    rho_t = sum(w * at_t[k].rho for k, w in zip(offsets, w1)) / h
-    u_t = sum(w * at_t[k].u for k, w in zip(offsets, w1)) / h
-    u_xx = sum(w * at_x[k].u for k, w in zip(off2, w2)) / (h * h)
-    return Partials(rho_t, rho_x, u_t, u_x, u_xx)
+    h = default_fd_step(x, t) if h is None else h
+    at = read_stencil(s, x, t, h, FD_NODES[order], f"order-{order} FD")
+    return Partials.from_stencil(at, order, h)
 
 
 def residual_from_partials(p: ModelParams, s: StatePoint, d: Partials) -> tuple[float, float]:
@@ -305,8 +306,8 @@ def pde_residual(p: ModelParams, s: SolutionSampler, x, t,
 
     method: "auto" (analytic partials when available, else order-4 FD),
     "analytic", "fd2" or "fd4".  Residuals are returned as raw signed values,
-    floats at a point and arrays on a grid.  The centre is checked against
-    the domain first: on its own for analytic partials, with the stencil for FD.
+    floats at a point and arrays on a grid.  The centre is checked first: alone
+    for analytic partials, else with the FD stencil, whose one read gives its state too.
     """
     if method == "auto":
         method = "analytic" if s.partials is not None else "fd4"
@@ -314,12 +315,12 @@ def pde_residual(p: ModelParams, s: SolutionSampler, x, t,
         if s.partials is None:
             raise ValueError("sampler has no analytic partials")
         s.require_in_domain(x, t)
-        d = s.partials(x, t)
+        d, state = s.partials(x, t), s.eval(x, t)
     elif method in ("fd2", "fd4"):
         d = fd_partials(s, x, t, order=int(method[2]), h=h)
+        state = d.centre
     else:
         raise ValueError(f"unknown derivative method {method!r}")
-    state = s.eval(x, t)
     r1, r2 = residual_from_partials(p, state, d)
     require_all(np.isfinite(r1) & np.isfinite(r2),
                 "non-finite residual at (x={x}, t={t}): ({r1}, {r2})", x=x, t=t, r1=r1, r2=r2)

@@ -326,6 +326,15 @@ def test_rejections_exit_with_their_code_and_write_nothing(capsys, tmp_path, arg
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("spec", ["x:0:inf:5", "x:-1e308:1e308:5", "x:nan:1:5", "x:-inf:0:5"])
+def test_surface_axis_bounds_and_span_must_be_finite(capsys, tmp_path, spec):
+    got, out, err = run_cli(capsys, "simulate", "--ic", _T1, "--surface", spec, "t:1:2:3",
+                            "--out", str(tmp_path / "s.csv"))
+    assert (got, out) == (65, "")
+    assert err == f"error: --surface[0]: bounds and their span must be finite, got {spec!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,err", [
     (f"verify {_T1} --x0 0 --x1 inf --t0 1 --t1 2",
      "region bounds must be finite and increasing, got GridRegion(x0=0.0, x1=inf, nx=41, "

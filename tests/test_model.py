@@ -181,6 +181,30 @@ def test_partials_reject_a_non_finite_field(name, bad):
         Partials(**{**fields, name: np.array([0.0, bad, 1.0])})
 
 
+_BAD_STATES = ([("rho", v, f"density must be finite and > 0, got rho={v}")
+                for v in (0.0, -1.0, math.nan, math.inf, -math.inf)]
+               + [("u", v, f"velocity must be finite, got u={v}")
+                  for v in (math.nan, math.inf, -math.inf)])
+
+
+@pytest.mark.parametrize("name,bad,message", _BAD_STATES)
+def test_state_rejects_a_bad_field(name, bad, message):
+    fields = {"rho": 1.0, "u": 0.0}
+    for point in (bad, np.float64(bad)):
+        with pytest.raises(DomainError) as e:
+            StatePoint(**{**fields, name: point})
+        assert str(e.value) == message
+    with pytest.raises(DomainError) as e:
+        StatePoint(**{**fields, name: np.array([1.0, bad, 1.0])})
+    assert str(e.value) == message + " at grid index (1,)" and e.value.index == 1
+
+
+@pytest.mark.parametrize("rho,u", [(2, -3), (np.float64(0.5), np.float64(-1.5))])
+def test_state_keeps_valid_point_fields_as_given(rho, u):
+    st = StatePoint(rho, u)
+    assert st.rho is rho and st.u is u
+
+
 def test_residual_from_partials_signed():
     p = ModelParams(A=1.0, D=0.0)
     d = Partials(rho_t=0.0, rho_x=1.0, u_t=0.0, u_x=0.0, u_xx=0.0)

@@ -161,6 +161,24 @@ def test_fd_partials_evaluates_each_stencil_node_once():
     assert calls["eval"] == 9 + 5
 
 
+def test_fd_consumers_evaluate_each_stencil_node_once():
+    # The centre state comes from the same stencil read as the FD partials.
+    base = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    c = conservation.MultiplierConstants(1.0, 0.5, 0.2)
+    for call, evals in (
+            (lambda s: pde_residual(MP1, s, 0.3, 1.2, "fd2"), 5),
+            (lambda s: pde_residual(MP1, s, 0.3, 1.2, "fd4"), 9),
+            (lambda s: conservation.adjoint_identity_residual(c, MP1, s, 0.3, 1.2, 1e-3), 5),
+            (lambda s: conservation.symmetry_conserved_vector("S4", c, MP1, s, 0.3, 1.2, 1e-3), 5)):
+        s, calls = _counted(SolutionSampler(eval=base.eval, domain=base.domain))
+        call(s)
+        assert calls["eval"] == evals
+    # The FD partials carry the centre state that their read gave.
+    x, t = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(1, 2, 3))
+    centre, st = fd_partials(base, x, t, order=2).centre, base.eval(x, t)
+    assert np.array_equal(centre.rho, st.rho) and np.array_equal(centre.u, st.u)
+
+
 @pytest.mark.parametrize("order, nodes", [(2, 5), (4, 9)])
 def test_fd_partials_checks_each_stencil_node_once(order, nodes):
     # The u_xx row in x, its centre included, and the first-derivative row in t.
@@ -306,8 +324,8 @@ def test_verify_sampler_calls_do_not_grow_with_the_grid(analytic):
         assert rep.status == (catalog.VERIFIED if analytic else catalog.PAPER_CLAIMED)
         counts.append(calls)
     assert counts[0] == counts[1] == counts[2]
-    # One primary pass (1 call analytic, 10 FD4) and one six-node FD2 pass for all three steps.
-    assert counts[1]["eval"] == (7 if analytic else 16)
+    # One primary pass (1 call analytic, 9 FD4) and one five-node FD2 pass for all three steps.
+    assert counts[1]["eval"] == (6 if analytic else 14)
 
 
 def test_grid_consumers_make_one_call_per_stencil_node():
