@@ -33,6 +33,7 @@ class DomainError(ValueError):
     """Raised when a point read or an FD stencil leaves a sampler's domain or is not finite."""
 
     index = None    # on a grid: flat (C-order) index of the first failing point
+    failing = None  # on a grid: flat (C-order) mask of every point that failed the same check
 
 
 # Public name -> the submodule that defines it.

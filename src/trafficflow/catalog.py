@@ -484,9 +484,10 @@ def _fd2_floors(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.
                 steps: list) -> list:
     """Largest |r1|, |r2| of the order-2 FD residual on the 1-D probe arrays x, t at each step.
 
-    One residual call checks each (step, point) pair's stencil once; a pair whose
-    stencil leaves the domain, or whose residual is not finite, is dropped by the
-    DomainError's index and the call retried.  A step with no pair left gets None.
+    One residual call checks each (step, point) pair's stencil once; the pairs whose
+    stencil leaves the domain, or whose residual is not finite, are dropped together by
+    the DomainError's ``failing`` mask, one retry per failing check.  A step with no pair
+    left gets None.
     """
     xs, ts = np.tile(x, len(steps)), np.tile(t, len(steps))
     hs = np.repeat(steps, x.size)
@@ -498,9 +499,9 @@ def _fd2_floors(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.
             worst[keep] = np.maximum(np.abs(r1), np.abs(r2))
             break
         except DomainError as e:
-            if e.index is None:
+            if e.failing is None:
                 raise
-            keep[np.flatnonzero(keep)[e.index]] = False
+            keep[np.flatnonzero(keep)[e.failing]] = False
     per_step = zip(worst.reshape(len(steps), -1).max(axis=1),
                    keep.reshape(len(steps), -1).any(axis=1))
     return [float(w) if admitted else None for w, admitted in per_step]

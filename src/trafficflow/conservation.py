@@ -177,8 +177,11 @@ def _vector(which: str, c: MultiplierConstants, p: ModelParams, s: SolutionSampl
     With flux=False, Ut alone, which needs neither the mixed derivative u_tx
     nor the flux terms: neither is computed, and DxV_u goes unused.
     """
-    d = s.partials(x, t) if s.partials is not None else fd_partials(s, x, t, order=2, h=h_step)
-    st = s.eval(x, t) if s.partials is not None else d.centre
+    if s.partials is not None:
+        d, st = s.partials(x, t), s.eval(x, t)
+    else:
+        d = fd_partials(s, x, t, order=2, h=h_step)
+        st = d.centre
     rho, u = st.rho, st.u
     h, g = _substitution(c, p, st)
     D = p.D

@@ -41,17 +41,20 @@ def require_all(ok, message: str, **values) -> None:
     """Raise DomainError unless ok holds at the point, or at every point of a grid.
 
     ``message`` is formatted with ``values`` and the grid ``index`` of the first
-    failing point in C order.
+    failing point in C order; on a grid the error also holds that index and the
+    flat mask of every failing point (``failing``).
     """
     if ok if isinstance(ok, (bool, np.bool_)) else ok.all():
         return
     shape = np.broadcast_shapes(np.shape(ok), *(np.shape(v) for v in values.values()))
-    flat = int(np.argmin(np.broadcast_to(ok, shape)))
+    ok = np.broadcast_to(ok, shape)
+    flat = int(np.argmin(ok))
     i = np.unravel_index(flat, shape)
     err = DomainError(message.format(index=tuple(map(int, i)),
                                      **{k: np.broadcast_to(v, shape)[i]
                                         for k, v in values.items()}))
-    err.index = flat if shape else None
+    if shape:
+        err.index, err.failing = flat, ~ok.ravel()
     raise err
 
 
@@ -103,29 +106,31 @@ def _validated(ok, names, values) -> tuple:
     return values
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class StatePoint:
     """State (rho, u) at a point or on a grid.  Density must be strictly positive.
 
-    Fields in order rho, u; samplers pass them positionally.  One expression
-    checks a point and a grid alike; arrays are broadcast to one shape."""
+    Fields in order rho, u; samplers pass them positionally.  The constructor
+    checks a point and a grid alike with one expression; arrays are broadcast
+    to one shape."""
 
     rho: float
     u: float
 
-    def __post_init__(self):
-        ok = (self.rho > 0.0) & (self.rho < math.inf) & (abs(self.u) < math.inf)
+    def __init__(self, rho, u):
+        ok = (rho > 0.0) & (rho < math.inf) & (abs(u) < math.inf)
         if ok is not True:    # a valid float point needs no _validated call
-            self.rho, self.u = _validated(ok, ("rho", "u"), (self.rho, self.u))
+            rho, u = _validated(ok, ("rho", "u"), (rho, u))
+        self.rho, self.u = rho, u
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Partials:
     """First derivatives of (rho, u) plus u_xx at a point or on a grid.
 
     Fields in order rho_t, rho_x, u_t, u_x, u_xx; samplers pass them
-    positionally.  Like StatePoint, the fields are floats or arrays broadcast
-    to one shape.
+    positionally.  Like StatePoint, the constructor checks them with one
+    expression, and they are floats or arrays broadcast to one shape.
     """
 
     rho_t: float
@@ -134,13 +139,13 @@ class Partials:
     u_x: float
     u_xx: float
 
-    def __post_init__(self):
-        a, b, c, d, e = values = (self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx)
-        ok = ((abs(a) < math.inf) & (abs(b) < math.inf) & (abs(c) < math.inf)
-              & (abs(d) < math.inf) & (abs(e) < math.inf))
+    def __init__(self, rho_t, rho_x, u_t, u_x, u_xx):
+        ok = ((abs(rho_t) < math.inf) & (abs(rho_x) < math.inf) & (abs(u_t) < math.inf)
+              & (abs(u_x) < math.inf) & (abs(u_xx) < math.inf))
         if ok is not True:
-            self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx = \
-                _validated(ok, ("rho_t", "rho_x", "u_t", "u_x", "u_xx"), values)
+            rho_t, rho_x, u_t, u_x, u_xx = _validated(
+                ok, ("rho_t", "rho_x", "u_t", "u_x", "u_xx"), (rho_t, rho_x, u_t, u_x, u_xx))
+        self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx = rho_t, rho_x, u_t, u_x, u_xx
 
     @staticmethod
     def from_stencil(at: dict, order: int, h) -> "Partials":
@@ -154,9 +159,13 @@ class Partials:
         return _StencilPartials(rho_t, rho_x, u_t, u_x, u_xx, at[0, 0])
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class _StencilPartials(Partials):
     centre: StatePoint      # the state at (x, t), from the stencil read that gave the partials
+
+    def __init__(self, rho_t, rho_x, u_t, u_x, u_xx, centre):
+        Partials.__init__(self, rho_t, rho_x, u_t, u_x, u_xx)
+        self.centre = centre
 
 
 @dataclass(frozen=True)
@@ -261,7 +270,17 @@ def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> None:
     x and t must be finite and h, a float or an array, pass require_step (a ValueError).
     Every node (i, j) must lie in the domain and x +- h, t +- h must differ from x, t (a step
     that rounds away reads as 0); else a DomainError names the first bad point and its step.
+    At floats one test of the centre and step, then one domain call per node, accept a
+    valid stencil; a failing one, and arrays, walk the checks in that order.
     """
+    if (isinstance(x, float) and isinstance(t, float) and isinstance(h, float)
+            and math.isfinite(x) and math.isfinite(t) and 0.0 < h < math.inf and h * h != 0.0
+            and x + h != x and x - h != x and t + h != t and t - h != t):
+        for i, j in nodes:
+            if not s.domain(x + i * h, t + j * h):
+                break
+        else:
+            return
     where = what + " stencil at (x={x}, t={t}) with step {h}"
     require_all(_finite(x, t), where + " leaves the domain", x=x, t=t, h=h)
     require_step(h)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from trafficflow import CATALOG_ROWS
+from trafficflow import CATALOG_ROWS, catalog
 from trafficflow.catalog import (FAMILIES, KINK_SHAPES, GridRegion, PAPER_CLAIMED, REFUTED,
                                  VERIFIED, make_entry, reduced_ode_residual_T3, verify_entry,
                                  verify_sampler)
@@ -406,13 +406,26 @@ def _t1_cut(half: float, where: str) -> SolutionSampler:
 
 
 @pytest.mark.parametrize("where", ["domain", "eval"])
-def test_fd_floors_skip_per_step_the_points_whose_stencil_leaves(where):
+def test_fd_floors_skip_per_step_the_points_whose_stencil_leaves(where, monkeypatch):
     # Probe x in {0, +-0.0072, +-0.0144} and h0 = 0.015: the h0 stencil fits only at x = 0,
     # the h0/2 stencil at |x| <= 0.0072, the h0/4 stencil everywhere.
     half = 2e-2
     cut = _t1_cut(half, where)
     region = GridRegion(-0.018, 0.018, 5, 1.0, 1.5, 5)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return pde_residual(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "pde_residual", counted)
     rep = verify_sampler(MP1, cut, region, tol=1e-8)
+    monkeypatch.undo()
+    # The primary pass, then one FD2 call that fails, and the retry without every pair
+    # that failed that one check: the domain check fails once for all 30 leaving pairs.
+    # A NaN read fails in the node's own eval, x - h for x < 0 before x + h for x > 0:
+    # two checks, two retries.
+    assert calls == ["analytic"] + ["fd2"] * (2 if where == "domain" else 3)
     px, pt = (a.ravel() for a in np.meshgrid(*region.interior(5, 5)))
     steps, floors, admitted = [0.015, 0.0075, 0.00375], [], []
     for h in steps:

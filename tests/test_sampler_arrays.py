@@ -13,8 +13,8 @@ import pytest
 from trafficflow import catalog, cli, conservation, solver, wavefront
 from trafficflow.catalog import GridRegion, make_entry, verify_entry, verify_sampler
 from trafficflow.lie import group_transform
-from trafficflow.model import (DomainError, ModelParams, Partials, SolutionSampler,
-                               StatePoint, fd_partials, pde_residual)
+from trafficflow.model import (FD_NODES, DomainError, ModelParams, Partials, SolutionSampler,
+                               StatePoint, fd_partials, pde_residual, require_stencil)
 
 MP1 = ModelParams(A=1.0)
 FIELDS = ("rho_t", "rho_x", "u_t", "u_x", "u_xx")
@@ -311,6 +311,56 @@ def test_a_non_finite_point_never_reaches_domain():
         s.require_in_domain(x, 1.5)
     assert e.value.index == 1
 
+
+
+_BAD_FLOAT_STENCILS = [
+    # (x, t, h, exception, message): a non-finite centre, a bad step, a step whose square
+    # underflows, a node outside the domain (x < 10 below), a node that rounds onto t
+    (math.nan, 1.5, 1e-3, DomainError,
+     "{what} stencil at (x=nan, t=1.5) with step 0.001 leaves the domain"),
+    (1.0, math.inf, 1e-3, DomainError,
+     "{what} stencil at (x=1.0, t=inf) with step 0.001 leaves the domain"),
+    (1.0, 1.5, 0.0, ValueError, "h_step must be > 0 and finite with a nonzero square, got 0.0"),
+    (1.0, 1.5, -1e-3, ValueError,
+     "h_step must be > 0 and finite with a nonzero square, got -0.001"),
+    (1.0, 1.5, math.inf, ValueError,
+     "h_step must be > 0 and finite with a nonzero square, got inf"),
+    (1.0, 1.5, math.nan, ValueError,
+     "h_step must be > 0 and finite with a nonzero square, got nan"),
+    (1.0, 1.5, 1e-200, ValueError,
+     "h_step must be > 0 and finite with a nonzero square, got 1e-200"),
+    (9.9995, 1.5, 1e-3, DomainError,
+     "{what} stencil at (x=9.9995, t=1.5) with step 0.001 leaves the domain"),
+    (1.0, 1e17, 1e-3, DomainError,
+     "{what} stencil at (x=1.0, t=1e+17) with step 0.001 rounds onto its centre"),
+]
+
+
+@pytest.mark.parametrize("x,t,h,exc,message", _BAD_FLOAT_STENCILS)
+def test_a_failing_float_stencil_raises_before_anything_is_evaluated(x, t, h, exc, message):
+    base = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    cut = SolutionSampler(eval=base.eval, partials=base.partials,
+                          domain=lambda x, t: base.domain(x, t) and x < 10.0)
+    for what, call in (("order-2 FD", lambda s: fd_partials(s, x, t, order=2, h=h)),
+                       ("order-4 FD", lambda s: pde_residual(MP1, s, x, t, "fd4", h=h)),
+                       ("mixed-derivative",
+                        lambda s: require_stencil(s, x, t, h, ((1, 1), (-1, -1)),
+                                                  "mixed-derivative"))):
+        s, log = _recording(cut)
+        with pytest.raises(exc) as e:
+            call(s)
+        assert type(e.value) is exc and str(e.value) == message.format(what=what)
+        assert all(name == "domain" for name, _ in log)
+        if exc is ValueError or not (math.isfinite(x) and math.isfinite(t)):
+            assert log == []
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_a_valid_float_stencil_calls_domain_once_per_node(order):
+    s, log = _recording(make_entry("T1", p1=1, p2=2, b=1).sampler(MP1))
+    x, t, h = 1.0, 1.5, 1e-3
+    require_stencil(s, x, t, h, FD_NODES[order], f"order-{order} FD")
+    assert log == [("domain", {(x + i * h, t + j * h)}) for i, j in FD_NODES[order]]
 
 @pytest.mark.parametrize("analytic", [True, False])
 def test_verify_sampler_calls_do_not_grow_with_the_grid(analytic):
