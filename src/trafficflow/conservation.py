@@ -149,9 +149,19 @@ def _mixed_u_tx(s: SolutionSampler, x, t, h: float):
 _PRINTED_SIGN = {"S1": -1.0, "S2": 1.0, "S3": -1.0, "S4": 1.0}
 
 
-def _require_row(which: str) -> None:
+def _row(which: str, c: MultiplierConstants, p: ModelParams) -> tuple:
+    """What a row's (Ux, Ut) takes from (which, c, p), decided once per public call.
+
+    A ValueError unless which names a row; else (which, A, D, c1, c2, c3, c1*A,
+    -c1*D, the printed sign, whether Ux needs the mixed derivative u_tx).  c1*A
+    and -c1*D are the leading products of h and visc, so forming them once keeps
+    every bit.
+    """
     if which not in _PRINTED_SIGN:
         raise ValueError(f"which must be one of {tuple(_PRINTED_SIGN)}")
+    A, D, c1 = p.A, p.D, c.c1
+    return (which, A, D, c1, c.c2, c.c3, c1 * A, -c1 * D, _PRINTED_SIGN[which],
+            D != 0.0 and which in ("S1", "S2"))
 
 
 def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams,
@@ -164,30 +174,30 @@ def symmetry_conserved_vector(which: str, c: MultiplierConstants, p: ModelParams
     differences at step h_step, which also serves the order-2 FD partials of
     a sampler without analytic ones.  h_step must be finite and > 0.
     """
-    _require_row(which)
+    row = _row(which, c, p)
     s.require_in_domain(x, t)
     require_step(h_step)
-    return _vector(which, c, p, s, x, t, h_step)
+    return _vector(row, s, x, t, h_step)
 
 
-def _vector(which: str, c: MultiplierConstants, p: ModelParams, s: SolutionSampler,
-            x, t, h_step: float, flux: bool = True):
-    """The (Ux, Ut) row at points the caller has checked, with a checked row and step.
+def _vector(row: tuple, s: SolutionSampler, x, t, h_step: float, flux: bool = True):
+    """The (Ux, Ut) of a _row at points the caller has checked, with a checked step.
 
-    With flux=False, Ut alone, which needs neither the mixed derivative u_tx
-    nor the flux terms: neither is computed, and DxV_u goes unused.
+    Per node: one read of partials and state, (h, g) by _substitution's
+    expressions on the row's locals, then the row's arm.  With flux=False, Ut
+    alone, which needs neither the mixed derivative u_tx nor the flux terms:
+    neither is computed, and DxV_u goes unused.
     """
     if s.partials is not None:
         d, st = s.partials(x, t), s.eval(x, t)
     else:
         d = fd_partials(s, x, t, order=2, h=h_step)
         st = d.centre
+    which, A, D, c1, c2, c3, c1A, mc1D, sign, mixed = row
     rho, u = st.rho, st.u
-    h, g = _substitution(c, p, st)
-    D = p.D
-
-    u_tx = (_mixed_u_tx(s, x, t, h_step) if flux and D != 0.0 and which in ("S1", "S2")
-            else 0.0)
+    c1u = c1 * u
+    h, g = c1u - c1A / rho + c3, (rho + u) * c1 + c2
+    u_tx = _mixed_u_tx(s, x, t, h_step) if flux and mixed else 0.0
     if which == "S1":    # x d/dx + t d/dt - rho d/drho
         V_rho, V_u = rho + x * d.rho_x + t * d.rho_t, x * d.u_x + t * d.u_t
         DxV_u = d.u_x + x * d.u_xx + t * u_tx
@@ -201,10 +211,8 @@ def _vector(which: str, c: MultiplierConstants, p: ModelParams, s: SolutionSampl
     if not flux:
         return Ut
 
-    A, c1, c2, c3 = p.A, c.c1, c.c2, c.c3
-    visc = -c1 * D * d.u_x / rho + D * (c1 * u + c2) * d.rho_x / (rho * rho)
-    Q = (c1 * u + c3) * u + (c1 * rho + c2) * A / rho
-    sign = _PRINTED_SIGN[which]
+    visc = mc1D * d.u_x / rho + D * (c1u + c2) * d.rho_x / (rho * rho)
+    Q = (c1u + c3) * u + (c1 * rho + c2) * A / rho
     Ux = D * g * DxV_u / rho + (visc - sign * h * rho - sign * g * u) * V_u - V_rho * Q
     return Ux, Ut
 
@@ -220,12 +228,14 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     node that rounds onto (x, t) would read as conserved.
     Ux is taken at the x-nodes only and Ut at the t-nodes only.
     """
-    _require_row(which)
-    require_stencil(s, x, t, h_step, ((1, 0), (-1, 0), (0, 1), (0, -1)), "divergence")
-    xp, xm, tp, tm = x + h_step, x - h_step, t + h_step, t - h_step
-    Uxp, _ = _vector(which, c, p, s, xp, t, h_step)
-    Uxm, _ = _vector(which, c, p, s, xm, t, h_step)
-    Utp = _vector(which, c, p, s, x, tp, h_step, flux=False)
-    Utm = _vector(which, c, p, s, x, tm, h_step, flux=False)
+    row = _row(which, c, p)
+    # Float offsets: an int offset times the float step takes the interpreter's slower
+    # mixed-type multiply at every node; the nodes themselves are the same.
+    require_stencil(s, x, t, h_step, ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)),
+                    "divergence")
+    Uxp, _ = _vector(row, s, x + h_step, t, h_step)
+    Uxm, _ = _vector(row, s, x - h_step, t, h_step)
+    Utp = _vector(row, s, x, t + h_step, h_step, False)
+    Utm = _vector(row, s, x, t - h_step, h_step, False)
     return (Uxp - Uxm) / (2.0 * h_step) + (Utp - Utm) / (2.0 * h_step)
 

@@ -89,6 +89,10 @@ def _finite(x, t):
     return np.isfinite(x) & np.isfinite(t)
 
 
+# Infinity as a module constant: the value checks and the float step tests read it as one
+# global, not as math.inf's module attribute.
+_INF = math.inf
+
 _INVALID = {"rho": "density must be finite and > 0, got rho={v}",
             "u": "velocity must be finite, got u={v}"}
 
@@ -118,7 +122,7 @@ class StatePoint:
     u: float
 
     def __init__(self, rho, u):
-        ok = (rho > 0.0) & (rho < math.inf) & (abs(u) < math.inf)
+        ok = (rho > 0.0) & (rho < _INF) & (abs(u) < _INF)
         if ok is not True:    # a valid float point needs no _validated call
             rho, u = _validated(ok, ("rho", "u"), (rho, u))
         self.rho, self.u = rho, u
@@ -140,12 +144,16 @@ class Partials:
     u_xx: float
 
     def __init__(self, rho_t, rho_x, u_t, u_x, u_xx):
-        ok = ((abs(rho_t) < math.inf) & (abs(rho_x) < math.inf) & (abs(u_t) < math.inf)
-              & (abs(u_x) < math.inf) & (abs(u_xx) < math.inf))
+        ok = ((abs(rho_t) < _INF) & (abs(rho_x) < _INF) & (abs(u_t) < _INF)
+              & (abs(u_x) < _INF) & (abs(u_xx) < _INF))
         if ok is not True:
             rho_t, rho_x, u_t, u_x, u_xx = _validated(
                 ok, ("rho_t", "rho_x", "u_t", "u_x", "u_xx"), (rho_t, rho_x, u_t, u_x, u_xx))
-        self.rho_t, self.rho_x, self.u_t, self.u_x, self.u_xx = rho_t, rho_x, u_t, u_x, u_xx
+        self.rho_t = rho_t      # one store each: no tuple built per value
+        self.rho_x = rho_x
+        self.u_t = u_t
+        self.u_x = u_x
+        self.u_xx = u_xx
 
     @staticmethod
     def from_stencil(at: dict, order: int, h) -> "Partials":
@@ -251,7 +259,7 @@ def require_step(h) -> None:
 
     h * h must not underflow to 0 either: second differences divide by it.
     """
-    if not (0.0 < h < math.inf and h * h != 0.0 if isinstance(h, float)
+    if not (0.0 < h < _INF and h * h != 0.0 if isinstance(h, float)
             else np.all((h > 0.0) & (h < np.inf) & (h * h != 0.0))):
         raise ValueError(f"h_step must be > 0 and finite with a nonzero square, got {h}")
 
@@ -274,10 +282,11 @@ def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> None:
     valid stencil; a failing one, and arrays, walk the checks in that order.
     """
     if (isinstance(x, float) and isinstance(t, float) and isinstance(h, float)
-            and math.isfinite(x) and math.isfinite(t) and 0.0 < h < math.inf and h * h != 0.0
+            and math.isfinite(x) and math.isfinite(t) and 0.0 < h < _INF and h * h != 0.0
             and x + h != x and x - h != x and t + h != t and t - h != t):
+        domain = s.domain
         for i, j in nodes:
-            if not s.domain(x + i * h, t + j * h):
+            if not domain(x + i * h, t + j * h):
                 break
         else:
             return

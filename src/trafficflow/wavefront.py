@@ -95,7 +95,7 @@ def _require_t_end(prob: AmplitudeProblem, t_end: float) -> None:
 def _time_nodes(prob: AmplitudeProblem, t_end: float, dt: float) -> np.ndarray:
     """Equal steps of at most dt from t0 to t_end, the last node exactly on t_end."""
     _require_t_end(prob, t_end)
-    if dt <= 0.0:
+    if not dt > 0.0:      # NaN too
         raise ValueError("dt must be > 0")
     nsteps = max(1, math.ceil((t_end - prob.t0) / dt - 1e-12))
     return np.linspace(prob.t0, t_end, nsteps + 1)

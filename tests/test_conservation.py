@@ -294,12 +294,17 @@ def test_a_per_point_step_is_named_by_the_failing_point():
 def test_scalar_divergence_checks_its_stencil_once(which):
     # Four stencil nodes, each evaluated once; at D != 0 the S1 and S2 rows
     # also check and evaluate the two t-nodes of the mixed derivative at each
-    # x-node, the only nodes whose Ux needs u_tx.
+    # x-node, the only nodes whose Ux needs u_tx.  The vector at a point reads
+    # it once, plus those two t-nodes.
     mp = ModelParams(A=1.0, D=0.4)
+    c = MultiplierConstants(1.0, 0.5, 0.2)
     s, calls = _counted(_t1_sampler(mp))
-    divergence_residual(which, MultiplierConstants(1.0, 0.5, 0.2), mp, s, 1.0, 1.5, 1e-3)
+    divergence_residual(which, c, mp, s, 1.0, 1.5, 1e-3)
     viscous = which in ("S1", "S2")
     assert calls == {"eval": 4, "partials": 8 if viscous else 4, "domain": 8 if viscous else 4}
+    s, calls = _counted(_t1_sampler(mp))
+    symmetry_conserved_vector(which, c, mp, s, 1.0, 1.5, 1e-3)
+    assert calls == {"eval": 1, "partials": 3 if viscous else 1, "domain": 3 if viscous else 1}
 
 
 @pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])

@@ -414,6 +414,31 @@ def test_adjoint_identity_on_a_grid_matches_point_calls():
         assert _same(d1, [p[0] for p in points]) and _same(d2, [p[1] for p in points])
 
 
+@pytest.mark.parametrize("kind,params,mp", [
+    ("T1", dict(p1=1, p2=2, b=1), MP1),
+    ("T1", dict(p1=1, p2=2, b=1), ModelParams(A=1.0, D=0.4)),
+    ("T2", dict(p1=1, b=0.3), MP1),
+])
+def test_conserved_vectors_on_a_grid_match_point_calls(kind, params, mp):
+    # One evaluation path for floats and arrays: a grid call of each row, its vector and
+    # its divergence, gives the bits of the float calls at its points.
+    entry = make_entry(kind, **params)
+    s, r = entry.sampler(mp), entry.default_region(mp)
+    dx, dt = 0.2 * (r.x1 - r.x0), 0.2 * (r.t1 - r.t0)
+    x, t = np.meshgrid(np.linspace(r.x0 + dx, r.x1 - dx, 5), np.linspace(r.t0 + dt, r.t1 - dt, 4))
+    pts = list(zip(x.ravel().tolist(), t.ravel().tolist()))
+    c = conservation.MultiplierConstants(1.3, 0.5, 0.2)    # c1 != 1: regrouping changes bits
+    for sampler in (s, SolutionSampler(eval=s.eval, domain=s.domain)):    # analytic, fd2
+        for which in ("S1", "S2", "S3", "S4"):
+            ux, ut = conservation.symmetry_conserved_vector(which, c, mp, sampler, x, t, 1e-3)
+            points = [conservation.symmetry_conserved_vector(which, c, mp, sampler, a, b, 1e-3)
+                      for a, b in pts]
+            assert _same(ux, [p[0] for p in points]) and _same(ut, [p[1] for p in points]), which
+            div = conservation.divergence_residual(which, c, mp, sampler, x, t, 1e-3)
+            assert _same(div, [conservation.divergence_residual(which, c, mp, sampler, a, b, 1e-3)
+                               for a, b in pts]), which
+
+
 def test_cli_grids_make_one_sampler_call(monkeypatch, tmp_path, capsys):
     made = []
     sampler = catalog.CatalogEntry.sampler

@@ -64,6 +64,15 @@ def test_path_exits_domain():
         characteristic_path(prob, 5.0, 0.01)   # x(t) = 2t crosses x = 2
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+def test_time_step_must_be_positive(dt):
+    # A NaN step is named, not left to fail in math.ceil.
+    prob = _t1_problem(0.5)
+    for call in (characteristic_path, amplitude_direct):
+        with pytest.raises(ValueError, match=r"^dt must be > 0$"):
+            call(prob, 2.0, dt)
+
+
 def test_psi_values():
     assert psi_along(_t1_problem(0.5), 3.3, 1.0) == pytest.approx(1.25)
 
