@@ -215,14 +215,14 @@ def _parse_axis(spec: str, what: str):
 
 
 def _surface_mode(args, argv, entry, mp) -> int:
-    import numpy as np
+    from .catalog import mesh
     a1, v1 = _parse_axis(args.surface[0], "--surface[0]")
     a2, v2 = _parse_axis(args.surface[1], "--surface[1]")
     axes = {a1: v1, a2: v2}
     if set(axes) != {"x", "t"}:
         raise UsageError("--surface needs one x spec and one t spec")
     sampler = entry.sampler(mp)
-    x, t = np.meshgrid(axes["x"], axes["t"])
+    x, t = mesh(axes["x"], axes["t"])
     sampler.require_in_domain(x, t, "surface point")
     st = sampler.eval(x, t)
     rows = zip(t.ravel().tolist(), x.ravel().tolist(), st.rho.ravel().tolist(),
@@ -417,8 +417,7 @@ def cmd_lie(args, argv) -> int:
 
 def cmd_conserve(args, argv) -> int:
     entry = parse_entry_spec(args.entry)
-    import numpy as np
-
+    from .catalog import mesh
     from .conservation import MultiplierConstants, divergence_residual, symmetry_conserved_vector
     from .model import ModelParams
     mp = ModelParams(A=args.A, D=args.D)
@@ -426,7 +425,7 @@ def cmd_conserve(args, argv) -> int:
     region = _region_from_args(args, entry, mp)
     sampler = entry.sampler(mp)
     # Keep the FD stencils of the divergence probe inside the region interior.
-    x, t = np.meshgrid(*region.interior(args.nx, args.nt))
+    x, t = mesh(*region.interior(args.nx, args.nt))
     try:
         ux, ut = symmetry_conserved_vector(args.which, c, mp, sampler, x, t, args.h_step)
         div = divergence_residual(args.which, c, mp, sampler, x, t, args.h_step)

@@ -29,7 +29,6 @@ __all__ = [
     "require_step",
     "require_stencil",
     "read_stencil",
-    "stencil_inside",
     "step_scale",
     "default_fd_step",
     "residual_from_partials",
@@ -97,11 +96,14 @@ _INVALID = {"rho": "density must be finite and > 0, got rho={v}",
             "u": "velocity must be finite, got u={v}"}
 
 
-def _validated(ok, names, values) -> tuple:
-    """The values, broadcast on a grid; a DomainError naming the first bad field unless ok holds."""
+def _validated(ok, names, values) -> list:
+    """The values, those not of the mask's shape filled to it on a grid; a DomainError naming
+    the first bad field unless ok holds."""
     grid = isinstance(ok, np.ndarray)
     if grid:
-        values = np.broadcast_arrays(*values)
+        shape = ok.shape
+        values = [v if isinstance(v, np.ndarray) and v.shape == shape else np.full(shape, v)
+                  for v in values]
     if ok is False or not ok.all():
         where = " at grid index {index}" if grid else ""
         for name, v in zip(names, values):
@@ -159,12 +161,14 @@ class Partials:
     def from_stencil(at: dict, order: int, h) -> "Partials":
         """Order-2 or -4 central differences of read_stencil's states; ``centre`` is at[0, 0]."""
         (offsets, w1), (off2, w2) = _FD_STENCILS[order]
-        rho_x = sum(w * at[k, 0].rho for k, w in zip(offsets, w1)) / h
-        u_x = sum(w * at[k, 0].u for k, w in zip(offsets, w1)) / h
-        rho_t = sum(w * at[0, k].rho for k, w in zip(offsets, w1)) / h
-        u_t = sum(w * at[0, k].u for k, w in zip(offsets, w1)) / h
-        u_xx = sum(w * at[k, 0].u for k, w in zip(off2, w2)) / (h * h)
-        return _StencilPartials(rho_t, rho_x, u_t, u_x, u_xx, at[0, 0])
+        rho_x = u_x = rho_t = u_t = u_xx = 0.0      # sums from +0.0: a -0.0 sum reads +0.0
+        for k, w in zip(offsets, w1):
+            xk, tk = at[k, 0], at[0, k]
+            rho_x, u_x, rho_t, u_t = (rho_x + w * xk.rho, u_x + w * xk.u,
+                                      rho_t + w * tk.rho, u_t + w * tk.u)
+        for k, w in zip(off2, w2):
+            u_xx = u_xx + w * at[k, 0].u
+        return _StencilPartials(rho_t / h, rho_x / h, u_t / h, u_x / h, u_xx / (h * h), at[0, 0])
 
 
 @dataclass(slots=True, init=False)
@@ -264,22 +268,21 @@ def require_step(h) -> None:
         raise ValueError(f"h_step must be > 0 and finite with a nonzero square, got {h}")
 
 
-def stencil_inside(s: SolutionSampler, x, t, h, nodes):
-    """Where every node (i, j) of a stencil, the point (x + i*h, t + j*h), is in the domain."""
-    inside = True
-    for i, j in nodes:
-        inside = inside & s.domain(x + i * h, t + j * h)
-    return inside
+def _points(x, t, h, nodes) -> list:
+    """The points (x + i*h, t + j*h) of a stencil's nodes (i, j), in their order."""
+    return [(x + i * h, t + j * h) for i, j in nodes]
 
 
-def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> None:
+def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> Optional[list]:
     """The check every finite difference at (x, t) with step h makes before it evaluates.
 
     x and t must be finite and h, a float or an array, pass require_step (a ValueError).
     Every node (i, j) must lie in the domain and x +- h, t +- h must differ from x, t (a step
     that rounds away reads as 0); else a DomainError names the first bad point and its step.
     At floats one test of the centre and step, then one domain call per node, accept a
-    valid stencil; a failing one, and arrays, walk the checks in that order.
+    valid stencil and return None; a failing one, and arrays, walk the checks in that order
+    and get back the points (x + i*h, t + j*h), in the order of nodes, formed once for domain
+    and eval.  Float points cost less to form again than to keep.
     """
     if (isinstance(x, float) and isinstance(t, float) and isinstance(h, float)
             and math.isfinite(x) and math.isfinite(t) and 0.0 < h < _INF and h * h != 0.0
@@ -289,19 +292,25 @@ def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> None:
             if not domain(x + i * h, t + j * h):
                 break
         else:
-            return
+            return None
     where = what + " stencil at (x={x}, t={t}) with step {h}"
     require_all(_finite(x, t), where + " leaves the domain", x=x, t=t, h=h)
     require_step(h)
-    require_all(stencil_inside(s, x, t, h, nodes), where + " leaves the domain", x=x, t=t, h=h)
+    points, inside = _points(x, t, h, nodes), True
+    for xi, tj in points:
+        inside = inside & s.domain(xi, tj)
+    require_all(inside, where + " leaves the domain", x=x, t=t, h=h)
     require_all((x + h != x) & (x - h != x) & (t + h != t) & (t - h != t),
                 where + " rounds onto its centre", x=x, t=t, h=h)
+    return points
 
 
 def read_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> dict:
-    """{(i, j): state at (x + i*h, t + j*h)}: every node passes require_stencil, then one eval."""
-    require_stencil(s, x, t, h, nodes, what)
-    return {(i, j): s.eval(x + i * h, t + j * h) for i, j in nodes}
+    """{(i, j): state at (x + i*h, t + j*h)}: one eval at each point require_stencil checked
+    and returned, or at floats formed again."""
+    points = require_stencil(s, x, t, h, nodes, what) or _points(x, t, h, nodes)
+    ev = s.eval
+    return {node: ev(xi, tj) for node, (xi, tj) in zip(nodes, points)}
 
 
 def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:

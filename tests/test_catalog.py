@@ -10,7 +10,7 @@ from trafficflow.catalog import (FAMILIES, KINK_SHAPES, GridRegion, PAPER_CLAIME
                                  verify_sampler)
 from trafficflow.lie import group_transform
 from trafficflow.model import (FD_NODES, DomainError, ModelParams, SolutionSampler, StatePoint,
-                               fd_partials, pde_residual, stencil_inside)
+                               fd_partials, pde_residual, require_stencil)
 
 MP1 = ModelParams(A=1.0)
 MP0 = ModelParams(A=0.0)
@@ -441,13 +441,37 @@ def test_fd_floors_skip_per_step_the_points_whose_stencil_leaves(where, monkeypa
     assert rep.residual_floor == floors[2]
 
 
+@pytest.mark.parametrize("analytic", [True, False])
+def test_verify_sampler_names_the_first_region_point_outside_the_domain(analytic):
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    if not analytic:
+        s = SolutionSampler(eval=s.eval, domain=s.domain)
+    with pytest.raises(DomainError) as e:
+        verify_sampler(MP1, s, GridRegion(-1, 1, 5, -2, 1, 5), tol=1e-8)
+    assert type(e.value) is DomainError
+    assert str(e.value) == "region point (x=-1.0, t=-2.0) is outside the sampler domain"
+
+
+@pytest.mark.parametrize("nx,nt", [(2, 3), (1, 5), (41, 41)])
+def test_mesh_is_meshgrid_bit_for_bit(nx, nt):
+    rng = np.random.default_rng(nx * nt)
+    xs, ts = rng.normal(size=nx), rng.normal(size=nt)
+    xs[0] = -0.0
+    for got, want in zip(catalog.mesh(xs, ts), np.meshgrid(xs, ts)):
+        assert got.shape == want.shape == (nt, nx) and got.dtype == np.float64
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fd_floors_stop_at_the_first_step_that_admits_no_point():
     # |x| < 1.1e-2 with h0 = 0.015: no h0 stencil fits, though the h0/4 stencils do.
     cut = _t1_cut(1.1e-2, "domain")
     region = GridRegion(-1.1e-3, 1.1e-3, 5, 1.0, 1.5, 5)
     px, pt = (a.ravel() for a in np.meshgrid(*region.interior(5, 5)))
-    assert not stencil_inside(cut, px, pt, 0.015, FD_NODES[2]).any()
-    assert stencil_inside(cut, px, pt, 0.015 / 4, FD_NODES[2]).all()
+    with pytest.raises(DomainError) as e:
+        require_stencil(cut, px, pt, 0.015, FD_NODES[2], "order-2 FD")
+    assert e.value.failing.all()
+    require_stencil(cut, px, pt, 0.015 / 4, FD_NODES[2], "order-2 FD")
     rep = verify_sampler(MP1, cut, region, tol=1e-8)
     assert rep.status == VERIFIED
     assert rep.notes == ["no interior point admitted the FD stencil"]

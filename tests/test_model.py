@@ -282,3 +282,35 @@ def test_stencil_partials_keep_valid_fields_as_given(v):
     d = type(_stencil_partials())(v, v, v, v, v, centre)
     assert all(getattr(d, name) is v for name in PARTIALS) and d.centre is centre
 
+
+
+def test_mixed_float_and_array_fields_broadcast_like_numpy():
+    row, col = np.linspace(0.5, 2.0, 4), np.linspace(-1.0, 1.0, 3)[:, None]
+    st = StatePoint(row, -0.0)
+    d = Partials(-0.0, col, 1.5, row, 2)
+    for got, fields in (((st.rho, st.u), (row, -0.0)),
+                        ((d.rho_t, d.rho_x, d.u_t, d.u_x, d.u_xx), (-0.0, col, 1.5, row, 2))):
+        for value, want in zip(got, np.broadcast_arrays(*fields)):
+            assert value.shape == want.shape and value.dtype == want.dtype
+            assert value.tobytes() == want.tobytes()       # bit for bit: -0.0 keeps its sign
+    assert np.signbit(st.u).all() and np.signbit(d.rho_t).all()
+
+
+def test_a_nan_float_field_on_a_grid_names_the_field_at_index_0_0():
+    grid = np.linspace(0.5, 2.0, 6).reshape(2, 3)
+    with pytest.raises(DomainError) as e:
+        StatePoint(grid, math.nan)
+    assert str(e.value) == "velocity must be finite, got u=nan at grid index (0, 0)"
+    assert e.value.index == 0 and e.value.failing.all()
+    with pytest.raises(DomainError) as e:
+        Partials(grid, grid, math.nan, 0.0, grid)
+    assert str(e.value) == "non-finite derivative u_t=nan at grid index (0, 0)"
+
+
+def test_stencil_sums_start_from_positive_zero():
+    # u = -0.0 * x is +0.0 at x - h and -0.0 at x + h: both weighted terms of u_x are -0.0,
+    # and the sum's leading 0.0 rounds it to +0.0, at a point and on a grid.
+    s = SolutionSampler(eval=lambda x, t: StatePoint(1.0 + 0.0 * x, -0.0 * x))
+    for x in (0.0, np.zeros(3)):
+        d = fd_partials(s, x, 1.0, order=2, h=1e-3)
+        assert not np.signbit(d.u_x).any() and np.all(d.u_x == 0.0)

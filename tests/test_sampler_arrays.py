@@ -378,6 +378,34 @@ def test_verify_sampler_calls_do_not_grow_with_the_grid(analytic):
     assert counts[1]["eval"] == (6 if analytic else 14)
 
 
+def test_verify_sampler_checks_the_region_grid_once():
+    # One domain call for the region and five for the FD2 stencil; the analytic primary
+    # pass reads the checked grid without asking the domain again.
+    s, calls = _counted(make_entry("T1", p1=1, p2=2, b=1).sampler(MP1))
+    verify_sampler(MP1, s, GridRegion(-5.0, 5.0, 41, 0.5, 3.0, 41), tol=1e-8)
+    assert calls["domain"] == 6 and calls["eval"] == 6
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_a_grid_stencil_node_is_formed_once_for_domain_and_eval(order):
+    base = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    seen = {"domain": [], "eval": []}
+
+    def record(name, fn):
+        def wrapped(x, t):
+            seen[name].append((x, t))
+            return fn(x, t)
+        return wrapped
+
+    s = SolutionSampler(eval=record("eval", base.eval), domain=record("domain", base.domain))
+    x, t = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(1, 2, 3))
+    fd_partials(s, x, t, order=order, h=1e-3)
+    assert len(seen["domain"]) == len(seen["eval"]) == len(FD_NODES[order])
+    for (xd, td), (xe, te), (i, j) in zip(seen["domain"], seen["eval"], FD_NODES[order]):
+        assert xd is xe and td is te       # the same arrays, not equal copies
+        assert np.array_equal(xe, x + i * 1e-3) and np.array_equal(te, t + j * 1e-3)
+
+
 def test_grid_consumers_make_one_call_per_stencil_node():
     mp = ModelParams(A=1.0, D=0.3)      # D > 0: the S1, S2 rows difference u_x in t
     base = make_entry("T1", p1=1, p2=2, b=1).sampler(mp)
