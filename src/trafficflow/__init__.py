@@ -21,7 +21,7 @@ CATALOG_ROWS = {
     "T3": (("p1", "b"), "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0"),
     "T4": (("p1", "b"), "constants rho=p1/sqrt(A), u=b+sqrt(A); D=0, A>0"),
     "P522": (("p1", "p2", "e2", "e3", "e4"),
-             "pressureless similarity solution; requires A=0, D=0"),
+             "pressureless similarity solution; claimed for A=0, D=0"),
     "E3ZERO": (("p1", "e1", "e2", "e4"), "T2 family in (e1 x + e4, e1 t + e2); D=0"),
     "KINK": (("mshape", "c1"), "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); mshape in "
              "{sin, sec, cos, gauss}; D=0; status adjudicated by the harness"),

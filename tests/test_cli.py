@@ -131,8 +131,18 @@ def test_verify_grid_flags_resize_the_default_region(capsys, tmp_path):
 
 
 def test_verify_constraint_violation_exit_65(capsys):
-    code, _, err = run_cli(capsys, "verify", "T2?p1=1&b=0", "--D", "0.5")
-    assert code == 65 and "D=0" in err
+    # Only a constraint of the formula itself is refused: T3's exponent divides by A.
+    code, out, err = run_cli(capsys, "verify", "T3?p1=1&b=1", "--A", "0")
+    assert (code, out, err) == (65, "", "error: T3 requires A > 0 (A divides the exponent)\n")
+
+
+@pytest.mark.parametrize("spec,code,status", [
+    ("T2?p1=1&b=0", 2, "REFUTED"),       # claimed for D = 0; measured off it at D = 0.5
+    ("T3?p1=2&b=1", 0, "VERIFIED"),      # claimed for D = 0; u_xx = 0 solves any D
+])
+def test_verify_measures_a_form_outside_its_claimed_model(capsys, spec, code, status):
+    got, rep = out_json(capsys, "verify", spec, "--D", "0.5")
+    assert (got, rep["status"]) == (code, status)
 
 
 def test_argparse_usage_error_maps_to_64(capsys):
@@ -697,7 +707,7 @@ _CATALOG_LIST = "".join(f"{kind:8s} params: {keys:28s} {summary}\n" for kind, ke
     ("KINK", "mshape, c1", "rho=M(x), u=-sqrt(A) tanh(sqrt(A) M'(c1+t)/M); "
      "mshape in {sin, sec, cos, gauss}; D=0; status adjudicated by the harness"),
     ("NEGCTRL", "(no parameters)", "rho=x+2, u=1; deliberate non-solution (negative control)"),
-    ("P522", "p1, p2, e2, e3, e4", "pressureless similarity solution; requires A=0, D=0"),
+    ("P522", "p1, p2, e2, e3, e4", "pressureless similarity solution; claimed for A=0, D=0"),
     ("T1", "p1, p2, b", "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D"),
     ("T2", "p1, b", "branch family in sqrt((x+b)^2-4At^2); D=0"),
     ("T3", "p1, b", "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0"),

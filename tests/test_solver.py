@@ -430,19 +430,23 @@ def test_manufactured_convergence_first_order(kind, params, span, t0, t_end):
         assert res.monotone[var]
 
 
-def test_viscous_t1_convergence_first_order():
-    # T1 solves the viscous system for any D (its u_xx vanishes), so the
-    # implicit viscous term must converge at first order like the inviscid
-    # runs, in the inviscid step count.
+@pytest.mark.parametrize("kind,params,span", [
+    ("T1", dict(p1=1, p2=2, b=1), (0.0, 2.0)),
+    ("T3", dict(p1=2, b=1), (0.0, 1.0)),      # rho_x != 0
+])
+def test_viscous_convergence_first_order(kind, params, span):
+    # T1 and T3 solve the viscous system for any D (their u_xx vanishes), so
+    # the implicit viscous term must converge at first order like the
+    # inviscid runs, in the inviscid step count.
     mp = ModelParams(A=1.0, D=0.5)
-    s = make_entry("T1", p1=1, p2=2, b=1).sampler(mp)
-    base = SolverConfig(grid=Grid.over(0.0, 2.0, 50), params=mp, scheme="rusanov",
+    s = make_entry(kind, **params).sampler(mp)
+    base = SolverConfig(grid=Grid.over(*span, 50), params=mp, scheme="rusanov",
                         bc="dirichlet", dirichlet_sampler=s)
     res = convergence_order(base, s, [50, 100, 200], 1.0, 1.2)
     for var in ("rho", "u"):
         assert 0.8 <= res.orders[var] <= 1.3, (var, res.orders[var])
     for nx in res.nx_list:
-        g = Grid.over(0.0, 2.0, nx)
+        g = Grid.over(*span, nx)
         visc = run(replace(base, grid=g), s, 1.0, 1.2)
         inviscid = run(replace(base, grid=g, params=MP1), s, 1.0, 1.2)
         assert abs(len(visc.diagnostics) - len(inviscid.diagnostics)) <= 1, nx
