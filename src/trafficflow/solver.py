@@ -14,8 +14,13 @@ system, so the time step is the convective one for any D.
 calls update both laws.  m = rho*u, formed once, serves the momentum total
 and the next flux; one min and one max over rows (u, rho) screen the state
 and give max|u| to the diagnostics and the next dt; one sum over rows
-(rho, m) gives both totals.  A D = 0 step makes about 20 array calls, all
-under the one np.errstate of the march.
+(rho, m) gives both totals.  The march binds its row views, the ghost
+copy's slices and the constants (sqrt(A), A, cfl*dx) once per run, so the
+periodic or outflow ghosts are one strided copy.  A D = 0 step makes 15
+array calls (Lax-Friedrichs) or 18 (Rusanov) besides that copy, all under
+the one np.errstate of the march.  Dirichlet reads each ghost once per time
+level: at t for the fluxes, and on viscous steps at t + dt for the implicit
+closure, which the next step's fluxes reuse.
 """
 
 import math
@@ -138,16 +143,6 @@ class SolverConfig:
             raise ValueError("the solver requires A > 0 (real wave speeds)")
 
 
-def _dirichlet_ghosts(cfg: SolverConfig, t: float) -> list:
-    """The sampler's states at the ghost centres x0 - dx/2 and x1 + dx/2 at time t."""
-    g, s = cfg.grid, cfg.dirichlet_sampler
-    states = []
-    for xg in (g.x0 - 0.5 * g.dx, g.x0 + (g.nx + 0.5) * g.dx):
-        s.require_in_domain(xg, t, "dirichlet ghost cell")
-        states.append(s.eval(xg, t))
-    return states
-
-
 def _thomas(diag: list, r: float, rhs: list) -> list:
     """Solve diag_i x_i - r x_{i-1} - r x_{i+1} = rhs_i (no corner terms).
 
@@ -188,12 +183,12 @@ def _cyclic(diag: list, r: float, rhs: list) -> list:
 
 
 def _implicit_velocity(cfg: SolverConfig, rho: np.ndarray, m: np.ndarray, r: float,
-                       t: float) -> np.ndarray:
-    """u at t with (rho_i + 2r) u_i - r u_{i-1} - r u_{i+1} = m_i, closed by the bc at t.
+                       ghost_u: Optional[tuple]) -> np.ndarray:
+    """u with (rho_i + 2r) u_i - r u_{i-1} - r u_{i+1} = m_i, closed by the bc.
 
     Periodic wraps cyclically, outflow copies the end cell (end diagonals
-    rho + r), and Dirichlet moves the sampler's u at the two ghost centres
-    at t to the right-hand side.
+    rho + r), and Dirichlet moves ghost_u, the (left, right) ghost velocities
+    at the new time, to the right-hand side (other bcs ignore it).
     """
     diag = (rho + 2.0 * r).tolist()
     rhs = m.tolist()
@@ -201,9 +196,8 @@ def _implicit_velocity(cfg: SolverConfig, rho: np.ndarray, m: np.ndarray, r: flo
         diag[0] -= r
         diag[-1] -= r
     elif cfg.bc == "dirichlet":
-        left, right = _dirichlet_ghosts(cfg, t)
-        rhs[0] += r * left.u
-        rhs[-1] += r * right.u
+        rhs[0] += r * ghost_u[0]
+        rhs[-1] += r * ghost_u[1]
     try:
         u = (_cyclic if cfg.bc == "periodic" else _thomas)(diag, r, rhs)
     except ZeroDivisionError:
@@ -219,15 +213,26 @@ class _March:
     """Rows (u, rho, m, P) in place; W = rows (rho, m), Q = rows (m, P); use under _QUIET."""
 
     def __init__(self, cfg: SolverConfig, f: Field):
-        n = cfg.grid.nx
-        B = self.rows = np.empty((4, n + 2))
-        self.cfg, self.t, self.inner, self.state = cfg, f.t, B[:, 1:-1], B[:2, 1:-1]
-        self.inner[0], self.inner[1] = f.u, f.rho
-        np.multiply(f.rho, f.u, out=self.inner[2])
+        g, p, n = cfg.grid, cfg.params, cfg.grid.nx
+        B = np.empty((4, n + 2))
+        u, rho, m, _ = inner = B[:, 1:-1]
+        u[:], rho[:] = f.u, f.rho
+        np.multiply(f.rho, f.u, out=m)
+        self.cfg, self.t, self.inner = cfg, f.t, inner
+        self.state, self.totals = B[:2, 1:-1], B[1:3, 1:-1]
+        self.c, self.cfl_dx, self.dx, self.D = p.sqrt_A, cfg.cfl * g.dx, g.dx, p.D
+        # 0-d arrays: a ufunc takes them faster than a Python float.
+        self.A_arr, self.c_arr = np.array(p.A), np.array(self.c)
+        self.dirichlet, self.rusanov = cfg.bc == "dirichlet", cfg.scheme == "rusanov"
+        # Ghost columns 0 and n+1 copy columns (n, 1) when periodic, (1, n) for outflow.
+        self.ghosts = B[:3, ::n + 1]
+        self.ghost_src = B[:3, n:0:-(n - 1)] if cfg.bc == "periodic" else B[:3, 1:n + 1:n - 1]
+        self.ghost_x = (g.x0 - 0.5 * g.dx, g.x0 + (n + 0.5) * g.dx)
+        self.next_ghosts = None  # Dirichlet ghosts at self.t, when the implicit solve read them
         W, Q, d, G = B[1:3], B[2:4], np.empty((2, n + 1)), np.empty((2, n + 1))
-        self.a, self.alpha, self.d, self.G = np.empty(n + 2), np.empty(n + 1), d, G
-        self.views = (W[:, 1:], W[:, :-1], Q[:, :-1], Q[:, 1:], G[:, 1:], G[:, :-1],
-                      d[:, 1:], W[:, 1:-1])
+        a, a_max = np.empty(n + 2), np.empty(n + 1)
+        self.views = (*B, a, a[:-1], a[1:], a_max, d, G, W[:, 1:], W[:, :-1], Q[:, :-1],
+                      Q[:, 1:], G[:, 1:], G[:, :-1], d[:, 1:], W[:, 1:-1], *inner[:3])
         self._screen()
 
     def _screen(self) -> bool:
@@ -237,40 +242,51 @@ class _March:
         self.top = max(u_hi, -u_lo)
         return 0.0 < rho_lo and rho_hi < math.inf and -math.inf < u_lo and u_hi < math.inf
 
+    def _dirichlet_ghosts(self, t: float) -> list:
+        """The sampler's states at the ghost centres x0 - dx/2 and x1 + dx/2 at time t."""
+        s = self.cfg.dirichlet_sampler
+        states = []
+        for xg in self.ghost_x:
+            s.require_in_domain(xg, t, "dirichlet ghost cell")
+            states.append(s.eval(xg, t))
+        return states
+
     def advance(self, dt_max: float) -> None:
-        cfg, B, top = self.cfg, self.rows, self.top
-        g, p, c = cfg.grid, cfg.params, cfg.params.sqrt_A
-        if cfg.bc == "dirichlet":
-            left, right = _dirichlet_ghosts(cfg, self.t)
-            B[0, 0], B[1, 0], B[0, -1], B[1, -1] = left.u, left.rho, right.u, right.rho
-            B[2, 0], B[2, -1] = B[1, 0] * B[0, 0], B[1, -1] * B[0, -1]
+        (U, R, M, P, a, a_lo, a_hi, a_max, d, G, w_hi, w_lo, q_lo, q_hi, g_hi, g_lo, d_in,
+         w_in, u, rho, m) = self.views
+        top = self.top
+        if self.dirichlet:
+            left, right = self.next_ghosts or self._dirichlet_ghosts(self.t)
+            U[0], R[0], U[-1], R[-1] = left.u, left.rho, right.u, right.rho
+            M[0], M[-1] = R[0] * U[0], R[-1] * U[-1]
             top = max(top, abs(float(left.u)), abs(float(right.u)))  # StatePoint u is finite
         else:
-            src = (-2, 1) if cfg.bc == "periodic" else (1, -2)
-            B[:3, 0], B[:3, -1] = B[:3, src[0]], B[:3, src[1]]
-        max_speed = top + c
-        dt = min(cfg.cfl * g.dx / max_speed, dt_max)
+            self.ghosts[...] = self.ghost_src
+        max_speed = top + self.c
+        dt = min(self.cfl_dx / max_speed, dt_max)
         if dt < 1e-12:
             raise SolverError(f"CFL underflow: dt={dt}")
-        u, rho, m, P = B
-        np.divide(np.multiply(m, m, out=P), rho, out=P)
-        P += np.multiply(rho, p.A, out=self.a)
+        np.divide(np.multiply(M, M, out=P), R, out=P)
+        P += np.multiply(R, self.A_arr, out=a)
         alpha = max_speed
-        if cfg.scheme == "rusanov":
-            a = np.abs(u, out=self.a)
-            alpha = np.add(np.maximum(a[:-1], a[1:], out=self.alpha), c, out=self.alpha)
+        if self.rusanov:
+            np.abs(U, out=a)
+            alpha = np.add(np.maximum(a_lo, a_hi, out=a_max), self.c_arr, out=a_max)
         # 2F = (q_L + q_R) - alpha (w_R - w_L) for both laws; the 1/2 sits in dt/dx.
-        w_hi, w_lo, q_lo, q_hi, g_hi, g_lo, d_in, w_in = self.views
-        d, G = np.subtract(w_hi, w_lo, out=self.d), np.add(q_lo, q_hi, out=self.G)
+        np.subtract(w_hi, w_lo, out=d)
+        np.add(q_lo, q_hi, out=G)
         d *= alpha
         G -= d
         np.subtract(g_hi, g_lo, out=d_in)
-        d_in *= 0.5 * dt / g.dx
+        d_in *= 0.5 * dt / self.dx
         w_in -= d_in
         t = self.t = self.t + dt
-        u, rho, m, _ = self.inner
-        if p.D > 0.0:
-            u[:] = _implicit_velocity(cfg, rho, m, dt * p.D / g.dx ** 2, t)
+        if self.D > 0.0:
+            ghost_u = None
+            if self.dirichlet:
+                self.next_ghosts = self._dirichlet_ghosts(t)  # the next step's flux ghosts too
+                ghost_u = self.next_ghosts[0].u, self.next_ghosts[1].u
+            u[:] = _implicit_velocity(self.cfg, rho, m, dt * self.D / self.dx ** 2, ghost_u)
         else:
             np.divide(m, rho, out=u)
         np.multiply(rho, u, out=m)
@@ -337,15 +353,16 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
         raise ValueError("snapshots must lie within [t0, t_end]")
     traj = Trajectory(grid=cfg.grid, times=[], fields=[], diagnostics=[])
 
-    dx, c, t_prev = cfg.grid.dx, cfg.params.sqrt_A, t0
+    t_prev = t0
     with np.errstate(**_QUIET):
         march = _March(cfg, f)
+        dx, c, totals, diags = march.dx, march.c, march.totals, traj.diagnostics
         for target in snaps:
             while march.t < target - 1e-12:
-                march.advance(dt_max=target - march.t)
-                mass, momentum = np.add.reduce(march.inner[1:3], axis=1).tolist()
-                traj.diagnostics.append({
-                    "step": len(traj.diagnostics) + 1, "t": march.t, "dt": march.t - t_prev,
+                march.advance(target - march.t)
+                mass, momentum = np.add.reduce(totals, axis=1).tolist()
+                diags.append({
+                    "step": len(diags) + 1, "t": march.t, "dt": march.t - t_prev,
                     "mass": mass * dx, "momentum": momentum * dx, "max_speed": march.top + c})
                 t_prev = march.t
             traj.times.append(target)

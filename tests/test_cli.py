@@ -710,8 +710,9 @@ _CATALOG_LIST = "".join(f"{kind:8s} params: {keys:28s} {summary}\n" for kind, ke
     ("P522", "p1, p2, e2, e3, e4", "pressureless similarity solution; claimed for A=0, D=0"),
     ("T1", "p1, p2, b", "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D"),
     ("T2", "p1, b", "branch family in sqrt((x+b)^2-4At^2); D=0"),
-    ("T3", "p1, b", "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; D=0, A>0"),
-    ("T4", "p1, b", "constants rho=p1/sqrt(A), u=b+sqrt(A); D=0, A>0"),
+    ("T3", "p1, b", "rho=(p1/t)exp((t ln t - x - b)/(tA)), u=(x+b)/t+1; "
+     "solves the system for any D with A>0"),
+    ("T4", "p1, b", "constants rho=p1/sqrt(A), u=b+sqrt(A); solves the system for any D with A>0"),
 ))
 
 

@@ -168,6 +168,23 @@ def test_run_equals_the_textbook_update_bit_for_bit(scheme, bc):
     assert traj.diagnostics == diags
 
 
+@pytest.mark.parametrize("nx", [8, 9, 50, 99])
+@pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
+@pytest.mark.parametrize("scheme", ["lax_friedrichs", "rusanov"])
+def test_run_equals_the_textbook_update_bit_for_bit_where_dx_rounds(scheme, bc, nx):
+    # nx 8 is the smallest grid (its ghosts copy columns 1 and nx, one stride
+    # apart); at nx 9, 50 and 99 dx = 2/nx is not a power of two, so
+    # reassociating dt/dx (say, dt * (0.5/dx)) would change the bits.
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    cfg = SolverConfig(grid=Grid.over(0.0, 2.0, nx), params=MP1, scheme=scheme, bc=bc,
+                       dirichlet_sampler=s if bc == "dirichlet" else None)
+    [(t, rho, u)], diags = _textbook_run(cfg, s, 1.0, [1.3])
+    traj = run(cfg, s, 1.0, 1.3)
+    assert len(diags) >= 5 and traj.fields[-1].t == t
+    assert np.array_equal(traj.fields[-1].rho, rho) and np.array_equal(traj.fields[-1].u, u)
+    assert traj.diagnostics == diags
+
+
 @pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
 def test_snapshots_equal_the_textbook_fields(bc):
     # Snapshots at t0, inside the run and at t_end.
@@ -537,6 +554,28 @@ def test_viscous_dirichlet_step_samples_the_ghosts_at_t_and_t_plus_dt():
     assert calls == [("domain", 1.0), ("eval", 1.0)] * 2 + [("domain", t1), ("eval", t1)] * 2
 
 
+@pytest.mark.parametrize("D", [0.0, 0.5])
+def test_dirichlet_run_reads_the_ghosts_once_per_time_level(D):
+    # The fluxes of step k read the ghosts at t_k; a viscous step's implicit
+    # closure reads them at t_{k+1} and hands them to step k+1.
+    mp = ModelParams(A=1.0, D=D)
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(mp)
+    counted, calls = _counting(s)
+    reads = []
+    recorded = SolutionSampler(eval=lambda x, t: reads.append((x, t)) or counted.eval(x, t),
+                               domain=counted.domain, partials=s.partials)
+    g = Grid.over(0.0, 2.0, 32)
+    cfg = SolverConfig(grid=g, params=mp, bc="dirichlet", dirichlet_sampler=recorded)
+    traj = run(cfg, s, 1.0, 1.3)
+    steps = len(traj.diagnostics)
+    levels = [1.0] + [d["t"] for d in traj.diagnostics]
+    if D == 0.0:
+        levels = levels[:-1]  # no read at t_end
+    assert steps > 10 and calls == {"domain": len(reads), "eval": len(reads)}
+    assert len(reads) == 2 * (steps + (D > 0.0))
+    assert reads == [(x, t) for t in levels for x in (-0.5 * g.dx, 2.0 + 0.5 * g.dx)]
+
+
 @pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
 @pytest.mark.parametrize("r", [1e-3, 1.0, 1e3])
 def test_implicit_velocity_matches_dense_solve(bc, r):
@@ -548,17 +587,17 @@ def test_implicit_velocity_matches_dense_solve(bc, r):
     cfg = SolverConfig(grid=Grid.over(0.0, 2.0, nx), params=MP1, bc=bc,
                        dirichlet_sampler=s if bc == "dirichlet" else None)
     M = np.diag(rho + 2.0 * r) - r * np.eye(nx, k=1) - r * np.eye(nx, k=-1)
-    rhs = m.copy()
+    rhs, ghost_u = m.copy(), None
     if bc == "periodic":
         M[0, -1] = M[-1, 0] = -r
     elif bc == "outflow":
         M[0, 0] -= r
         M[-1, -1] -= r
     else:
-        left, right = (s.eval(x, 1.5).u for x in (-0.5 * cfg.grid.dx, 2.0 + 0.5 * cfg.grid.dx))
-        rhs[0] += r * left
-        rhs[-1] += r * right
-    got = _implicit_velocity(cfg, rho, m, r, 1.5)
+        ghost_u = [s.eval(x, 1.5).u for x in (-0.5 * cfg.grid.dx, 2.0 + 0.5 * cfg.grid.dx)]
+        rhs[0] += r * ghost_u[0]
+        rhs[-1] += r * ghost_u[1]
+    got = _implicit_velocity(cfg, rho, m, r, ghost_u)
     np.testing.assert_allclose(got, np.linalg.solve(M, rhs), rtol=1e-12, atol=0.0)
 
 
@@ -570,7 +609,7 @@ def test_implicit_velocity_zero_pivot_is_left_to_field(bc):
     cfg = SolverConfig(grid=Grid.over(0.0, 2.0, 8), params=MP1, bc=bc, dirichlet_sampler=s)
     rho = np.ones(8)
     rho[0] = -2.0
-    assert np.all(np.isnan(_implicit_velocity(cfg, rho, np.ones(8), 1.0, 1.5)))
+    assert np.all(np.isnan(_implicit_velocity(cfg, rho, np.ones(8), 1.0, (1.0, 1.0))))
 
 
 def test_dirichlet_domain_needs_only_the_first_ghost_cell():
