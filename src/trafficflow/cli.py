@@ -311,7 +311,13 @@ def cmd_simulate(args, argv) -> int:
             for x, rho, u in zip(xs, f.rho.tolist(), f.u.tolist())]
     diagnostics = {"steps": traj.diagnostics}
     if sampler is not None:
-        # manufactured-solution runs also report per-snapshot error norms
+        # manufactured-solution runs also report per-snapshot error norms, and whether the
+        # entry solves the model that ran: verify's status at this (A, D), on the entry's
+        # default region, which is named, since the run's window may differ from it
+        from .catalog import verify_entry
+        diagnostics["entry"] = {
+            "id": entry.id(), "status": verify_entry(entry, mp, region).status,
+            "verified_on": [region.x0, region.x1, region.nx, region.t0, region.t1, region.nt]}
         errs = []
         for tsnap, f in zip(traj.times, traj.fields):
             norms = error_norms(f, sampler, grid)

@@ -132,12 +132,12 @@ def _mixed_u_tx(s: SolutionSampler, x, t, h: float):
     """Mixed derivative u_tx: t-difference of analytic u_x when available, else 2-D at step h.
 
     A difference node outside the domain is a DomainError naming (x, t): a
-    difference across a pole would read as a finite, wrong u_tx.
+    difference across a pole would read as a finite, wrong u_tx.  Nodes are read where checked.
     """
     if s.partials is not None:
         k = 1e-4 * step_scale(x, t)
-        require_stencil(s, x, t, k, ((0, 1), (0, -1)), "mixed-derivative")
-        return (s.partials(x, t + k).u_x - s.partials(x, t - k).u_x) / (2.0 * k)
+        (xu, tu), (xd, td) = require_stencil(s, x, t, k, ((0, 1), (0, -1)), "mixed-derivative")
+        return (s.partials(xu, tu).u_x - s.partials(xd, td).u_x) / (2.0 * k)
     at = read_stencil(s, x, t, h, ((1, 1), (1, -1), (-1, 1), (-1, -1)), "mixed-derivative")
     return (at[1, 1].u - at[1, -1].u - at[-1, 1].u + at[-1, -1].u) / (4.0 * h * h)
 
@@ -225,17 +225,17 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     rows evaluated on solutions, and to an O(1) value otherwise.  The row is
     checked, then the four stencil nodes pass require_stencil once, here (the
     mixed derivative of the viscous S1 and S2 rows checks its own nodes); a
-    node that rounds onto (x, t) would read as conserved.
-    Ux is taken at the x-nodes only and Ut at the t-nodes only.
+    node that rounds onto (x, t) would read as conserved.  Ux is read at the
+    x-nodes only and Ut at the t-nodes only, at the points require_stencil returned.
     """
     row = _row(which, c, p)
     # Float offsets: an int offset times the float step takes the interpreter's slower
     # mixed-type multiply at every node; the nodes themselves are the same.
-    require_stencil(s, x, t, h_step, ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)),
-                    "divergence")
-    Uxp, _ = _vector(row, s, x + h_step, t, h_step)
-    Uxm, _ = _vector(row, s, x - h_step, t, h_step)
-    Utp = _vector(row, s, x, t + h_step, h_step, False)
-    Utm = _vector(row, s, x, t - h_step, h_step, False)
+    (xp, t_xp), (xm, t_xm), (x_tp, tp), (x_tm, tm) = require_stencil(
+        s, x, t, h_step, ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), "divergence")
+    Uxp, _ = _vector(row, s, xp, t_xp, h_step)
+    Uxm, _ = _vector(row, s, xm, t_xm, h_step)
+    Utp = _vector(row, s, x_tp, tp, h_step, False)
+    Utm = _vector(row, s, x_tm, tm, h_step, False)
     return (Uxp - Uxm) / (2.0 * h_step) + (Utp - Utm) / (2.0 * h_step)
 

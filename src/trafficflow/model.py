@@ -268,35 +268,32 @@ def require_step(h) -> None:
         raise ValueError(f"h_step must be > 0 and finite with a nonzero square, got {h}")
 
 
-def _points(x, t, h, nodes) -> list:
-    """The points (x + i*h, t + j*h) of a stencil's nodes (i, j), in their order."""
-    return [(x + i * h, t + j * h) for i, j in nodes]
-
-
-def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> Optional[list]:
+def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> list:
     """The check every finite difference at (x, t) with step h makes before it evaluates.
 
     x and t must be finite and h, a float or an array, pass require_step (a ValueError).
     Every node (i, j) must lie in the domain and x +- h, t +- h must differ from x, t (a step
     that rounds away reads as 0); else a DomainError names the first bad point and its step.
-    At floats one test of the centre and step, then one domain call per node, accept a
-    valid stencil and return None; a failing one, and arrays, walk the checks in that order
-    and get back the points (x + i*h, t + j*h), in the order of nodes, formed once for domain
-    and eval.  Float points cost less to form again than to keep.
+    Returns the points (x + i*h, t + j*h) it checked, in the order of nodes, for the caller
+    to evaluate: each is formed once.  At floats one test of the centre and step, then one
+    domain call per node as its point is formed, accept a valid stencil; a failing one, and
+    arrays, walk the checks in that order and form the points after the centre and step.
     """
     if (isinstance(x, float) and isinstance(t, float) and isinstance(h, float)
             and math.isfinite(x) and math.isfinite(t) and 0.0 < h < _INF and h * h != 0.0
             and x + h != x and x - h != x and t + h != t and t - h != t):
-        domain = s.domain
+        domain, points = s.domain, []
         for i, j in nodes:
-            if not domain(x + i * h, t + j * h):
+            xi, tj = x + i * h, t + j * h
+            if not domain(xi, tj):
                 break
+            points.append((xi, tj))
         else:
-            return None
+            return points
     where = what + " stencil at (x={x}, t={t}) with step {h}"
     require_all(_finite(x, t), where + " leaves the domain", x=x, t=t, h=h)
     require_step(h)
-    points, inside = _points(x, t, h, nodes), True
+    points, inside = [(x + i * h, t + j * h) for i, j in nodes], True
     for xi, tj in points:
         inside = inside & s.domain(xi, tj)
     require_all(inside, where + " leaves the domain", x=x, t=t, h=h)
@@ -307,17 +304,18 @@ def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> Optional[l
 
 def read_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> dict:
     """{(i, j): state at (x + i*h, t + j*h)}: one eval at each point require_stencil checked
-    and returned, or at floats formed again."""
-    points = require_stencil(s, x, t, h, nodes, what) or _points(x, t, h, nodes)
+    and returned."""
     ev = s.eval
-    return {node: ev(xi, tj) for node, (xi, tj) in zip(nodes, points)}
+    return {node: ev(xi, tj)
+            for node, (xi, tj) in zip(nodes, require_stencil(s, x, t, h, nodes, what))}
 
 
 def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:
     """Central finite-difference partials of a sampler at (x, t).
 
     The stencil (width 2 or 4 each way, centre included) is read once, by read_stencil,
-    at step h, by default 1e-3 * max(1, |x|, |t|); ``centre`` holds the state at (x, t).
+    at the points require_stencil returned, at step h, by default 1e-3 * max(1, |x|, |t|);
+    ``centre`` holds the state at (x, t).
     """
     if order not in (2, 4):
         raise ValueError("fd order must be 2 or 4")

@@ -214,6 +214,8 @@ class _March:
 
     def __init__(self, cfg: SolverConfig, f: Field):
         g, p, n = cfg.grid, cfg.params, cfg.grid.nx
+        if f.rho.size != n:     # numpy would broadcast a one-cell field
+            raise ValueError(f"field has length {f.rho.size}, grid has nx={n}")
         B = np.empty((4, n + 2))
         u, rho, m, _ = inner = B[:, 1:-1]
         u[:], rho[:] = f.u, f.rho
@@ -376,6 +378,8 @@ def error_norms(f: Field, s: SolutionSampler, grid: Grid) -> dict:
     Cell averages are compared against point values at cell centers, which
     is second-order consistent and adequate for first-order schemes.
     """
+    if f.rho.size != grid.nx:
+        raise ValueError(f"field has length {f.rho.size}, grid has nx={grid.nx}")
     xs = grid.centers()
     s.require_in_domain(xs, f.t, "reference at cell centre")
     st = s.eval(xs, f.t)

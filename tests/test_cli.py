@@ -411,6 +411,25 @@ def test_simulate_dirichlet_errors_halve_with_resolution(capsys, tmp_path):
     assert l1[100] / l1[200] >= 1.8
 
 
+@pytest.mark.parametrize("spec,D,entry_id,status", [
+    ("T1?p1=1&p2=2&b=1", "0.5", "T1?b=1.0&p1=1.0&p2=2.0", "VERIFIED"),
+    ("T2?p1=1&b=0", "0.5", "T2?b=0.0&p1=1.0", "REFUTED"),   # T2 solves only the D = 0 model
+])
+def test_simulate_says_whether_its_entry_solves_the_model_that_ran(capsys, tmp_path, spec, D,
+                                                                   entry_id, status):
+    out = tmp_path / "run.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--ic", spec, "--D", D, "--nx", "50",
+                         "--out", str(out))
+    assert code == 0
+    diags = json.loads(Path(str(out) + ".diagnostics.json").read_text())
+    assert set(diags) == {"entry", "errors", "steps"}
+    _, rep = out_json(capsys, "verify", spec, "--D", D)
+    assert (rep["entry"], rep["status"]) == (entry_id, status)
+    # the status is verify's, on the region verify used, which the entry names
+    region = rep["manifest"]["parameters"]["region"]
+    assert diags["entry"] == {"id": entry_id, "status": status, "verified_on": region}
+
+
 def test_simulate_csv_ic_roundtrip(capsys, tmp_path):
     ic = tmp_path / "ic.csv"
     xs = np.linspace(0.05, 1.95, 20)

@@ -406,6 +406,56 @@ def test_a_grid_stencil_node_is_formed_once_for_domain_and_eval(order):
         assert np.array_equal(xe, x + i * 1e-3) and np.array_equal(te, t + j * 1e-3)
 
 
+def _by_identity(base):
+    """base with analytic partials, and the (name, x, t) each domain, eval and partials call
+    receives, objects as given."""
+    seen = []
+
+    def record(name, fn):
+        def wrapped(x, t):
+            seen.append((name, x, t))
+            return fn(x, t)
+        return wrapped
+
+    return SolutionSampler(eval=record("eval", base.eval), domain=record("domain", base.domain),
+                           partials=record("partials", base.partials)), seen
+
+
+def test_divergence_reads_each_node_at_the_arrays_domain_saw():
+    mp = ModelParams(A=1.0, D=0.0)      # D = 0: no mixed derivative, one read per node
+    s, seen = _by_identity(make_entry("T1", p1=1, p2=2, b=1).sampler(mp))
+    c = conservation.MultiplierConstants(1.0, 0.5, 0.2)
+    x, t = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(1, 2, 3))
+    conservation.divergence_residual("S1", c, mp, s, x, t, 1e-3)
+    checked = [(xd, td) for name, xd, td in seen if name == "domain"]
+    reads = [(name, xr, tr) for name, xr, tr in seen if name != "domain"]
+    assert len(checked) == 4 and [name for name, _, _ in reads] == ["partials", "eval"] * 4
+    for k, (i, j) in enumerate(((1, 0), (-1, 0), (0, 1), (0, -1))):
+        xd, td = checked[k]
+        assert np.array_equal(xd, x + i * 1e-3) and np.array_equal(td, t + j * 1e-3)
+        for _, xr, tr in reads[2 * k:2 * k + 2]:
+            assert xr is xd and tr is td       # the same arrays, not equal copies
+
+
+def test_analytic_mixed_derivative_reads_the_arrays_domain_saw():
+    s, seen = _by_identity(make_entry("T3", p1=2, b=1).sampler(ModelParams(A=1.0, D=0.4)))
+    x, t = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(1, 2, 3))
+    conservation._mixed_u_tx(s, x, t, 1e-3)
+    assert [name for name, _, _ in seen] == ["domain", "domain", "partials", "partials"]
+    for (_, xd, td), (_, xr, tr) in zip(seen[:2], seen[2:]):
+        assert xr is xd and tr is td
+
+
+@pytest.mark.parametrize("nodes", [FD_NODES[2], FD_NODES[4], ((1.0, 0.0), (-1.0, 0.0),
+                                                               (0.0, 1.0), (0.0, -1.0))])
+def test_a_valid_float_stencil_returns_its_points_in_node_order(nodes):
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    x, t, h = 0.3, 1.2, 1e-3
+    points = require_stencil(s, x, t, h, nodes, "FD")
+    assert points == [(x + i * h, t + j * h) for i, j in nodes]
+    assert all(type(xi) is float and type(tj) is float for xi, tj in points)
+
+
 def test_grid_consumers_make_one_call_per_stencil_node():
     mp = ModelParams(A=1.0, D=0.3)      # D > 0: the S1, S2 rows difference u_x in t
     base = make_entry("T1", p1=1, p2=2, b=1).sampler(mp)

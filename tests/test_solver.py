@@ -491,6 +491,24 @@ def test_error_norms_definitions():
     assert norms["u"][0] == pytest.approx(0.25 * 2.0)
 
 
+@pytest.mark.parametrize("cells", [1, 5, 17])
+@pytest.mark.parametrize("march", ["run", "step"])
+def test_a_field_of_another_length_than_the_grid_is_refused(march, cells):
+    # One cell would broadcast over the grid, five would fail in numpy's own words.
+    cfg = SolverConfig(Grid.over(0.0, 1.0, 16), MP1)
+    f = Field(0.0, np.ones(cells), np.full(cells, 0.5))
+    with pytest.raises(ValueError, match=rf"^field has length {cells}, grid has nx=16$"):
+        run(cfg, f, 0.0, 0.1) if march == "run" else step(f, cfg)
+
+
+@pytest.mark.parametrize("cells", [1, 39])
+def test_error_norms_refuse_a_field_of_another_length_than_the_grid(cells):
+    s = make_entry("T4", p1=1, b=0).sampler(MP1)
+    f = Field(t=0.0, rho=np.ones(cells), u=np.ones(cells))
+    with pytest.raises(ValueError, match=rf"^field has length {cells}, grid has nx=40$"):
+        error_norms(f, s, Grid.over(0.0, 2.0, 40))
+
+
 def test_config_validation():
     g = Grid.over(0.0, 1.0, 16)
     with pytest.raises(ValueError):
