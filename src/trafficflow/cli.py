@@ -266,6 +266,27 @@ def _field_from_csv(path: Path):
     return grid, np.array(rho), np.array(u)
 
 
+def _run_summary(traj) -> dict:
+    """What limited a finished run, read from its diagnostics and snapshot fields.
+
+    steps; the smallest dt with its step and t; how many steps landed on a
+    snapshot time (their dt cut to reach it) against those that took the
+    convective bound; and each snapshot's min rho with its cell and x.
+    """
+    steps = traj.diagnostics
+    least = min(steps, key=lambda d: d["dt"], default=None)
+    landed = sum(1 for d in steps if any(abs(d["t"] - ts) <= 1e-12 for ts in traj.times))
+    xs = traj.grid.centers()
+    rho_min = []
+    for tsnap, f in zip(traj.times, traj.fields):
+        i = int(f.rho.argmin())
+        rho_min.append({"t": float(tsnap), "rho": float(f.rho[i]), "cell": i, "x": float(xs[i])})
+    return {"steps": len(steps),
+            "dt_min": None if least is None else {k: least[k] for k in ("dt", "step", "t")},
+            "dt_limit": {"snapshot": landed, "convective": len(steps) - landed},
+            "rho_min": rho_min}
+
+
 def cmd_simulate(args, argv) -> int:
     ic_path = Path(args.ic)
     from_csv = ic_path.suffix == ".csv" and ic_path.exists()
@@ -309,7 +330,7 @@ def cmd_simulate(args, argv) -> int:
     xs = grid.centers().tolist()
     rows = [(float(tsnap), x, rho, u) for tsnap, f in zip(traj.times, traj.fields)
             for x, rho, u in zip(xs, f.rho.tolist(), f.u.tolist())]
-    diagnostics = {"steps": traj.diagnostics}
+    diagnostics = {"steps": traj.diagnostics, "summary": _run_summary(traj)}
     if sampler is not None:
         # manufactured-solution runs also report per-snapshot error norms, and whether the
         # entry solves the model that ran: verify's status at this (A, D), on the entry's

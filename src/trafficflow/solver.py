@@ -9,14 +9,18 @@ and the new velocity solves one symmetric, diagonally dominant tridiagonal
 system, so the time step is the convective one for any D.
 
 `run` and `step` share one kernel, `_March`: rows (u, rho, m, P) of one
-(4, nx+2) buffer with a ghost column per side, advanced in place.  Rows
-(rho, m) are the conserved pair and rows (m, P) its flux, so 7 in-place
-calls update both laws.  m = rho*u, formed once, serves the momentum total
-and the next flux; one min and one max over rows (u, rho) screen the state
-and give max|u| to the diagnostics and the next dt; one sum over rows
-(rho, m) gives both totals.  The march binds its row views, the ghost
-copy's slices and the constants (sqrt(A), A, cfl*dx) once per run, so the
-periodic or outflow ghosts are one strided copy.  A D = 0 step makes 15
+(4, nx+2) buffer, allocated flat, with a ghost column per side, advanced in
+place.  Rows (rho, m) are the conserved pair and rows (m, P) its flux, and
+each pair is one contiguous span of the buffer, so one set of 7 in-place
+1-D calls over the spans updates both laws (Rusanov's per-face alpha
+multiplies a two-row view of the face span).  The entries where the two
+rows meet land only in ghost columns rho[nx+1] and m[0], and every step
+writes the ghosts before it reads them.  m = rho*u, formed once, serves
+the momentum total and the next flux; one min and one max over rows
+(u, rho) screen the state and give max|u| to the diagnostics and the next
+dt; one sum over rows (rho, m) gives both totals.  The march binds its row
+views, the ghost copy's slices and the constants (sqrt(A), A, cfl*dx) once
+per run, so the periodic or outflow ghosts are one strided copy.  A D = 0 step makes 15
 array calls (Lax-Friedrichs) or 18 (Rusanov) besides that copy, all under
 the one np.errstate of the march.  Dirichlet reads each ghost once per time
 level: at t for the fluxes, and on viscous steps at t + dt for the implicit
@@ -210,13 +214,15 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")  # the state scr
 
 
 class _March:
-    """Rows (u, rho, m, P) in place; W = rows (rho, m), Q = rows (m, P); use under _QUIET."""
+    """Rows (u, rho, m, P) in place; W, Q = flat spans of rows (rho, m), (m, P); under _QUIET."""
 
     def __init__(self, cfg: SolverConfig, f: Field):
         g, p, n = cfg.grid, cfg.params, cfg.grid.nx
         if f.rho.size != n:     # numpy would broadcast a one-cell field
             raise ValueError(f"field has length {f.rho.size}, grid has nx={n}")
-        B = np.empty((4, n + 2))
+        N = n + 2
+        flat = np.empty(4 * N)
+        B = flat.reshape(4, N)    # a view: rows (rho, m) and (m, P) are flat spans of it
         u, rho, m, _ = inner = B[:, 1:-1]
         u[:], rho[:] = f.u, f.rho
         np.multiply(f.rho, f.u, out=m)
@@ -231,10 +237,14 @@ class _March:
         self.ghost_src = B[:3, n:0:-(n - 1)] if cfg.bc == "periodic" else B[:3, 1:n + 1:n - 1]
         self.ghost_x = (g.x0 - 0.5 * g.dx, g.x0 + (n + 0.5) * g.dx)
         self.next_ghosts = None  # Dirichlet ghosts at self.t, when the implicit solve read them
-        W, Q, d, G = B[1:3], B[2:4], np.empty((2, n + 1)), np.empty((2, n + 1))
-        a, a_max = np.empty(n + 2), np.empty(n + 1)
-        self.views = (*B, a, a[:-1], a[1:], a_max, d, G, W[:, 1:], W[:, :-1], Q[:, :-1],
-                      Q[:, 1:], G[:, 1:], G[:, :-1], d[:, 1:], W[:, 1:-1], *inner[:3])
+        # Faces (2N - 1) and cells (2N - 2) of both laws in one span each.  The entries that
+        # straddle the two rows land in ghost columns rho[n+1] and m[0], which every step
+        # writes before it reads them; d_rows[:, :-1] holds the faces of each law.
+        W, Q, d_rows, G = flat[N:3 * N], flat[2 * N:], np.empty((2, N)), np.empty(2 * N - 1)
+        d = d_rows.reshape(-1)[:-1]
+        a, a_max = np.empty(N), np.empty(n + 1)
+        self.views = (*B, a, a[:-1], a[1:], a_max, d, d_rows[:, :-1], G, W[1:], W[:-1],
+                      Q[:-1], Q[1:], G[1:], G[:-1], np.empty(2 * N - 2), W[1:-1], *inner[:3])
         self._screen()
 
     def _screen(self) -> bool:
@@ -254,8 +264,8 @@ class _March:
         return states
 
     def advance(self, dt_max: float) -> None:
-        (U, R, M, P, a, a_lo, a_hi, a_max, d, G, w_hi, w_lo, q_lo, q_hi, g_hi, g_lo, d_in,
-         w_in, u, rho, m) = self.views
+        (U, R, M, P, a, a_lo, a_hi, a_max, d, d_faces, G, w_hi, w_lo, q_lo, q_hi, g_hi, g_lo,
+         d_in, w_in, u, rho, m) = self.views
         top = self.top
         if self.dirichlet:
             left, right = self.next_ghosts or self._dirichlet_ghosts(self.t)
@@ -270,14 +280,14 @@ class _March:
             raise SolverError(f"CFL underflow: dt={dt}")
         np.divide(np.multiply(M, M, out=P), R, out=P)
         P += np.multiply(R, self.A_arr, out=a)
-        alpha = max_speed
-        if self.rusanov:
-            np.abs(U, out=a)
-            alpha = np.add(np.maximum(a_lo, a_hi, out=a_max), self.c_arr, out=a_max)
         # 2F = (q_L + q_R) - alpha (w_R - w_L) for both laws; the 1/2 sits in dt/dx.
         np.subtract(w_hi, w_lo, out=d)
         np.add(q_lo, q_hi, out=G)
-        d *= alpha
+        if self.rusanov:
+            np.abs(U, out=a)
+            d_faces *= np.add(np.maximum(a_lo, a_hi, out=a_max), self.c_arr, out=a_max)
+        else:
+            d *= max_speed
         G -= d
         np.subtract(g_hi, g_lo, out=d_in)
         d_in *= 0.5 * dt / self.dx
@@ -338,7 +348,10 @@ def _initial_field(ic: Union[SolutionSampler, Field], grid: Grid, t0: float) -> 
 
 def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: float,
         snapshots: Optional[list] = None) -> Trajectory:
-    """March from t0 to t_end, landing exactly on each snapshot time.
+    """March from t0 to t_end, landing exactly on each snapshot time and on t_end.
+
+    The trajectory's times are the sorted distinct snapshots, then t_end (listed once,
+    whether or not the caller lists it).
 
     Diagnostics are recorded per step with keys step, t, dt, mass, momentum,
     max_speed; totals use the cell-average quadrature sum(q) * dx.  Every
@@ -350,9 +363,10 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
     if t_end < t0:
         raise ValueError("t_end must be >= t0")
     f = _initial_field(ic, cfg.grid, t0)
-    snaps = sorted(set(snapshots)) if snapshots else [t_end]
-    if any(s < t0 or s > t_end + 1e-12 for s in snaps):
+    if any(s < t0 or s > t_end + 1e-12 for s in snapshots or ()):
         raise ValueError("snapshots must lie within [t0, t_end]")
+    # t_end is always the last snapshot; a caller's time within 1e-12 of it is that one
+    snaps = sorted(s for s in set(snapshots or ()) if s < t_end - 1e-12) + [t_end]
     traj = Trajectory(grid=cfg.grid, times=[], fields=[], diagnostics=[])
 
     t_prev = t0

@@ -422,12 +422,55 @@ def test_simulate_says_whether_its_entry_solves_the_model_that_ran(capsys, tmp_p
                          "--out", str(out))
     assert code == 0
     diags = json.loads(Path(str(out) + ".diagnostics.json").read_text())
-    assert set(diags) == {"entry", "errors", "steps"}
+    assert set(diags) == {"entry", "errors", "steps", "summary"}
     _, rep = out_json(capsys, "verify", spec, "--D", D)
     assert (rep["entry"], rep["status"]) == (entry_id, status)
     # the status is verify's, on the region verify used, which the entry names
     region = rep["manifest"]["parameters"]["region"]
     assert diags["entry"] == {"id": entry_id, "status": status, "verified_on": region}
+
+
+def test_simulate_runs_to_t_end_past_its_last_snapshot(capsys, tmp_path):
+    out = tmp_path / "run.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--ic", "T1?p1=1&p2=2&b=1", "--nx", "32",
+                         "--t0", "1", "--t-end", "1.3", "--snap", "1.1", "--out", str(out))
+    assert code == 0
+    times = [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]]
+    assert times == ["1.1"] * 32 + ["1.3"] * 32
+    diags = json.loads(Path(str(out) + ".diagnostics.json").read_text())
+    assert abs(diags["steps"][-1]["t"] - 1.3) <= 1e-12
+    assert [e["t"] for e in diags["errors"]] == [1.1, 1.3]
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert (manifest["parameters"]["snap"], manifest["parameters"]["t_end"]) == ([1.1], 1.3)
+
+
+def test_simulate_summary_says_what_limited_the_run(capsys, tmp_path):
+    out = tmp_path / "run.csv"
+    argv = ["simulate", "--ic", "T1?p1=1&p2=2&b=1", "--nx", "40", "--bc", "dirichlet",
+            "--x0", "0", "--x1", "2", "--t0", "1", "--t-end", "1.3",
+            "--snap", "1,1.1,1.25", "--out", str(out)]
+    assert main(argv) == 0
+    diags = json.loads(Path(str(out) + ".diagnostics.json").read_text())
+    steps, summary = diags["steps"], diags["summary"]
+    assert summary["steps"] == len(steps) > 10
+    least = min(steps, key=lambda d: d["dt"])
+    assert summary["dt_min"] == {"dt": least["dt"], "step": least["step"], "t": least["t"]}
+    # the snapshot at t0 takes no step; 1.1, 1.25 and t_end each end one cut step
+    assert summary["dt_limit"] == {"snapshot": 3, "convective": len(steps) - 3}
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().strip().split("\n")[1:]]
+    want = []
+    for k, t in enumerate((1.0, 1.1, 1.25, 1.3)):
+        snap = rows[40 * k:40 * (k + 1)]
+        i = min(range(40), key=lambda j: snap[j][2])
+        assert snap[i][0] == t
+        want.append({"t": t, "rho": snap[i][2], "cell": i, "x": snap[i][1]})
+    assert summary["rho_min"] == want
+    # the summary is deterministic: a replay writes the same bytes
+    first = {p.name: _digest(p) for p in tmp_path.iterdir()}
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert {p.name: _digest(p) for p in tmp_path.iterdir()} == first
 
 
 def test_simulate_csv_ic_roundtrip(capsys, tmp_path):

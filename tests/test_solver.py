@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import trafficflow.solver as solver
 from trafficflow.catalog import make_entry
 from trafficflow.model import DomainError, ModelParams, SolutionSampler
 from trafficflow.solver import (Field, Grid, PositivityError, SolverConfig, SolverError,
@@ -183,6 +184,58 @@ def test_run_equals_the_textbook_update_bit_for_bit_where_dx_rounds(scheme, bc, 
     assert len(diags) >= 5 and traj.fields[-1].t == t
     assert np.array_equal(traj.fields[-1].rho, rho) and np.array_equal(traj.fields[-1].u, u)
     assert traj.diagnostics == diags
+
+
+@pytest.mark.parametrize("scheme,bc,nx,t_end", [("rusanov", "dirichlet", 1000, 1.1),
+                                                 ("lax_friedrichs", "periodic", 1500, 1.1)])
+def test_run_equals_the_textbook_update_bit_for_bit_on_large_grids(scheme, bc, nx, t_end):
+    # Where the two rows of the flat spans meet moves with nx; hundreds of steps here.
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    cfg = SolverConfig(grid=Grid.over(0.0, 2.0, nx), params=MP1, scheme=scheme, bc=bc,
+                       dirichlet_sampler=s if bc == "dirichlet" else None)
+    [(t, rho, u)], diags = _textbook_run(cfg, s, 1.0, [t_end])
+    traj = run(cfg, s, 1.0, t_end)
+    assert len(diags) >= 100 and traj.fields[-1].t == t
+    assert np.array_equal(traj.fields[-1].rho, rho) and np.array_equal(traj.fields[-1].u, u)
+    assert traj.diagnostics == diags
+
+
+@pytest.mark.parametrize("D", [0.0, 0.5])
+@pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
+@pytest.mark.parametrize("scheme", ["lax_friedrichs", "rusanov"])
+def test_each_step_writes_the_ghost_columns_before_it_reads_them(monkeypatch, scheme, bc, D):
+    # The flat spans leave their cross-row entries in ghost columns, so no step may read
+    # a ghost it has not written: NaN in every ghost after each step must change nothing.
+    mp = ModelParams(A=1.0, D=D)
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(mp)
+    cfg = SolverConfig(grid=Grid.over(0.0, 2.0, 50), params=mp, scheme=scheme, bc=bc,
+                       dirichlet_sampler=s if bc == "dirichlet" else None)
+    clean = run(cfg, s, 1.0, 1.3, snapshots=[1.1])
+    real_advance = solver._March.advance
+
+    def poisoned(march, *args):
+        real_advance(march, *args)
+        for row in march.views[:4]:     # rows u, rho, m, P of the buffer
+            row[0] = row[-1] = math.nan
+
+    monkeypatch.setattr(solver._March, "advance", poisoned)
+    dirty = run(cfg, s, 1.0, 1.3, snapshots=[1.1])
+    assert dirty.diagnostics == clean.diagnostics and len(clean.diagnostics) > 10
+    for a, b in zip(dirty.fields, clean.fields, strict=True):
+        assert a.t == b.t and np.array_equal(a.rho, b.rho) and np.array_equal(a.u, b.u)
+
+
+def test_run_ends_at_t_end_after_the_last_snapshot():
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
+    cfg = SolverConfig(grid=Grid.over(0.0, 2.0, 64), params=MP1, bc="dirichlet",
+                       dirichlet_sampler=s)
+    full = run(cfg, s, 1.0, 1.3, snapshots=[1.1, 1.3])
+    assert full.times == [1.1, 1.3] and abs(full.diagnostics[-1]["t"] - 1.3) <= 1e-12
+    for snaps in ([1.1], [1.3, 1.1, 1.3], [1.1, 1.3 - 1e-13]):  # t_end is listed once
+        traj = run(cfg, s, 1.0, 1.3, snapshots=snaps)
+        assert traj.times == [1.1, 1.3] and traj.diagnostics == full.diagnostics
+        for a, b in zip(traj.fields, full.fields, strict=True):
+            assert a.t == b.t and np.array_equal(a.rho, b.rho) and np.array_equal(a.u, b.u)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "outflow", "dirichlet"])
