@@ -273,9 +273,15 @@ def _run_summary(traj) -> dict:
     snapshot time (their dt cut to reach it) against those that took the
     convective bound; and each snapshot's min rho with its cell and x.
     """
-    steps = traj.diagnostics
+    from bisect import bisect_left
+    steps, times = traj.diagnostics, sorted(traj.times)
     least = min(steps, key=lambda d: d["dt"], default=None)
-    landed = sum(1 for d in steps if any(abs(d["t"] - ts) <= 1e-12 for ts in traj.times))
+    # a step lands when some snapshot time is within 1e-12 of it; the nearest one on each
+    # side is the only candidate, so each step tests two times, not all of them
+    landed = 0
+    for d in steps:
+        k = bisect_left(times, d["t"])
+        landed += any(abs(d["t"] - ts) <= 1e-12 for ts in times[max(k - 1, 0):k + 1])
     xs = traj.grid.centers()
     rho_min = []
     for tsnap, f in zip(traj.times, traj.fields):

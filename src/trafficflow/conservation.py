@@ -98,9 +98,12 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
     defects converge at O(h_step^2) to zero when the identity holds (it does
     for D = 0) and to the identity's intrinsic defect otherwise.  Its five
     nodes, the centre and (x +- h_step, t), (x, t +- h_step), are the order-2
-    FD stencil, read once (read_stencil), which also gives FD-only partials.
+    FD stencil, read once at the points require_stencil returned, which also gives
+    FD-only partials; analytic rho_x is read at its (+-1, 0) points.
     """
-    at = read_stencil(s, x, t, h_step, FD_NODES[2], "adjoint-identity")
+    points = dict(zip(FD_NODES[2], require_stencil(s, x, t, h_step, FD_NODES[2],
+                                                   "adjoint-identity")))
+    at = {node: s.eval(xi, tj) for node, (xi, tj) in points.items()}
     st, xp, xm, tp, tm = at[0, 0], at[1, 0], at[-1, 0], at[0, 1], at[0, -1]
     d = s.partials(x, t) if s.partials is not None else Partials.from_stencil(at, 2, h_step)
     rho, u = st.rho, st.u
@@ -113,8 +116,8 @@ def adjoint_identity_residual(c: MultiplierConstants, p: ModelParams, s: Solutio
     g_t = (g_tp - g_tm) / (2.0 * h_step)
     g_xx = (g_xp - 2.0 * g0 + g_xm) / h_step ** 2
     if s.partials is not None:
-        rho_xx = (s.partials(x + h_step, t).rho_x
-                  - s.partials(x - h_step, t).rho_x) / (2.0 * h_step)
+        rho_xx = (s.partials(*points[1, 0]).rho_x
+                  - s.partials(*points[-1, 0]).rho_x) / (2.0 * h_step)
     else:
         rho_xx = (xp.rho - 2.0 * rho + xm.rho) / h_step ** 2
 

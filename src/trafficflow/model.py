@@ -275,30 +275,23 @@ def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> list:
     Every node (i, j) must lie in the domain and x +- h, t +- h must differ from x, t (a step
     that rounds away reads as 0); else a DomainError names the first bad point and its step.
     Returns the points (x + i*h, t + j*h) it checked, in the order of nodes, for the caller
-    to evaluate: each is formed once.  At floats one test of the centre and step, then one
-    domain call per node as its point is formed, accept a valid stencil; a failing one, and
-    arrays, walk the checks in that order and form the points after the centre and step.
+    to evaluate: each is formed once and gets one domain call.  Points and grids take these
+    checks in this order alike; one that holds as a Python True (at a float point) makes no
+    require_all call.
     """
-    if (isinstance(x, float) and isinstance(t, float) and isinstance(h, float)
-            and math.isfinite(x) and math.isfinite(t) and 0.0 < h < _INF and h * h != 0.0
-            and x + h != x and x - h != x and t + h != t and t - h != t):
-        domain, points = s.domain, []
-        for i, j in nodes:
-            xi, tj = x + i * h, t + j * h
-            if not domain(xi, tj):
-                break
-            points.append((xi, tj))
-        else:
-            return points
     where = what + " stencil at (x={x}, t={t}) with step {h}"
-    require_all(_finite(x, t), where + " leaves the domain", x=x, t=t, h=h)
+    ok = _finite(x, t)
+    if ok is not True:
+        require_all(ok, where + " leaves the domain", x=x, t=t, h=h)
     require_step(h)
     points, inside = [(x + i * h, t + j * h) for i, j in nodes], True
     for xi, tj in points:
         inside = inside & s.domain(xi, tj)
-    require_all(inside, where + " leaves the domain", x=x, t=t, h=h)
-    require_all((x + h != x) & (x - h != x) & (t + h != t) & (t - h != t),
-                where + " rounds onto its centre", x=x, t=t, h=h)
+    if inside is not True:
+        require_all(inside, where + " leaves the domain", x=x, t=t, h=h)
+    ok = (x + h != x) & (x - h != x) & (t + h != t) & (t - h != t)
+    if ok is not True:
+        require_all(ok, where + " rounds onto its centre", x=x, t=t, h=h)
     return points
 
 

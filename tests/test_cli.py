@@ -14,8 +14,9 @@ import pytest
 
 import trafficflow.cli as cli
 import trafficflow.solver as solver
-from trafficflow.catalog import ENTRY_PARAMS
+from trafficflow.catalog import ENTRY_PARAMS, make_entry
 from trafficflow.cli import main
+from trafficflow.model import ModelParams
 from trafficflow.solver import PositivityError
 
 
@@ -444,6 +445,22 @@ def test_simulate_runs_to_t_end_past_its_last_snapshot(capsys, tmp_path):
     assert (manifest["parameters"]["snap"], manifest["parameters"]["t_end"]) == ([1.1], 1.3)
 
 
+def test_run_summary_counts_landed_steps_as_the_test_against_every_snapshot_does():
+    # Many snapshots, two of them 5e-13 apart: the step that lands on both counts once.
+    mp = ModelParams(A=1.0, D=0.0)
+    grid = solver.Grid.over(0.0, 2.0, 400)     # dt ~ 1e-3: most steps are convective
+    s = make_entry("T1", p1=1, p2=2, b=1).sampler(mp)
+    cfg = solver.SolverConfig(grid=grid, params=mp, bc="dirichlet", dirichlet_sampler=s)
+    snaps = [1.0 + 0.0025 * k for k in range(1, 120)] + [1.15 + 5e-13]
+    traj = solver.run(cfg, s, 1.0, 1.3, snaps)
+    steps = traj.diagnostics
+    assert any(0.0 < b - a <= 1e-12 for a, b in zip(traj.times, traj.times[1:]))
+    landed = sum(1 for d in steps if any(abs(d["t"] - ts) <= 1e-12 for ts in traj.times))
+    assert 0 < landed < len(steps)
+    assert cli._run_summary(traj)["dt_limit"] == {"snapshot": landed,
+                                                  "convective": len(steps) - landed}
+
+
 def test_simulate_summary_says_what_limited_the_run(capsys, tmp_path):
     out = tmp_path / "run.csv"
     argv = ["simulate", "--ic", "T1?p1=1&p2=2&b=1", "--nx", "40", "--bc", "dirichlet",
@@ -617,15 +634,16 @@ def test_conserve_non_positive_step_exit_65(capsys, tmp_path):
 
 
 def test_conserve_step_that_rounds_away_exit_65(capsys, tmp_path):
-    # x +- 1e-17 rounds onto x: every divergence would read an exact 0.
     out = tmp_path / "cons.csv"
-    code, stdout, err = run_cli(capsys, "conserve", "--entry", "T1?p1=1&p2=2&b=1",
-                                "--which", "S1", "--c", "1,0,0", "--nx", "5", "--nt", "5",
-                                "--h-step", "1e-17", "--out", str(out))
-    assert (code, stdout) == (65, "")
-    assert err == ("error: divergence stencil at (x=-4.0, t=-0.25) with step 1e-17"
-                   " rounds onto its centre\n")
-    assert not out.exists()
+    for which, h, failure in (
+            ("S1", "1e-17", "rounds onto its centre"),  # x +- 1e-17 rounds onto x: reads 0
+            ("S4", "1.0", "leaves the domain")):        # t - 1.0 lies past the pole t = -1
+        code, stdout, err = run_cli(capsys, "conserve", "--entry", "T1?p1=1&p2=2&b=1",
+                                    "--which", which, "--c", "1,0,0", "--nx", "5", "--nt", "5",
+                                    "--h-step", h, "--out", str(out))
+        assert (code, stdout) == (65, "")
+        assert err == f"error: divergence stencil at (x=-4.0, t=-0.25) with step {h} {failure}\n"
+        assert not out.exists()
 
 
 def test_conserve_non_finite_constants_exit_65(capsys, tmp_path):

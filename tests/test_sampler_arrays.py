@@ -341,11 +341,12 @@ def test_a_failing_float_stencil_raises_before_anything_is_evaluated(x, t, h, ex
     base = make_entry("T1", p1=1, p2=2, b=1).sampler(MP1)
     cut = SolutionSampler(eval=base.eval, partials=base.partials,
                           domain=lambda x, t: base.domain(x, t) and x < 10.0)
-    for what, call in (("order-2 FD", lambda s: fd_partials(s, x, t, order=2, h=h)),
-                       ("order-4 FD", lambda s: pde_residual(MP1, s, x, t, "fd4", h=h)),
-                       ("mixed-derivative",
-                        lambda s: require_stencil(s, x, t, h, ((1, 1), (-1, -1)),
-                                                  "mixed-derivative"))):
+    mixed = ((1, 1), (-1, -1))
+    for what, nodes, call in (
+            ("order-2 FD", FD_NODES[2], lambda s: fd_partials(s, x, t, order=2, h=h)),
+            ("order-4 FD", FD_NODES[4], lambda s: pde_residual(MP1, s, x, t, "fd4", h=h)),
+            ("mixed-derivative", mixed,
+             lambda s: require_stencil(s, x, t, h, mixed, "mixed-derivative"))):
         s, log = _recording(cut)
         with pytest.raises(exc) as e:
             call(s)
@@ -353,6 +354,8 @@ def test_a_failing_float_stencil_raises_before_anything_is_evaluated(x, t, h, ex
         assert all(name == "domain" for name, _ in log)
         if exc is ValueError or not (math.isfinite(x) and math.isfinite(t)):
             assert log == []
+        else:       # one domain call per node, in node order, whichever node fails
+            assert log == [("domain", {(x + i * h, t + j * h)}) for i, j in nodes]
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -444,6 +447,20 @@ def test_analytic_mixed_derivative_reads_the_arrays_domain_saw():
     assert [name for name, _, _ in seen] == ["domain", "domain", "partials", "partials"]
     for (_, xd, td), (_, xr, tr) in zip(seen[:2], seen[2:]):
         assert xr is xd and tr is td
+
+
+def test_adjoint_identity_reads_analytic_partials_at_the_arrays_domain_saw():
+    mp = ModelParams(A=1.0, D=0.3)
+    s, seen = _by_identity(make_entry("T1", p1=1, p2=2, b=1).sampler(mp))
+    x, t = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(1, 2, 3))
+    conservation.adjoint_identity_residual(conservation.MultiplierConstants(1.0, 0.5, 0.2),
+                                           mp, s, x, t, 1e-3)
+    checked = dict(zip(FD_NODES[2], [(xd, td) for name, xd, td in seen if name == "domain"]))
+    reads = [(xr, tr) for name, xr, tr in seen if name == "partials"]
+    assert len(checked) == 5 and len(reads) == 3
+    assert reads[0][0] is x and reads[0][1] is t        # the centre, as given
+    for (xr, tr), node in zip(reads[1:], ((1, 0), (-1, 0))):
+        assert xr is checked[node][0] and tr is checked[node][1]
 
 
 @pytest.mark.parametrize("nodes", [FD_NODES[2], FD_NODES[4], ((1.0, 0.0), (-1.0, 0.0),
