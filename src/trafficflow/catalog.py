@@ -53,6 +53,7 @@ __all__ = [
     "make_entry",
     "verify_entry",
     "verify_sampler",
+    "step_maxima",
     "reduced_ode_residual_T3",
     "kink_ode_oracle",
 ]
@@ -477,14 +478,13 @@ def _peak(r, x: np.ndarray, t: np.ndarray) -> tuple[float, list]:
     return float(a[i]), [float(x.flat[i]), float(t.flat[i])]
 
 
-def _fd2_floors(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.ndarray,
-                steps: list) -> list:
-    """Largest |r1|, |r2| of the order-2 FD residual on the 1-D probe arrays x, t at each step.
+def step_maxima(quantity: Callable, x: np.ndarray, t: np.ndarray, steps: list) -> list:
+    """Largest |quantity(x, t, h)| over the 1-D probe arrays x, t at each step h of steps.
 
-    One residual call checks each (step, point) pair's stencil once; the pairs whose
-    stencil leaves the domain, or whose residual is not finite, are dropped together by
-    the DomainError's ``failing`` mask, one retry per failing check.  A step with no pair
-    left gets None.
+    One call evaluates every (step, point) pair, each stencil checked once; the pairs that
+    fail a check (a stencil that leaves the domain or rounds away, a value the sampler
+    rejects) are dropped together by the DomainError's ``failing`` mask, one retry per
+    failing check.  A step with no pair left gets None.
     """
     xs, ts = np.tile(x, len(steps)), np.tile(t, len(steps))
     hs = np.repeat(steps, x.size)
@@ -492,8 +492,7 @@ def _fd2_floors(mp: ModelParams, sampler: SolutionSampler, x: np.ndarray, t: np.
     worst = np.zeros(xs.shape)
     while keep.any():
         try:
-            r1, r2 = pde_residual(mp, sampler, xs[keep], ts[keep], method="fd2", h=hs[keep])
-            worst[keep] = np.maximum(np.abs(r1), np.abs(r2))
+            worst[keep] = np.abs(quantity(xs[keep], ts[keep], hs[keep]))
             break
         except DomainError as e:
             if e.failing is None:
@@ -530,8 +529,13 @@ def verify_sampler(mp: ModelParams, sampler: SolutionSampler, region: GridRegion
     px, pt = (a.ravel() for a in mesh(*region.interior(5, 5)))
     h0 = 1e-2 * max(1.0, abs(region.x0), abs(region.x1), abs(region.t0), abs(region.t1))
     steps = [h0, h0 / 2, h0 / 4]
+
+    def fd2(x, t, h):
+        r1, r2 = pde_residual(mp, sampler, x, t, method="fd2", h=h)
+        return np.maximum(np.abs(r1), np.abs(r2))
+
     floors = rep.fd_floors
-    for h, worst in zip(steps, _fd2_floors(mp, sampler, px, pt, steps)):
+    for h, worst in zip(steps, step_maxima(fd2, px, pt, steps)):
         if worst is None:
             rep.notes.append("no interior point admitted the FD stencil")
             break

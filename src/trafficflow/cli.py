@@ -10,10 +10,11 @@ RunManifest (command, full parameter set, artifact version, sha256 digests
 of the written files, stable key order); re-running a manifest's argv
 reproduces byte-identical outputs.
 
-Exit codes: 0 success/VERIFIED, 2 REFUTED, 3 inconclusive (PAPER-CLAIMED),
-4 solver error during simulation (an invalid state, named by cell and time,
-or CFL underflow), 5 refuted wavefront background, 64 usage error,
-65 domain or parse error (a bad CSV initial condition included).
+Exit codes: 0 success/VERIFIED/CONSERVED, 2 REFUTED/FLOOR, 3 inconclusive
+(PAPER-CLAIMED, INCONCLUSIVE), 4 solver error during simulation (an invalid
+state, named by cell and time, or CFL underflow), 5 refuted wavefront
+background, 64 usage error, 65 domain or parse error (a bad CSV initial
+condition included).
 
 Start-up: this module imports only the standard library and the package
 root, which holds the --scheme/--bc choices, DomainError and each catalog
@@ -450,8 +451,11 @@ def cmd_lie(args, argv) -> int:
 
 def cmd_conserve(args, argv) -> int:
     entry = parse_entry_spec(args.entry)
-    from .catalog import mesh
-    from .conservation import MultiplierConstants, divergence_residual, symmetry_conserved_vector
+    from functools import partial
+
+    from .catalog import _peak, mesh, step_maxima
+    from .conservation import (CONSERVED, FLOOR, MultiplierConstants, divergence_residual,
+                               divergence_verdict, symmetry_conserved_vector)
     from .model import ModelParams
     mp = ModelParams(A=args.A, D=args.D)
     c = MultiplierConstants(*_parse_vector(args.c, 3, "--c"))
@@ -468,6 +472,12 @@ def cmd_conserve(args, argv) -> int:
             symmetry_conserved_vector(args.which, c, mp, sampler, xi, ti, args.h_step)
             divergence_residual(args.which, c, mp, sampler, xi, ti, args.h_step)
         raise
+    # The verdict: the same divergence at h, h/2 and h/4, by verify's step refinement.
+    steps = [args.h_step, args.h_step / 2, args.h_step / 4]
+    maxima = step_maxima(partial(divergence_residual, args.which, c, mp, sampler),
+                         x.ravel(), t.ravel(), steps)
+    verdict = divergence_verdict(steps, maxima, max(float(abs(ux).max()), float(abs(ut).max())))
+    verdict["max_at"] = _peak(div, x, t)[1]
     rows = zip(x.ravel().tolist(), t.ravel().tolist(), ux.ravel().tolist(),
                ut.ravel().tolist(), div.ravel().tolist())
     out = Path(args.out) if args.out else Path(f"conserve_{args.which}.csv")
@@ -475,8 +485,13 @@ def cmd_conserve(args, argv) -> int:
               "A": args.A, "D": args.D, "h_step": args.h_step,
               "region": [region.x0, region.x1, args.nx, region.t0, region.t1, args.nt],
               "out": str(out)}
-    _emit("conserve", argv, params, {out: _csv(["x", "t", "Ux", "Ut", "divergence"], rows)})
-    return EXIT_OK
+    _emit("conserve", argv, params, {out: _csv(["x", "t", "Ux", "Ut", "divergence"], rows)},
+          stdout_obj=verdict)
+    if verdict["status"] == CONSERVED:
+        return EXIT_OK
+    if verdict["status"] == FLOOR:
+        return EXIT_REFUTED
+    return EXIT_INCONCLUSIVE
 
 
 # ---------------------------------------------------------------- wavefront

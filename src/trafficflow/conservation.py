@@ -3,7 +3,8 @@
 Covers the elementary mass/momentum pair of the inviscid conservative form,
 the nonlinear self-adjointness substitution (h, g) with its multipliers, the
 four symmetry-generated conserved vectors, and numerical divergence checking
-of candidate solutions.
+of candidate solutions, with the rule (divergence_verdict) that turns the
+divergence's maxima under step halving into a status.
 
 The four symmetry-generated (Ux, Ut) rows share one flux (Ibragimov's theorem
 under (h, g)) and are returned as published: the printed S1 and S3 rows keep
@@ -25,7 +26,18 @@ __all__ = [
     "adjoint_identity_residual",
     "symmetry_conserved_vector",
     "divergence_residual",
+    "CONSERVED",
+    "FLOOR",
+    "INCONCLUSIVE",
+    "divergence_verdict",
 ]
+
+CONSERVED = "CONSERVED"
+FLOOR = "FLOOR"
+INCONCLUSIVE = "INCONCLUSIVE"
+
+# The step-halving ratio of an order-2 difference: 2^1.9, verify's order and the tests'.
+_ORDER2 = 2.0 ** 1.9
 
 
 @dataclass(frozen=True)
@@ -188,8 +200,8 @@ def _vector(row: tuple, s: SolutionSampler, x, t, h_step: float, flux: bool = Tr
 
     Per node: one read of partials and state, (h, g) by _substitution's
     expressions on the row's locals, then the row's arm.  With flux=False, Ut
-    alone, which needs neither the mixed derivative u_tx nor the flux terms:
-    neither is computed, and DxV_u goes unused.
+    alone, which needs neither the mixed derivative u_tx nor DxV_u nor the
+    flux terms: none of them is computed.
     """
     if s.partials is not None:
         d, st = s.partials(x, t), s.eval(x, t)
@@ -200,20 +212,27 @@ def _vector(row: tuple, s: SolutionSampler, x, t, h_step: float, flux: bool = Tr
     rho, u = st.rho, st.u
     c1u = c1 * u
     h, g = c1u - c1A / rho + c3, (rho + u) * c1 + c2
-    u_tx = _mixed_u_tx(s, x, t, h_step) if flux and mixed else 0.0
     if which == "S1":    # x d/dx + t d/dt - rho d/drho
         V_rho, V_u = rho + x * d.rho_x + t * d.rho_t, x * d.u_x + t * d.u_t
-        DxV_u = d.u_x + x * d.u_xx + t * u_tx
     elif which == "S2":  # d/dt
-        V_rho, V_u, DxV_u = d.rho_t, d.u_t, u_tx
+        V_rho, V_u = d.rho_t, d.u_t
     elif which == "S3":  # t d/dx + d/du
-        V_rho, V_u, DxV_u = t * d.rho_x, t * d.u_x - 1.0, t * d.u_xx
+        V_rho, V_u = t * d.rho_x, t * d.u_x - 1.0
     else:                # S4: d/dx
-        V_rho, V_u, DxV_u = d.rho_x, d.u_x, d.u_xx
+        V_rho, V_u = d.rho_x, d.u_x
     Ut = -g * V_u - h * V_rho
     if not flux:
         return Ut
 
+    u_tx = _mixed_u_tx(s, x, t, h_step) if mixed else 0.0
+    if which == "S1":
+        DxV_u = d.u_x + x * d.u_xx + t * u_tx
+    elif which == "S2":
+        DxV_u = u_tx
+    elif which == "S3":
+        DxV_u = t * d.u_xx
+    else:
+        DxV_u = d.u_xx
     visc = mc1D * d.u_x / rho + D * (c1u + c2) * d.rho_x / (rho * rho)
     Q = (c1u + c3) * u + (c1 * rho + c2) * A / rho
     Ux = D * g * DxV_u / rho + (visc - sign * h * rho - sign * g * u) * V_u - V_rho * Q
@@ -242,3 +261,43 @@ def divergence_residual(which: str, c: MultiplierConstants, p: ModelParams,
     Utm = _vector(row, s, x_tm, tm, h_step, False)
     return (Uxp - Uxm) / (2.0 * h_step) + (Utp - Utm) / (2.0 * h_step)
 
+
+def divergence_verdict(steps: list, maxima: list, scale: float) -> dict:
+    """The status of a divergence from its largest |value| at each step of a halving sequence.
+
+    maxima[k] is the largest |divergence_residual| at steps[k], None where no point admitted
+    the stencil; scale is the largest |Ux|, |Ut| of the row.  A central difference of values
+    of that size cannot resolve less than the rounding floor 64 eps scale / min(steps).
+
+        CONSERVED     every maximum within the rounding floor, or every halving ratio
+                      >= 2^1.9: the divergence falls at order 2
+        FLOOR         every ratio < 1.5 and the finest maximum above the rounding floor:
+                      a divergence that step refinement does not remove
+        INCONCLUSIVE  anything else, a step with no admitted point or a non-finite
+                      maximum included
+
+    Returns {status, steps, maxima, ratios, floor, notes}.  A ratio whose finer maximum
+    is 0 is inf; with a step not admitted or not finite there are no ratios.
+    """
+    floor = 64.0 * math.ulp(1.0) * scale / min(steps)
+    out = {"status": INCONCLUSIVE, "steps": list(steps), "maxima": list(maxima), "ratios": [],
+           "floor": floor, "notes": []}
+    for h, m in zip(steps, maxima):
+        if m is None or not math.isfinite(m):
+            out["notes"].append(f"no interior point admitted the divergence stencil at step {h!r}"
+                                if m is None else f"the divergence is not finite at step {h!r}")
+            return out
+    ratios = out["ratios"] = [a / b if b > 0.0 else math.inf for a, b in zip(maxima, maxima[1:])]
+    if all(m <= floor for m in maxima):
+        out["status"] = CONSERVED
+        out["notes"].append(f"every maximum is within the rounding floor {floor:.3e}")
+    elif all(r >= _ORDER2 for r in ratios):
+        out["status"] = CONSERVED
+    elif all(r < 1.5 for r in ratios) and maxima[-1] > floor:
+        out["status"] = FLOOR
+        out["notes"].append(f"divergence floor {maxima[-1]:.3e} survives step refinement "
+                            f"(ratios {['%.2f' % r for r in ratios]})")
+    else:
+        out["notes"].append("inconclusive: the divergence neither falls at order 2 "
+                            "nor sits on a floor above rounding")
+    return out

@@ -261,11 +261,16 @@ FD_NODES = {order: tuple((k, 0) for k in second[0]) + tuple((0, k) for k in firs
 def require_step(h) -> None:
     """ValueError unless the difference step h, a float or an array, is finite and > 0.
 
-    h * h must not underflow to 0 either: second differences divide by it.
+    h * h must not underflow to 0 either: second differences divide by it.  On an array
+    the error is a DomainError naming the first bad step, with the mask of every bad one,
+    so a caller that takes several steps at once can drop the pairs of a bad one.
     """
-    if not (0.0 < h < _INF and h * h != 0.0 if isinstance(h, float)
-            else np.all((h > 0.0) & (h < np.inf) & (h * h != 0.0))):
-        raise ValueError(f"h_step must be > 0 and finite with a nonzero square, got {h}")
+    message = "h_step must be > 0 and finite with a nonzero square, got {h}"
+    if isinstance(h, float):
+        if not (0.0 < h < _INF and h * h != 0.0):
+            raise ValueError(message.format(h=h))
+    else:
+        require_all((h > 0.0) & (h < np.inf) & (h * h != 0.0), message, h=h)
 
 
 def require_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> list:

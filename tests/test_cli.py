@@ -646,6 +646,74 @@ def test_conserve_step_that_rounds_away_exit_65(capsys, tmp_path):
         assert not out.exists()
 
 
+_T3 = "T3?p1=2&b=1"
+_C1, _C2, _C3 = "1,0,0", "0,1,0", "0,0,1"
+
+
+def _conserve_verdict(which: str, entry: str, D: str, c: str) -> tuple:
+    """The README's conserve verdicts at h = 2e-3 on an 11x11 grid: (status, how)."""
+    if which == "S1":
+        return "FLOOR", "floor"                   # the printed S1 defect, on both entries
+    if entry == _T1 and which == "S3":
+        return ("CONSERVED", "zero") if c == _C3 else ("FLOOR", "floor")
+    if entry == _T3 and which in ("S2", "S4") and D != "0" and c != _C3:
+        return "FLOOR", "floor"                   # the viscous c1/c2 floors
+    if entry == _T1 and which == "S4" and c == _C3:
+        return "CONSERVED", "zero"
+    if entry == _T3 and which == "S3" and c == _C2:
+        return "CONSERVED", "rounding"
+    return "CONSERVED", "order"
+
+
+@pytest.mark.parametrize("which", ["S1", "S2", "S3", "S4"])
+@pytest.mark.parametrize("entry", [_T1, _T3])
+def test_conserve_gives_the_verdict_of_its_step_refinement(capsys, tmp_path, entry, which):
+    out = tmp_path / "cons.csv"
+    for D in ("0", "0.4"):
+        for c in (_C1, _C2, _C3):
+            code, rep = out_json(capsys, "conserve", "--entry", entry, "--which", which,
+                                 "--c", c, "--D", D, "--nx", "11", "--nt", "11",
+                                 "--h-step", "2e-3", "--out", str(out))
+            status, how = _conserve_verdict(which, entry, D, c)
+            case = (entry, which, D, c, rep)
+            assert (rep["status"], code) == (status, {"CONSERVED": 0, "FLOOR": 2}[status]), case
+            assert rep["steps"] == [2e-3, 1e-3, 5e-4] and "manifest" not in rep
+            m, rows = rep["maxima"], np.loadtxt(out, delimiter=",", skiprows=1)
+            scale = float(np.max(np.abs(rows[:, 2:4])))           # largest |Ux|, |Ut|
+            assert rep["floor"] == 64.0 * np.finfo(float).eps * scale / 5e-4, case
+            # The maximum at h is the CSV's, at the [x, t] where the CSV holds it.
+            i = int(np.argmax(np.abs(rows[:, 4])))
+            assert m[0] == abs(rows[i, 4]) and rep["max_at"] == rows[i, :2].tolist(), case
+            if how == "floor":
+                assert m[2] > 1.0 and all(abs(r - 1.0) < 1e-3 for r in rep["ratios"]), case
+            elif how == "order":
+                assert all(abs(r - 4.0) < 1e-2 for r in rep["ratios"]) and rep["notes"] == [], case
+            else:
+                assert (m == [0.0] * 3) if how == "zero" else (1e-14 < min(m) <= max(m) < 1e-12)
+                assert max(m) <= rep["floor"] and rep["notes"] == [
+                    f"every maximum is within the rounding floor {rep['floor']:.3e}"], case
+
+
+@pytest.mark.parametrize("region,h,note", [
+    # On x in [9.6, 14.4] the ulp of x is 1.8e-15: x +- 2e-15 and x +- 1e-15 move, while
+    # x +- 5e-16 rounds back onto x, so no point admits the h/4 stencil.
+    (("9", "15", "1", "2"), "2e-15", "at step 5e-16"),
+    # Near the origin x +- h resolves for all three steps, but (h/2)^2 underflows to 0.
+    (("0", "1e-150", "1e-150", "2e-150"), "3e-162", "at step 1.5e-162"),
+])
+def test_conserve_is_inconclusive_when_a_finer_step_fails(capsys, tmp_path, region, h, note):
+    out = tmp_path / "cons.csv"
+    x0, x1, t0, t1 = region
+    code, rep = out_json(capsys, "conserve", "--entry", _T1, "--which", "S4", "--c", _C1,
+                         "--x0", x0, "--x1", x1, "--t0", t0, "--t1", t1, "--nx", "5",
+                         "--nt", "5", "--h-step", h, "--out", str(out))
+    assert (code, rep["status"]) == (3, "INCONCLUSIVE")
+    assert rep["maxima"][0] is not None and rep["maxima"][2] is None and rep["ratios"] == []
+    assert rep["notes"] == [f"no interior point admitted the divergence stencil {note}"]
+    assert len(out.read_text().strip().split("\n")) == 1 + 25
+    assert Path(str(out) + ".manifest.json").exists()
+
+
 def test_conserve_non_finite_constants_exit_65(capsys, tmp_path):
     out = tmp_path / "cons.csv"
     for c in ("nan,0,0", "1,inf,0", "1,0,-inf"):

@@ -513,3 +513,33 @@ def test_kink_ode_oracle_takes_the_sech_limit_where_cosh_overflows():
 def test_kink_ode_oracle_rejects_bad_inputs(args, match):
     with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
         kink_ode_oracle(*args)
+
+
+@pytest.mark.parametrize("maxima,status,note", [
+    ([4e-4, 1e-4, 2.5e-5], "CONSERVED", None),             # order 2
+    ([0.0, 0.0, 0.0], "CONSERVED", "rounding"),            # ratios inf; also within the floor
+    ([3e-12, 5e-12, 7e-12], "CONSERVED", "rounding"),      # noise below 64 eps * 1 / 2.5e-4
+    ([2.0, 1.9, 1.9], "FLOOR", "floor"),
+    ([4e-4, 1e-4, 5e-5], "INCONCLUSIVE", "inconclusive"),  # ratio 2 at the second halving
+    ([8e-11, 6e-11, 5e-11], "INCONCLUSIVE", "inconclusive"),  # flat, finest within the floor
+    ([4e-4, 1e-4, None], "INCONCLUSIVE", "no interior point admitted the divergence stencil "
+                                         "at step 0.00025"),
+    ([4e-4, math.nan, 2.5e-5], "INCONCLUSIVE", "the divergence is not finite at step 0.0005"),
+])
+def test_divergence_verdict_rule(maxima, status, note):
+    steps = [1e-3, 5e-4, 2.5e-4]
+    rep = conservation.divergence_verdict(steps, maxima, 1.0)
+    floor = 64.0 * np.finfo(float).eps / 2.5e-4
+    assert (rep["status"], rep["steps"], rep["floor"]) == (status, steps, floor)
+    assert rep["maxima"] == maxima
+    if note is None:
+        assert rep["notes"] == []
+    elif note == "rounding":
+        assert rep["notes"] == [f"every maximum is within the rounding floor {floor:.3e}"]
+    elif note == "floor":
+        assert rep["notes"] == ["divergence floor 1.900e+00 survives step refinement "
+                                "(ratios ['1.05', '1.00'])"]
+    elif note == "inconclusive":
+        assert rep["notes"][0].startswith("inconclusive")
+    else:
+        assert rep["notes"] == [note] and rep["ratios"] == []

@@ -358,6 +358,17 @@ def test_a_failing_float_stencil_raises_before_anything_is_evaluated(x, t, h, ex
             assert log == [("domain", {(x + i * h, t + j * h)}) for i, j in nodes]
 
 
+def test_an_array_of_steps_names_its_first_bad_step_and_masks_every_bad_one():
+    # A float step stays a plain ValueError (above); an array is checked per step, so a
+    # caller that takes several steps at once (catalog.step_maxima) can drop the bad ones.
+    h = np.array([1e-3, 1e-170, 2e-3, 0.0])
+    with pytest.raises(DomainError) as e:
+        require_stencil(make_entry("T1", p1=1, p2=2, b=1).sampler(MP1), np.ones(4),
+                        np.full(4, 1.5), h, FD_NODES[2], "order-2 FD")
+    assert str(e.value) == "h_step must be > 0 and finite with a nonzero square, got 1e-170"
+    assert e.value.index == 1 and e.value.failing.tolist() == [False, True, False, True]
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_a_valid_float_stencil_calls_domain_once_per_node(order):
     s, log = _recording(make_entry("T1", p1=1, p2=2, b=1).sampler(MP1))
