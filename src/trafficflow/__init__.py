@@ -31,6 +31,25 @@ CATALOG_ROWS = {
 }
 
 
+def require_entry_keys(kind: str, keys, error=ValueError) -> None:
+    """Raise error unless keys are exactly the required keys of catalog family kind.
+
+    Its text names every missing and every unknown key.  The CLI raises it as a usage
+    error, before numpy loads; make_entry raises it as a ValueError.
+    """
+    required = CATALOG_ROWS[kind][0]
+    missing = [k for k in required if k not in keys]
+    unknown = [k for k in keys if k not in required]
+    problems = []
+    if missing:
+        problems.append(f"missing keys: {', '.join(missing)}")
+    if unknown:
+        problems.append(f"unknown keys: {', '.join(unknown)}")
+    if problems:
+        raise error(f"entry {kind} requires keys ({', '.join(required) or 'none'}); "
+                    + "; ".join(problems))
+
+
 class DomainError(ValueError):
     """Raised when a point read or an FD stencil leaves a sampler's domain or is not finite."""
 

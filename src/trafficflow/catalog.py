@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import CATALOG_ROWS
+from . import CATALOG_ROWS, require_entry_keys
 from .model import (DomainError, ModelParams, Partials, SolutionSampler, StatePoint,
                     pde_residual)
 
@@ -430,12 +430,15 @@ ENTRY_PARAMS: dict[str, tuple[str, ...]] = {kind: f.params for kind, f in FAMILI
 def make_entry(kind: str, **params) -> CatalogEntry:
     """Build a catalog entry by family name; see ENTRY_PARAMS for required keys.
 
-    Only those keys are recorded, so a custom KINK's callables stay out of id().
-    Every key but mshape is a number and must be finite.
+    Only those keys are recorded, so a custom KINK's callables (M, Mp, Mpp, Mppp), which
+    are arguments but not keys, stay out of id().  A missing or unknown key is the CLI's
+    diagnostic as a ValueError.  Every key but mshape is a number and must be finite.
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown catalog entry {kind!r}; known: {sorted(FAMILIES)}")
     fam = FAMILIES[kind]
+    require_entry_keys(kind, [k for k in params
+                              if kind != "KINK" or k not in ("M", "Mp", "Mpp", "Mppp")])
     for k in fam.params:
         if k != "mshape" and k in params and not math.isfinite(params[k]):
             raise ValueError(f"{kind} entry key {k} must be finite, got {k}={params[k]}")

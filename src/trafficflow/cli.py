@@ -33,7 +33,7 @@ import sys
 import urllib.parse
 from pathlib import Path
 
-from . import BCS, CATALOG_ROWS, SCHEMES, DomainError, __version__
+from . import BCS, CATALOG_ROWS, SCHEMES, DomainError, __version__, require_entry_keys
 
 EXIT_OK = 0
 EXIT_REFUTED = 2
@@ -103,7 +103,7 @@ def parse_entry_spec(spec: str):
     Unknown names, missing keys and unknown keys are rejected with
     exhaustive diagnostics (usage errors); malformed or out-of-range values
     raise ValueError.  Everything up to the values is checked from the
-    package root's CATALOG_ROWS, so a spec usage error loads no numpy.
+    package root (CATALOG_ROWS, require_entry_keys), so a spec usage error loads no numpy.
     """
     name, _, query = spec.partition("?")
     if name not in CATALOG_ROWS:
@@ -117,17 +117,7 @@ def parse_entry_spec(spec: str):
     got = dict(pairs)
     if len(got) != len(pairs):
         raise UsageError(f"duplicate keys in entry spec {spec!r}")
-    required = CATALOG_ROWS[name][0]
-    missing = [k for k in required if k not in got]
-    unknown = [k for k in got if k not in required]
-    problems = []
-    if missing:
-        problems.append(f"missing keys: {', '.join(missing)}")
-    if unknown:
-        problems.append(f"unknown keys: {', '.join(unknown)}")
-    if problems:
-        raise UsageError(f"entry {name} requires keys ({', '.join(required) or 'none'}); "
-                         + "; ".join(problems))
+    require_entry_keys(name, got, UsageError)
     params = {}
     for k, v in got.items():
         if k == "mshape":
@@ -297,6 +287,8 @@ def _run_summary(traj) -> dict:
 def cmd_simulate(args, argv) -> int:
     ic_path = Path(args.ic)
     from_csv = ic_path.suffix == ".csv" and ic_path.exists()
+    if ic_path.suffix == ".csv" and not from_csv and args.ic.partition("?")[0] not in CATALOG_ROWS:
+        raise UsageError(f"--ic file {args.ic!r} does not exist")
     entry = None if from_csv else parse_entry_spec(args.ic)
     from .model import ModelParams
     mp = ModelParams(A=args.A, D=args.D)

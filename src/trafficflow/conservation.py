@@ -206,8 +206,7 @@ def _vector(row: tuple, s: SolutionSampler, x, t, h_step: float, flux: bool = Tr
     if s.partials is not None:
         d, st = s.partials(x, t), s.eval(x, t)
     else:
-        d = fd_partials(s, x, t, order=2, h=h_step)
-        st = d.centre
+        d, st = fd_partials(s, x, t, order=2, h=h_step)
     which, A, D, c1, c2, c3, c1A, mc1D, sign, mixed = row
     rho, u = st.rho, st.u
     c1u = c1 * u

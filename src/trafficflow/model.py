@@ -30,7 +30,6 @@ __all__ = [
     "require_stencil",
     "read_stencil",
     "step_scale",
-    "default_fd_step",
     "residual_from_partials",
     "pde_residual",
 ]
@@ -159,7 +158,7 @@ class Partials:
 
     @staticmethod
     def from_stencil(at: dict, order: int, h) -> "Partials":
-        """Order-2 or -4 central differences of read_stencil's states; ``centre`` is at[0, 0]."""
+        """Order-2 or -4 central differences of read_stencil's states at step h."""
         (offsets, w1), (off2, w2) = _FD_STENCILS[order]
         rho_x = u_x = rho_t = u_t = u_xx = 0.0      # sums from +0.0: a -0.0 sum reads +0.0
         for k, w in zip(offsets, w1):
@@ -168,16 +167,7 @@ class Partials:
                                       rho_t + w * tk.rho, u_t + w * tk.u)
         for k, w in zip(off2, w2):
             u_xx = u_xx + w * at[k, 0].u
-        return _StencilPartials(rho_t / h, rho_x / h, u_t / h, u_x / h, u_xx / (h * h), at[0, 0])
-
-
-@dataclass(slots=True, init=False)
-class _StencilPartials(Partials):
-    centre: StatePoint      # the state at (x, t), from the stencil read that gave the partials
-
-    def __init__(self, rho_t, rho_x, u_t, u_x, u_xx, centre):
-        Partials.__init__(self, rho_t, rho_x, u_t, u_x, u_xx)
-        self.centre = centre
+        return Partials(rho_t / h, rho_x / h, u_t / h, u_x / h, u_xx / (h * h))
 
 
 @dataclass(frozen=True)
@@ -239,11 +229,6 @@ def step_scale(x, t):
     if isinstance(x, float) and isinstance(t, float):
         return max(1.0, abs(x), abs(t))
     return np.maximum(np.maximum(abs(x), abs(t)), 1.0)
-
-
-def default_fd_step(x, t):
-    """Scale-adapted central-difference step h = 1e-3 * max(1, |x|, |t|)."""
-    return 1e-3 * step_scale(x, t)
 
 
 # Central stencils by order: first-derivative (offsets, weights), then u_xx's.
@@ -308,18 +293,18 @@ def read_stencil(s: SolutionSampler, x, t, h, nodes, what: str) -> dict:
             for node, (xi, tj) in zip(nodes, require_stencil(s, x, t, h, nodes, what))}
 
 
-def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> Partials:
-    """Central finite-difference partials of a sampler at (x, t).
+def fd_partials(s: SolutionSampler, x, t, order: int = 4, h=None) -> tuple[Partials, StatePoint]:
+    """Central finite-difference partials of a sampler at (x, t), and its state there.
 
     The stencil (width 2 or 4 each way, centre included) is read once, by read_stencil,
-    at the points require_stencil returned, at step h, by default 1e-3 * max(1, |x|, |t|);
-    ``centre`` holds the state at (x, t).
+    at the points require_stencil returned, at step h, by default 1e-3 * max(1, |x|, |t|).
+    Returns (Partials.from_stencil of that read, the read's state at (x, t)).
     """
     if order not in (2, 4):
         raise ValueError("fd order must be 2 or 4")
-    h = default_fd_step(x, t) if h is None else h
+    h = 1e-3 * step_scale(x, t) if h is None else h
     at = read_stencil(s, x, t, h, FD_NODES[order], f"order-{order} FD")
-    return Partials.from_stencil(at, order, h)
+    return Partials.from_stencil(at, order, h), at[0, 0]
 
 
 def residual_from_partials(p: ModelParams, s: StatePoint, d: Partials) -> tuple[float, float]:
@@ -340,7 +325,7 @@ def pde_residual(p: ModelParams, s: SolutionSampler, x, t,
     method: "auto" (analytic partials when available, else order-4 FD),
     "analytic", "fd2" or "fd4".  Residuals are returned as raw signed values,
     floats at a point and arrays on a grid.  The centre is checked first: alone
-    for analytic partials, else with the FD stencil, whose one read gives its state too.
+    for analytic partials, else with the FD stencil, whose one read gives both.
     """
     if method == "auto":
         method = "analytic" if s.partials is not None else "fd4"
@@ -350,8 +335,7 @@ def pde_residual(p: ModelParams, s: SolutionSampler, x, t,
         s.require_in_domain(x, t)
         d, state = s.partials(x, t), s.eval(x, t)
     elif method in ("fd2", "fd4"):
-        d = fd_partials(s, x, t, order=int(method[2]), h=h)
-        state = d.centre
+        d, state = fd_partials(s, x, t, order=int(method[2]), h=h)
     else:
         raise ValueError(f"unknown derivative method {method!r}")
     r1, r2 = residual_from_partials(p, state, d)

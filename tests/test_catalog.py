@@ -77,7 +77,7 @@ def test_analytic_partials_match_fd4(kind, params, mp):
         worst = 0.0
         for (x, t) in pts:
             a = sampler.partials(x, t)
-            f = fd_partials(sampler, x, t, order=4, h=h)
+            f = fd_partials(sampler, x, t, order=4, h=h)[0]
             for name in ("rho_t", "rho_x", "u_t", "u_x", "u_xx"):
                 worst = max(worst, abs(getattr(a, name) - getattr(f, name)))
         return worst
@@ -268,7 +268,7 @@ def test_kink_gauss_velocity_gradient_at_center():
     for t in (0.5, 2.0, 5.0):
         analytic = s.partials(0.0, t).u_x
         assert analytic == pytest.approx(2.0 * A * (c1 + t), rel=1e-12)
-        fd = fd_partials(s, 0.0, t, order=4, h=1e-3).u_x
+        fd = fd_partials(s, 0.0, t, order=4, h=1e-3)[0].u_x
         assert analytic == pytest.approx(fd, rel=1e-6)
 
 
@@ -336,6 +336,25 @@ def test_custom_kink_records_only_its_shape_and_c1():
     e = make_entry("KINK", mshape="custom", c1=1.0, M=math.cos, Mp=math.sin)
     assert e.params == {"mshape": "custom", "c1": 1.0}
     assert e.id() == "KINK?c1=1.0&mshape=custom"
+
+
+@pytest.mark.parametrize("kind,params,message", [
+    ("T1", dict(p1=1.0, p2=2.0), "entry T1 requires keys (p1, p2, b); missing keys: b"),
+    ("T1", dict(p1=1.0, p2=2.0, b=1.0, zz=3.0),
+     "entry T1 requires keys (p1, p2, b); unknown keys: zz"),
+    ("T4", dict(b=0.0, q=1.0),
+     "entry T4 requires keys (p1, b); missing keys: p1; unknown keys: q"),
+    ("NEGCTRL", dict(p1=1.0), "entry NEGCTRL requires keys (none); unknown keys: p1"),
+    ("T1", dict(p1=1.0, p2=2.0, b=1.0, M=math.cos),
+     "entry T1 requires keys (p1, p2, b); unknown keys: M"),
+    ("KINK", dict(mshape="custom", M=math.cos, Mp=math.sin),
+     "entry KINK requires keys (mshape, c1); missing keys: c1"),
+], ids=["missing", "unknown", "both", "no-keys", "callable-key", "kink-callables"])
+def test_make_entry_names_missing_and_unknown_keys_as_the_cli_does(kind, params, message):
+    # The CLI's entry-spec text, as a ValueError; a KINK's shape callables are not keys.
+    with pytest.raises(ValueError) as e:
+        make_entry(kind, **params)
+    assert type(e.value) is ValueError and str(e.value) == message
 
 
 @pytest.mark.parametrize("kind,params,mp,message", [

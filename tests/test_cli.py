@@ -337,6 +337,16 @@ def test_rejections_exit_with_their_code_and_write_nothing(capsys, tmp_path, arg
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_a_missing_csv_initial_condition_is_one_usage_line_naming_the_file(capsys, tmp_path):
+    missing, out = str(tmp_path / "missing.csv"), str(tmp_path / "run.csv")
+    assert run_cli(capsys, "simulate", "--ic", missing, "--out", out) == (
+        64, "", f"usage error: --ic file {missing!r} does not exist\n")
+    # An entry spec that ends in .csv is still parsed as one.
+    assert run_cli(capsys, "simulate", "--ic", "T1?p1=1&p2=2&b=1.csv", "--out", out) == (
+        65, "", "error: entry key b='1.csv' is not a number\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("spec", ["x:0:inf:5", "x:-1e308:1e308:5", "x:nan:1:5", "x:-inf:0:5"])
 def test_surface_axis_bounds_and_span_must_be_finite(capsys, tmp_path, spec):
     got, out, err = run_cli(capsys, "simulate", "--ic", _T1, "--surface", spec, "t:1:2:3",

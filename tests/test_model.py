@@ -219,21 +219,10 @@ def test_out_of_domain_point_rejected():
         pde_residual(ModelParams(A=1), s, 0.0, -2.0)
 
 
-def _stencil_partials(centre=StatePoint(2.0, -1.0)):
-    """A Partials.from_stencil result: the order-2 partials of T1, and the state at (1, 1.5)."""
-    d = fd_partials(_t1_sampler(), 1.0, 1.5, order=2, h=1e-3)
-    return type(d)(d.rho_t, d.rho_x, d.u_t, d.u_x, d.u_xx, centre)
-
-
 def test_value_types_construct_by_keyword_and_by_position():
     assert StatePoint(rho=2.0, u=-1.0) == StatePoint(2.0, -1.0)
     assert Partials(rho_t=1.0, rho_x=2.0, u_t=3.0, u_x=4.0, u_xx=5.0) == \
         Partials(1.0, 2.0, 3.0, 4.0, 5.0)
-    d = _stencil_partials()
-    cls = type(d)
-    assert cls(*(getattr(d, f) for f in PARTIALS), d.centre) == \
-        cls(**{f: getattr(d, f) for f in PARTIALS}, centre=d.centre) == d
-    assert d != Partials(d.rho_t, d.rho_x, d.u_t, d.u_x, d.u_xx)    # another class
     with pytest.raises(TypeError):
         StatePoint(1.0)
 
@@ -245,43 +234,38 @@ def test_value_types_replace_compare_and_repr():
     d = Partials(1.0, 2.0, 3.0, 4.0, 5.0)
     assert dataclasses.replace(d, u_xx=-5.0) == Partials(1.0, 2.0, 3.0, 4.0, -5.0)
     assert repr(d) == "Partials(rho_t=1.0, rho_x=2.0, u_t=3.0, u_x=4.0, u_xx=5.0)"
-    sd = _stencil_partials()
-    moved = dataclasses.replace(sd, centre=StatePoint(3.0, 0.5))
-    assert moved.centre == StatePoint(3.0, 0.5) and moved.rho_t == sd.rho_t and moved != sd
-    assert repr(sd) == (f"_StencilPartials(rho_t={sd.rho_t!r}, rho_x={sd.rho_x!r}, "
-                        f"u_t={sd.u_t!r}, u_x={sd.u_x!r}, u_xx={sd.u_xx!r}, "
-                        "centre=StatePoint(rho=2.0, u=-1.0))")
     # replace builds through the constructor, so it checks the new value too
     with pytest.raises(DomainError, match=r"^density must be finite and > 0, got rho=-2\.0$"):
         dataclasses.replace(st, rho=-2.0)
     with pytest.raises(DomainError, match=r"^non-finite derivative u_t=nan$"):
-        dataclasses.replace(sd, u_t=math.nan)
+        dataclasses.replace(d, u_t=math.nan)
 
 
 def test_value_types_have_slots_and_no_dict():
-    d = _stencil_partials()
     for value, slots in ((StatePoint(2.0, -1.0), ("rho", "u")),
-                         (Partials(1.0, 2.0, 3.0, 4.0, 5.0), PARTIALS),
-                         (d, ("centre",))):
+                         (Partials(1.0, 2.0, 3.0, 4.0, 5.0), PARTIALS)):
         assert type(value).__slots__ == slots
         assert not hasattr(value, "__dict__")
         with pytest.raises(AttributeError):
             value.other = 1.0
 
 
-def test_from_stencil_holds_the_centre_state():
-    s = _t1_sampler()
-    d = fd_partials(s, 1.0, 1.5, order=4, h=1e-3)
-    assert isinstance(d, Partials) and isinstance(d.centre, StatePoint)
-    assert d.centre == s.eval(1.0, 1.5)
-
-
 @pytest.mark.parametrize("v", [2, np.float64(1.5)])
-def test_stencil_partials_keep_valid_fields_as_given(v):
-    centre = StatePoint(v, v)
-    d = type(_stencil_partials())(v, v, v, v, v, centre)
-    assert all(getattr(d, name) is v for name in PARTIALS) and d.centre is centre
+def test_partials_keep_valid_fields_as_given(v):
+    d = Partials(v, v, v, v, v)
+    assert all(getattr(d, name) is v for name in PARTIALS)
 
+
+def test_fd_partials_returns_plain_partials_and_the_centre_state():
+    s = _t1_sampler()
+    grid = np.meshgrid(np.linspace(0.5, 1.5, 4), np.linspace(1.0, 2.0, 3))
+    for x, t in ((1.0, 1.5), grid):
+        d, state = fd_partials(s, x, t, order=4, h=1e-3)
+        assert type(d) is Partials and type(state) is StatePoint
+        assert d == Partials(*(getattr(d, f) for f in PARTIALS))
+        want = s.eval(x, t)
+        assert np.array_equal(state.rho, want.rho) and np.array_equal(state.u, want.u)
+    assert fd_partials(s, 1.0, 1.5, order=2, h=1e-3)[1] == s.eval(1.0, 1.5)
 
 
 def test_mixed_float_and_array_fields_broadcast_like_numpy():
@@ -312,5 +296,5 @@ def test_stencil_sums_start_from_positive_zero():
     # and the sum's leading 0.0 rounds it to +0.0, at a point and on a grid.
     s = SolutionSampler(eval=lambda x, t: StatePoint(1.0 + 0.0 * x, -0.0 * x))
     for x in (0.0, np.zeros(3)):
-        d = fd_partials(s, x, 1.0, order=2, h=1e-3)
+        d = fd_partials(s, x, 1.0, order=2, h=1e-3)[0]
         assert not np.signbit(d.u_x).any() and np.all(d.u_x == 0.0)
