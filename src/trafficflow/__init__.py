@@ -14,7 +14,7 @@ SCHEMES = ("lax_friedrichs", "rusanov")
 BCS = ("periodic", "dirichlet", "outflow")
 
 # Catalog families: kind -> (required entry keys, one-line `catalog list` summary).
-# ``catalog.FAMILIES`` pairs each row with its factory and report note.
+# ``catalog.make_entry`` reads each family's keys here.
 CATALOG_ROWS = {
     "T1": (("p1", "p2", "b"), "rho=p2/(t+b), u=(x+p1)/(t+b); solves the system for any D"),
     "T2": (("p1", "b"), "branch family in sqrt((x+b)^2-4At^2); D=0"),

@@ -30,7 +30,7 @@ Families:
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,8 +47,6 @@ __all__ = [
     "CatalogEntry",
     "VerifyReport",
     "KINK_SHAPES",
-    "Family",
-    "FAMILIES",
     "ENTRY_PARAMS",
     "make_entry",
     "verify_entry",
@@ -398,33 +396,22 @@ def _negctrl():
     return lambda mp: sampler, lambda mp: GridRegion(-1.0, 5.0, 41, 0.0, 2.0, 41)
 
 
-class Family(NamedTuple):
-    """A catalog family: its (bind, region) factory, keys, one-line summary and report note."""
-
-    factory: Callable[..., tuple]
-    params: tuple[str, ...]
-    summary: str
-    note: str = ""
-
-
 # Each family's factory and report note.  Its keys and summary are its row of the
 # package root's CATALOG_ROWS, which the CLI reads without importing this module.
-_FACTORIES = (
-    ("T1", _t1, ""),
-    ("T2", _t2, "same two-branch family as E3ZERO (cross-reference)"),
-    ("T3", _t3, ""),
-    ("T4", _t4, ""),
-    ("P522", _p522, ""),
-    ("E3ZERO", _e3zero, "same two-branch family as T2 (cross-reference); "
+_FACTORIES = {
+    "T1": (_t1, ""),
+    "T2": (_t2, "same two-branch family as E3ZERO (cross-reference)"),
+    "T3": (_t3, ""),
+    "T4": (_t4, ""),
+    "P522": (_p522, ""),
+    "E3ZERO": (_e3zero, "same two-branch family as T2 (cross-reference); "
                         "claimed for D=A=0 but satisfies the system for any A>0 with D=0"),
-    ("KINK", _kink, "status adjudicated by the harness, never presumed"),
-    ("NEGCTRL", _negctrl, "deliberate non-solution used as a negative control"),
-)
-FAMILIES: dict[str, Family] = {kind: Family(factory, *CATALOG_ROWS[kind], note)
-                               for kind, factory, note in _FACTORIES}
+    "KINK": (_kink, "status adjudicated by the harness, never presumed"),
+    "NEGCTRL": (_negctrl, "deliberate non-solution used as a negative control"),
+}
 
 # Required entry parameters of each family.
-ENTRY_PARAMS: dict[str, tuple[str, ...]] = {kind: f.params for kind, f in FAMILIES.items()}
+ENTRY_PARAMS: dict[str, tuple[str, ...]] = {kind: row[0] for kind, row in CATALOG_ROWS.items()}
 
 
 def make_entry(kind: str, **params) -> CatalogEntry:
@@ -434,16 +421,17 @@ def make_entry(kind: str, **params) -> CatalogEntry:
     are arguments but not keys, stay out of id().  A missing or unknown key is the CLI's
     diagnostic as a ValueError.  Every key but mshape is a number and must be finite.
     """
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown catalog entry {kind!r}; known: {sorted(FAMILIES)}")
-    fam = FAMILIES[kind]
+    if kind not in _FACTORIES:
+        raise ValueError(f"unknown catalog entry {kind!r}; known: {sorted(_FACTORIES)}")
+    factory, note = _FACTORIES[kind]
+    keys = CATALOG_ROWS[kind][0]
     require_entry_keys(kind, [k for k in params
                               if kind != "KINK" or k not in ("M", "Mp", "Mpp", "Mppp")])
-    for k in fam.params:
+    for k in keys:
         if k != "mshape" and k in params and not math.isfinite(params[k]):
             raise ValueError(f"{kind} entry key {k} must be finite, got {k}={params[k]}")
-    bind, region = fam.factory(**params)
-    return CatalogEntry(kind, {k: params[k] for k in fam.params}, fam.note, bind, region)
+    bind, region = factory(**params)
+    return CatalogEntry(kind, {k: params[k] for k in keys}, note, bind, region)
 
 
 @dataclass

@@ -13,8 +13,8 @@ reproduces byte-identical outputs.
 Exit codes: 0 success/VERIFIED/CONSERVED, 2 REFUTED/FLOOR, 3 inconclusive
 (PAPER-CLAIMED, INCONCLUSIVE), 4 solver error during simulation (an invalid
 state, named by cell and time, or CFL underflow), 5 refuted wavefront
-background, 64 usage error, 65 domain or parse error (a bad CSV initial
-condition included).
+background, 64 usage error (an unusable input or output path included), 65
+domain or parse error (a bad CSV initial condition included).
 
 Start-up: this module imports only the standard library and the package
 root, which holds the --scheme/--bc choices, DomainError and each catalog
@@ -464,12 +464,13 @@ def cmd_conserve(args, argv) -> int:
             symmetry_conserved_vector(args.which, c, mp, sampler, xi, ti, args.h_step)
             divergence_residual(args.which, c, mp, sampler, xi, ti, args.h_step)
         raise
-    # The verdict: the same divergence at h, h/2 and h/4, by verify's step refinement.
+    # The verdict: the divergence at h (the CSV's), h/2 and h/4, by verify's step refinement.
     steps = [args.h_step, args.h_step / 2, args.h_step / 4]
-    maxima = step_maxima(partial(divergence_residual, args.which, c, mp, sampler),
-                         x.ravel(), t.ravel(), steps)
+    peak, at = _peak(div, x, t)
+    maxima = [peak, *step_maxima(partial(divergence_residual, args.which, c, mp, sampler),
+                                 x.ravel(), t.ravel(), steps[1:])]
     verdict = divergence_verdict(steps, maxima, max(float(abs(ux).max()), float(abs(ut).max())))
-    verdict["max_at"] = _peak(div, x, t)[1]
+    verdict["max_at"] = at
     rows = zip(x.ravel().tolist(), t.ravel().tolist(), ux.ravel().tolist(),
                ut.ravel().tolist(), div.ravel().tolist())
     out = Path(args.out) if args.out else Path(f"conserve_{args.which}.csv")
@@ -653,7 +654,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args, list(argv))
-    except UsageError as e:
+    except (UsageError, OSError) as e:  # OSError: a path that cannot be read or written
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
     except ValueError as e:  # DomainError is a ValueError

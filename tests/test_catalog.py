@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from trafficflow import CATALOG_ROWS, catalog
-from trafficflow.catalog import (FAMILIES, KINK_SHAPES, GridRegion, PAPER_CLAIMED, REFUTED,
-                                 VERIFIED, make_entry, reduced_ode_residual_T3, verify_entry,
+from trafficflow.catalog import (KINK_SHAPES, GridRegion, PAPER_CLAIMED, REFUTED, VERIFIED,
+                                 make_entry, reduced_ode_residual_T3, verify_entry,
                                  verify_sampler)
 from trafficflow.lie import group_transform
 from trafficflow.model import (FD_NODES, DomainError, ModelParams, SolutionSampler, StatePoint,
@@ -325,8 +325,8 @@ def test_entry_records_id_keys_and_note(kind, params, entry_id, keys, note):
     assert (e.id(), list(e.params), e.note) == (entry_id, keys, note)
 
 
-def test_root_rows_are_the_families_keys_and_summaries():
-    assert CATALOG_ROWS == {kind: (f.params, f.summary) for kind, f in FAMILIES.items()}
+def test_catalog_has_a_factory_for_each_root_row():
+    assert list(catalog._FACTORIES) == list(CATALOG_ROWS)
     # `catalog list` names the KINK shapes of KINK_SHAPES, in table order.
     shapes = CATALOG_ROWS["KINK"][1].partition("mshape in {")[2].partition("}")[0]
     assert tuple(shapes.split(", ")) == tuple(KINK_SHAPES)

@@ -347,6 +347,24 @@ def test_a_missing_csv_initial_condition_is_one_usage_line_naming_the_file(capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_csv_initial_condition_that_is_a_directory_is_one_usage_line(capsys, tmp_path):
+    ic, out = tmp_path / "d.csv", tmp_path / "run.csv"
+    ic.mkdir()
+    code, stdout, err = run_cli(capsys, "simulate", "--ic", str(ic), "--out", str(out))
+    assert (code, stdout) == (64, "") and err.startswith("usage error: "), err
+    assert err.count("\n") == 1 and repr(str(ic)) in err, err
+    assert list(tmp_path.iterdir()) == [ic]
+
+
+def test_an_output_path_under_a_regular_file_is_one_usage_line_naming_it(capsys, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code, stdout, err = run_cli(capsys, "verify", _T1, "--out", str(afile / "x.json"))
+    assert (code, stdout) == (64, "") and err.startswith("usage error: "), err
+    assert err.count("\n") == 1 and repr(str(afile)) in err, err
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
+
+
 @pytest.mark.parametrize("spec", ["x:0:inf:5", "x:-1e308:1e308:5", "x:nan:1:5", "x:-inf:0:5"])
 def test_surface_axis_bounds_and_span_must_be_finite(capsys, tmp_path, spec):
     got, out, err = run_cli(capsys, "simulate", "--ic", _T1, "--surface", spec, "t:1:2:3",

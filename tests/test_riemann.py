@@ -186,6 +186,26 @@ def test_vehicles_behind_a_queue_reverse_and_the_fv_minimum_velocity_converges_t
                                              for a, b in zip(gaps, gaps[1:])), gaps
 
 
+# Denser traffic behind the queue, (rho_L, rho_R, u_L, u_R) at A = 1 -> (u*, Rusanov's
+# smallest u at nx 400 / 800 / 1600, the side of u* it sits on: +1 above, -1 below).
+_DENSER_QUEUES = {
+    "rho-0.5": ((0.5, 1.0, 0.0, 0.0), -0.347436, (-0.347245, -0.347315, -0.347357), 1.0),
+    "rho-0.9": ((0.9, 1.0, 0.0, 0.0), -0.0526833, (-0.0526877, -0.0526875, -0.0526871), -1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_DENSER_QUEUES))
+def test_denser_queues_reverse_less_and_the_weakest_shock_undershoots_u_star(case):
+    # D = 0.  At rho 0.5 | 1 the smallest u converges to u* from above, as behind QUEUE.
+    # At rho 0.9 | 1 it sits about 4e-6 below u* at every nx (README finding).
+    data, u_want, lowest_want, side = _DENSER_QUEUES[case]
+    u_star = riemann_star(*data, 1.0)[1]
+    lowest = [float(_final_field(data, nx)[1].u.min()) for nx in (400, 800, 1600)]
+    assert u_star == pytest.approx(u_want, abs=1e-6)
+    assert lowest == pytest.approx(list(lowest_want), abs=1e-6)
+    assert all(side * (u - u_star) > 0.0 for u in lowest), (u_star, lowest)
+
+
 @pytest.mark.parametrize("D,want", [(0.1, (-1.311, -1.338)), (0.5, (-0.813, -0.820))])
 def test_viscosity_shrinks_the_reversal_but_does_not_remove_it(D, want):
     u_star = riemann_star(*QUEUE, 1.0)[1]
