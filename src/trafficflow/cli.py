@@ -77,19 +77,27 @@ def _emit(command: str, argv: list, parameters: dict, files: dict,
 
     files maps Path -> text content.  Without files, the manifest is
     embedded in the printed JSON instead, so every command that writes no
-    file passes a stdout_obj.
+    file passes a stdout_obj.  When a write fails, the files already written
+    are removed before the OSError propagates.
     """
-    digests = {str(path): _write_text(path, text) for path, text in files.items()}
-    manifest = {
-        "command": command,
-        "argv": list(argv),
-        "parameters": parameters,
-        "artifact_version": __version__,
-        "outputs": digests,
-    }
-    if files:
-        mpath = Path(str(next(iter(files))) + ".manifest.json")
-        _write_text(mpath, _dump_json(manifest))
+    digests = {}
+    try:
+        for path, text in files.items():
+            digests[str(path)] = _write_text(path, text)
+        manifest = {
+            "command": command,
+            "argv": list(argv),
+            "parameters": parameters,
+            "artifact_version": __version__,
+            "outputs": digests,
+        }
+        if files:
+            mpath = Path(str(next(iter(files))) + ".manifest.json")
+            _write_text(mpath, _dump_json(manifest))
+    except OSError:     # a failed write leaves no file this call wrote
+        for path in digests:
+            Path(path).unlink(missing_ok=True)
+        raise
     if stdout_obj is not None:
         out = dict(stdout_obj)
         if not files:
@@ -257,33 +265,6 @@ def _field_from_csv(path: Path):
     return grid, np.array(rho), np.array(u)
 
 
-def _run_summary(traj) -> dict:
-    """What limited a finished run, read from its diagnostics and snapshot fields.
-
-    steps; the smallest dt with its step and t; how many steps landed on a
-    snapshot time (their dt cut to reach it) against those that took the
-    convective bound; and each snapshot's min rho with its cell and x.
-    """
-    from bisect import bisect_left
-    steps, times = traj.diagnostics, sorted(traj.times)
-    least = min(steps, key=lambda d: d["dt"], default=None)
-    # a step lands when some snapshot time is within 1e-12 of it; the nearest one on each
-    # side is the only candidate, so each step tests two times, not all of them
-    landed = 0
-    for d in steps:
-        k = bisect_left(times, d["t"])
-        landed += any(abs(d["t"] - ts) <= 1e-12 for ts in times[max(k - 1, 0):k + 1])
-    xs = traj.grid.centers()
-    rho_min = []
-    for tsnap, f in zip(traj.times, traj.fields):
-        i = int(f.rho.argmin())
-        rho_min.append({"t": float(tsnap), "rho": float(f.rho[i]), "cell": i, "x": float(xs[i])})
-    return {"steps": len(steps),
-            "dt_min": None if least is None else {k: least[k] for k in ("dt", "step", "t")},
-            "dt_limit": {"snapshot": landed, "convective": len(steps) - landed},
-            "rho_min": rho_min}
-
-
 def cmd_simulate(args, argv) -> int:
     ic_path = Path(args.ic)
     from_csv = ic_path.suffix == ".csv" and ic_path.exists()
@@ -329,7 +310,7 @@ def cmd_simulate(args, argv) -> int:
     xs = grid.centers().tolist()
     rows = [(float(tsnap), x, rho, u) for tsnap, f in zip(traj.times, traj.fields)
             for x, rho, u in zip(xs, f.rho.tolist(), f.u.tolist())]
-    diagnostics = {"steps": traj.diagnostics, "summary": _run_summary(traj)}
+    diagnostics = {"steps": traj.diagnostics, "summary": traj.summary}
     if sampler is not None:
         # manufactured-solution runs also report per-snapshot error norms, and whether the
         # entry solves the model that ran: verify's status at this (A, D), on the entry's
@@ -512,8 +493,7 @@ def cmd_wavefront(args, argv) -> int:
     rows = list(zip(sol.times.tolist(), sol.xs.tolist(), sol.psi.tolist(),
                     sol.E.tolist(), sol.F.tolist(), sol.pi.tolist()))
     out = Path(args.out) if args.out else Path("wavefront.csv")
-    summary = {"pi_c": sol.pi_c, "pi_c_err": sol.pi_c_err,
-               "shock_time": sol.shock_time if math.isfinite(sol.shock_time) else "inf",
+    summary = {"pi_c": sol.pi_c, "pi_c_err": sol.pi_c_err, "shock_time": sol.shock_time,
                "shock_time_err": sol.shock_time_err}
     files = {
         out: _csv(["t", "x", "psi", "E", "F", "pi"], rows),

@@ -327,12 +327,13 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
 
 @dataclass
 class Trajectory:
-    """Fields captured at snapshot times plus per-step diagnostics."""
+    """Fields captured at snapshot times, per-step diagnostics and what limited the run."""
 
     grid: Grid
     times: list
     fields: list
     diagnostics: list = field(default_factory=list)
+    summary: dict = field(default_factory=dict)     # written by run
 
 
 def _initial_field(ic: Union[SolutionSampler, Field], grid: Grid, t0: float) -> Field:
@@ -354,8 +355,11 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
     whether or not the caller lists it).
 
     Diagnostics are recorded per step with keys step, t, dt, mass, momentum,
-    max_speed; totals use the cell-average quadrature sum(q) * dx.  Every
-    time must be finite: a run toward t = inf would never end.
+    max_speed; totals use the cell-average quadrature sum(q) * dx.  The summary
+    holds steps; the smallest dt with its step and t; how many steps landed on a
+    snapshot time (their dt cut to reach it) against those that took the convective
+    bound; and each snapshot's min rho with its cell and x.  Every time must be
+    finite: a run toward t = inf would never end.
     """
     if not all(math.isfinite(s) for s in (t0, t_end, *(snapshots or ()))):
         raise ValueError(f"t0, t_end and snapshot times must be finite, got t0={t0}, "
@@ -369,11 +373,12 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
     snaps = sorted(s for s in set(snapshots or ()) if s < t_end - 1e-12) + [t_end]
     traj = Trajectory(grid=cfg.grid, times=[], fields=[], diagnostics=[])
 
-    t_prev = t0
+    t_prev, landed = t0, 0
     with np.errstate(**_QUIET):
         march = _March(cfg, f)
         dx, c, totals, diags = march.dx, march.c, march.totals, traj.diagnostics
         for target in snaps:
+            taken = len(diags)
             while march.t < target - 1e-12:
                 march.advance(target - march.t)
                 mass, momentum = np.add.reduce(totals, axis=1).tolist()
@@ -381,8 +386,17 @@ def run(cfg: SolverConfig, ic: Union[SolutionSampler, Field], t0: float, t_end: 
                     "step": len(diags) + 1, "t": march.t, "dt": march.t - t_prev,
                     "mass": mass * dx, "momentum": momentum * dx, "max_speed": march.top + c})
                 t_prev = march.t
+            landed += len(diags) > taken    # a loop that steps ends on the step landing on target
             traj.times.append(target)
             traj.fields.append(march.field())
+    least = min(diags, key=lambda d: d["dt"], default=None)
+    xs, lows = cfg.grid.centers(), [int(f.rho.argmin()) for f in traj.fields]
+    traj.summary = {
+        "steps": len(diags),
+        "dt_min": None if least is None else {k: least[k] for k in ("dt", "step", "t")},
+        "dt_limit": {"snapshot": landed, "convective": len(diags) - landed},
+        "rho_min": [{"t": float(ts), "rho": float(f.rho[i]), "cell": i, "x": float(xs[i])}
+                    for ts, f, i in zip(traj.times, traj.fields, lows)]}
     return traj
 
 

@@ -365,6 +365,21 @@ def test_an_output_path_under_a_regular_file_is_one_usage_line_naming_it(capsys,
     assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
 
 
+@pytest.mark.parametrize("argv,out,blocked", [
+    (["simulate", "--ic", _T1, "--nx", "20"], "r.csv", "r.csv.diagnostics.json"),
+    (["simulate", "--ic", _T1, "--nx", "20"], "r.csv", "r.csv.manifest.json"),
+    (["wavefront", "--background", "T1?p1=0&p2=1&b=1", "--pi0", "0.5", "--t-end", "5"], "w.csv",
+     "w.csv.summary.json"),
+], ids=["simulate-diagnostics", "simulate-manifest", "wavefront-summary"])
+def test_an_output_that_cannot_be_written_leaves_none_of_the_run_behind(capsys, tmp_path, argv,
+                                                                         out, blocked):
+    (tmp_path / blocked).mkdir()
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / out))
+    assert (code, stdout) == (64, "") and err.startswith("usage error: "), err
+    assert err.count("\n") == 1 and repr(str(tmp_path / blocked)) in err, err
+    assert list(tmp_path.iterdir()) == [tmp_path / blocked]
+
+
 @pytest.mark.parametrize("spec", ["x:0:inf:5", "x:-1e308:1e308:5", "x:nan:1:5", "x:-inf:0:5"])
 def test_surface_axis_bounds_and_span_must_be_finite(capsys, tmp_path, spec):
     got, out, err = run_cli(capsys, "simulate", "--ic", _T1, "--surface", spec, "t:1:2:3",
@@ -485,8 +500,7 @@ def test_run_summary_counts_landed_steps_as_the_test_against_every_snapshot_does
     assert any(0.0 < b - a <= 1e-12 for a, b in zip(traj.times, traj.times[1:]))
     landed = sum(1 for d in steps if any(abs(d["t"] - ts) <= 1e-12 for ts in traj.times))
     assert 0 < landed < len(steps)
-    assert cli._run_summary(traj)["dt_limit"] == {"snapshot": landed,
-                                                  "convective": len(steps) - landed}
+    assert traj.summary["dt_limit"] == {"snapshot": landed, "convective": len(steps) - landed}
 
 
 def test_simulate_summary_says_what_limited_the_run(capsys, tmp_path):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from trafficflow.catalog import make_entry
+from trafficflow.catalog import make_entry, mesh
 from trafficflow.lie import (STRUCTURE_CONSTANTS, AdjointParams, InfinitesimalParams,
                              LieCoeffs, ad_matrix, adjoint_apply, adjoint_composite_matrix,
                              adjoint_exp_matrix, adjoint_series_check, basis,
@@ -287,6 +287,51 @@ def test_infinitesimals_examples():
     assert infinitesimals(InfinitesimalParams(1, 0, 0, 0), 2, 3, 5, 7) == (2, 3, -5, 0)
     assert infinitesimals(InfinitesimalParams(0, 1, 0, 0), 9, 4, 2, 1) == (0, 1, 0, 0)
     assert infinitesimals(InfinitesimalParams(0, 0, 1, 0), 9, 4, 2, 1) == (4, 0, 0, 1)
+
+
+def _invariance_algebra(kind: str, A: float, params: dict) -> tuple:
+    """(singular values, right singular vectors) of the family's characteristic matrix.
+
+    Column i is S_i's characteristic (phi - xi rho_x - tau rho_t, psi - xi u_x - tau u_t)
+    at D = 0, from the family's analytic partials on its default region's 9x9
+    interior; the generators that leave the closed form invariant are its null space.
+    """
+    entry, mp = make_entry(kind, **params), ModelParams(A=A)
+    s = entry.sampler(mp)
+    x, t = mesh(*entry.default_region(mp).interior(9, 9))
+    st, p = s.eval(x, t), s.partials(x, t)
+    cols = []
+    for e in np.eye(4):
+        xi, tau, phi, psi = infinitesimals(InfinitesimalParams(*e), x, t, st.rho, st.u)
+        q = (phi - xi * p.rho_x - tau * p.rho_t, psi - xi * p.u_x - tau * p.u_t)
+        cols.append(np.concatenate([np.broadcast_to(qi, x.shape).ravel() for qi in q]))
+    _, sv, vt = np.linalg.svd(np.column_stack(cols))
+    return sv, vt
+
+
+@pytest.mark.parametrize("kind,A,params,dim,generators,named", [
+    ("T2", 1.0, dict(p1=1, b=0), 1, [(1, 0, 0, 0)], ("T2", 0, None, None, 0.0)),
+    ("T2", 1.0, dict(p1=1, b=0.5), 1, [(1, 0, 0, 0.5)], ("T2", 0, None, None, 0.0)),
+    ("T3", 1.0, dict(p1=2, b=1), 1, [(1, 0, 1, 1)], ("T3", 0, 1.0, 1.0, 0.0)),
+    ("T1", 1.0, dict(p1=1, p2=2, b=1), 2, [(0, 0, 1, 1)], ("T1", 1, None, None, 0.0)),
+    ("T4", 1.0, dict(p1=1, b=0.5), 2, [(0, 1, 0, 0.5), (0, 0, 0, 1)],
+     ("T4", 1, None, None, 0.0)),
+    # P522's one generator classifies as T1 with an S2 residue of 2/3 (README), not repaired
+    ("P522", 0.0, dict(p1=2, p2=1, e2=2, e3=1, e4=3), 1, [(0, 2, 1, 3)],
+     ("T1", 1, None, None, 2.0 / 3.0)),
+], ids=["T2", "T2-shifted", "T3", "T1", "T4", "P522"])
+def test_the_generators_that_leave_each_closed_form_invariant(kind, A, params, dim, generators,
+                                                              named):
+    sv, vt = _invariance_algebra(kind, A, params)
+    # the null space's dimension, by a relative gap in the singular values
+    assert sv[4 - dim:].max() <= 1e-12 * sv[3 - dim], sv
+    null = vt[4 - dim:]
+    for w in generators:
+        w = np.array(w, dtype=float)
+        assert np.linalg.norm(w - null.T @ (null @ w)) <= 1e-12 * np.linalg.norm(w), (w, null)
+    cls, _, _ = classify_optimal(LieCoeffs(*generators[0]))
+    assert (cls.family, cls.b, cls.l1, cls.l2) == named[:4]
+    assert cls.residue == pytest.approx((0.0, named[4], 0.0, 0.0), abs=1e-15)
 
 
 MP = ModelParams(A=1.0)

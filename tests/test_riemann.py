@@ -206,9 +206,21 @@ def test_denser_queues_reverse_less_and_the_weakest_shock_undershoots_u_star(cas
     assert all(side * (u - u_star) > 0.0 for u in lowest), (u_star, lowest)
 
 
-@pytest.mark.parametrize("D,want", [(0.1, (-1.311, -1.338)), (0.5, (-0.813, -0.820))])
-def test_viscosity_shrinks_the_reversal_but_does_not_remove_it(D, want):
-    u_star = riemann_star(*QUEUE, 1.0)[1]
-    lowest = [float(_final_field(QUEUE, nx, D=D)[1].u.min()) for nx in (400, 1600)]
-    assert lowest == pytest.approx(list(want), abs=1.5e-3)
-    assert all(u_star < u < 0.0 for u in lowest)
+# (data, D) -> Rusanov's smallest u at nx 400 / 1600.
+_VISCOUS_QUEUES = {
+    "rho-0.05-D0.1": (QUEUE, 0.1, (-1.311037, -1.338037)),
+    "rho-0.05-D0.5": (QUEUE, 0.5, (-0.812786, -0.819724)),
+    "rho-0.5-D0.1": (_DENSER_QUEUES["rho-0.5"][0], 0.1, (-0.334299, -0.338036)),
+    "rho-0.5-D0.5": (_DENSER_QUEUES["rho-0.5"][0], 0.5, (-0.241844, -0.246716)),
+    "rho-0.9-D0.1": (_DENSER_QUEUES["rho-0.9"][0], 0.1, (-0.051834, -0.052136)),
+    "rho-0.9-D0.5": (_DENSER_QUEUES["rho-0.9"][0], 0.5, (-0.039727, -0.040508)),
+}
+
+
+@pytest.mark.parametrize("case", list(_VISCOUS_QUEUES))
+def test_viscosity_shrinks_the_reversal_but_does_not_remove_it(case):
+    data, D, want = _VISCOUS_QUEUES[case]
+    u_star = riemann_star(*data, 1.0)[1]
+    lowest = [float(_final_field(data, nx, D=D)[1].u.min()) for nx in (400, 1600)]
+    assert lowest == pytest.approx(list(want), abs=1e-4)
+    assert all(u_star < u < 0.0 for u in lowest), (u_star, lowest)
