@@ -282,6 +282,10 @@ def cmd_simulate(args, argv) -> int:
     from .solver import Field, Grid, SolverConfig, SolverError, error_norms, run
 
     if from_csv:
+        grid_flags = [f"--{k}" for k in ("x0", "x1", "nx") if getattr(args, k) is not None]
+        if grid_flags:
+            raise UsageError(f"{', '.join(grid_flags)} cannot be used with a csv field IC: "
+                             "its cells set the grid")
         grid, rho0, u0 = _field_from_csv(ic_path)
         if args.bc == "dirichlet":
             raise UsageError("dirichlet bc needs a catalog-entry IC, not a csv field")
@@ -294,7 +298,7 @@ def cmd_simulate(args, argv) -> int:
         x0 = args.x0 if args.x0 is not None else region.x0
         x1 = args.x1 if args.x1 is not None else region.x1
         t0 = args.t0 if args.t0 is not None else region.t0
-        grid = Grid.over(x0, x1, args.nx)
+        grid = Grid.over(x0, x1, args.nx if args.nx is not None else 100)
         ic = sampler
     t_end = args.t_end if args.t_end is not None else t0 + 1.0
     snaps = _parse_vector(args.snap, None, "--snap") if args.snap else [t_end]
@@ -350,36 +354,30 @@ def cmd_lie(args, argv) -> int:
     if sub == "commutator":
         a = LieCoeffs(*_parse_vector(args.a, 4, "first vector"))
         b = LieCoeffs(*_parse_vector(args.b, 4, "second vector"))
-        _emit("lie commutator", argv, {"a": args.a, "b": args.b}, {},
-              stdout_obj={"result": commutator(a, b).as_tuple()})
-        return EXIT_OK
-    if sub == "killing":
+        params, result = {"a": args.a, "b": args.b}, {"result": commutator(a, b).as_tuple()}
+    elif sub == "killing":
         w = LieCoeffs(*_parse_vector(args.w, 4, "vector"))
-        _emit("lie killing", argv, {"w": args.w}, {},
-              stdout_obj={"K": killing_form(w, w)})
-        return EXIT_OK
-    if sub == "adjoint":
+        params, result = {"w": args.w}, {"K": killing_form(w, w)}
+    elif sub == "adjoint":
         eps = AdjointParams(*_parse_vector(args.eps, 4, "eps"))
         w = LieCoeffs(*_parse_vector(args.w, 4, "vector"))
-        _emit("lie adjoint", argv, {"eps": args.eps, "w": args.w}, {},
-              stdout_obj={"result": adjoint_apply(eps, w).as_tuple()})
-        return EXIT_OK
-    if sub == "classify":
+        params = {"eps": args.eps, "w": args.w}
+        result = {"result": adjoint_apply(eps, w).as_tuple()}
+    elif sub == "classify":
         w = LieCoeffs(*_parse_vector(args.w, 4, "vector"))
         try:
             cls, e, scale = classify_optimal(w)
         except ValueError as err:
             raise UsageError(str(err)) from err
         inv = invariant_tuple(w)
-        _emit("lie classify", argv, {"w": args.w}, {}, stdout_obj={
+        params, result = {"w": args.w}, {
             "family": cls.family, "b": cls.b, "l1": cls.l1, "l2": cls.l2,
             "scale": scale, "eps": list(e.as_tuple()), "residue": cls.residue,
             "representative": cls.representative(),
             "invariants": {"K": inv.killing, "M": inv.M, "N": inv.N,
                            "P": inv.P, "Q": inv.Q, "R": inv.R},
-        })
-        return EXIT_OK
-    if sub == "transform":
+        }
+    elif sub == "transform":
         entry = parse_entry_spec(args.entry)
         from .catalog import GridRegion, verify_sampler
         from .model import ModelParams
@@ -402,20 +400,19 @@ def cmd_lie(args, argv) -> int:
             rep = verify_sampler(mp, transformed, shrunk, tol=args.tol,
                                  entry_id=f"G{args.generator}({args.eps}) {entry.id()}")
             result["verify"] = rep.as_dict()
-        _emit("lie transform", argv,
-              {"generator": args.generator, "eps": args.eps, "entry": args.entry,
-               "A": args.A, "D": args.D}, {}, stdout_obj=result)
-        return EXIT_OK
-    e = InfinitesimalParams(*_parse_vector(args.e, 4, "--e"))    # sub == "ic"
-    try:
-        theta = invariant_ic(e, args.delta, args.x, args.branch)
-    except DomainError:
-        raise  # a point outside the branch's domain: exit 65 like every DomainError
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    _emit("lie ic", argv, {"e": args.e, "delta": args.delta, "x": args.x,
-                           "branch": args.branch}, {},
-          stdout_obj={"theta": theta})
+        params = {"generator": args.generator, "eps": args.eps, "entry": args.entry,
+                  "A": args.A, "D": args.D}
+    else:   # sub == "ic"
+        e = InfinitesimalParams(*_parse_vector(args.e, 4, "--e"))
+        try:
+            theta = invariant_ic(e, args.delta, args.x, args.branch)
+        except DomainError:
+            raise  # a point outside the branch's domain: exit 65 like every DomainError
+        except ValueError as err:
+            raise UsageError(str(err)) from err
+        params = {"e": args.e, "delta": args.delta, "x": args.x, "branch": args.branch}
+        result = {"theta": theta}
+    _emit(f"lie {sub}", argv, params, {}, stdout_obj=result)
     return EXIT_OK
 
 
@@ -436,15 +433,30 @@ def cmd_conserve(args, argv) -> int:
     sampler = entry.sampler(mp)
     # Keep the FD stencils of the divergence probe inside the region interior.
     x, t = mesh(*region.interior(args.nx, args.nt))
+
+    def vector_and_divergence(x, t):
+        return (symmetry_conserved_vector(args.which, c, mp, sampler, x, t, args.h_step),
+                divergence_residual(args.which, c, mp, sampler, x, t, args.h_step))
+
     try:
-        ux, ut = symmetry_conserved_vector(args.which, c, mp, sampler, x, t, args.h_step)
-        div = divergence_residual(args.which, c, mp, sampler, x, t, args.h_step)
-    except DomainError:
-        # Report the first point, in C order, whose centre or stencil fails.
-        for xi, ti in zip(x.ravel().tolist(), t.ravel().tolist()):
-            symmetry_conserved_vector(args.which, c, mp, sampler, xi, ti, args.h_step)
-            divergence_residual(args.which, c, mp, sampler, xi, ti, args.h_step)
-        raise
+        (ux, ut), div = vector_and_divergence(x, t)
+    except DomainError as err:
+        # Report the first point, in C order, whose centre or stencil fails, by its own
+        # message.  Checks are elementwise and run in order, so the point a grid error
+        # names fails as a point, and the points before it either pass or fail a later
+        # check, whose error names an earlier point: at most one retry per check.
+        xs, ts = x.ravel(), t.ravel()
+        while err.index is not None:    # None: raised by hand, with no grid index
+            i = err.index
+            try:
+                if i:   # a sampler need not take empty arrays
+                    vector_and_divergence(xs[:i], ts[:i])
+            except DomainError as prefix_err:
+                err = prefix_err
+                continue
+            vector_and_divergence(float(xs[i]), float(ts[i]))
+            break
+        raise err
     # The verdict: the divergence at h (the CSV's), h/2 and h/4, by verify's step refinement.
     steps = [args.h_step, args.h_step / 2, args.h_step / 4]
     peak, at = _peak(div, x, t)
@@ -549,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="finite-volume run or exact-surface emission")
     sp.add_argument("--ic", required=True, help="entry spec or csv field (x,rho,u)")
     sp.add_argument("--scheme", choices=SCHEMES, default="rusanov")
-    sp.add_argument("--nx", type=int, default=100)
+    sp.add_argument("--nx", type=int, default=None,
+                    help="cells of an entry IC's grid (default 100); a csv IC sets its own")
     sp.add_argument("--cfl", type=float, default=0.45)
     sp.add_argument("--x0", type=float, default=None)
     sp.add_argument("--x1", type=float, default=None)

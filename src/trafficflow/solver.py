@@ -314,11 +314,15 @@ def step(f: Field, cfg: SolverConfig, dt_max: Optional[float] = None) -> Field:
 
     dt = cfl * dx / max(|u| + sqrt(A)) over the physical cells and one ghost
     per side, limited by dt_max (used to land exactly on snapshot times); D
-    sets no dt bound.  Raises SolverError on CFL underflow (dt < 1e-12), and
-    PositivityError or SolverError at the first bad cell of an invalid new
-    state.  D = 0 output equals the textbook update bit for bit (rounding is
-    monotone and halving exact), which tests/test_solver.py keeps.
+    sets no dt bound.  Raises ValueError, before any work, unless dt_max is
+    None or > 0, so a NaN is refused; SolverError on CFL underflow (dt <
+    1e-12, from a positive dt_max below it too), and PositivityError or
+    SolverError at the first bad cell of an invalid new state.  D = 0 output equals the
+    textbook update bit for bit (rounding is monotone and halving exact),
+    which tests/test_solver.py keeps.
     """
+    if dt_max is not None and not dt_max > 0.0:     # NaN fails dt_max > 0.0
+        raise ValueError(f"dt_max must be None or > 0, got {dt_max}")
     with np.errstate(**_QUIET):
         march = _March(cfg, f)
         march.advance(math.inf if dt_max is None else dt_max)

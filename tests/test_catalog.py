@@ -122,7 +122,7 @@ def test_negative_control_refuted():
 def test_kink_refuted_with_convergence_evidence():
     rep = verify_entry(make_entry("KINK", mshape="gauss", c1=1), MP1, tol=1e-8)
     assert rep.status == REFUTED
-    assert len(rep.fd_floors) == 3
+    assert len(rep.fd_floors) == 3 and len(rep.conv_ratios) == 2
     # the FD floors sit on the same O(1) level: no convergence
     assert rep.conv_ratios[-1] < 1.5
     assert any("continuity residual floor" in n for n in rep.notes)
@@ -399,7 +399,8 @@ def test_where_each_family_holds_is_measured_not_claimed(kind, params, A, D, sta
     assert rep.status == status, rep
     if status == REFUTED:
         # an O(1) floor that step refinement does not move
-        assert rep.residual_floor >= 1e-2 and all(0.85 <= r <= 1.15 for r in rep.conv_ratios), rep
+        assert rep.residual_floor >= 1e-2 and len(rep.conv_ratios) == 2, rep
+        assert all(0.85 <= r <= 1.15 for r in rep.conv_ratios), rep
 
 
 def test_p522_region_is_built_only_on_request():

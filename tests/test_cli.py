@@ -34,7 +34,7 @@ def out_json(capsys, *argv):
 def test_verify_t1_viscous_exit_zero(capsys):
     code, rep = out_json(capsys, "verify", "T1?p1=1&p2=2&b=1", "--A", "1", "--D", "0.5")
     assert code == 0
-    assert rep["status"] == "VERIFIED"
+    assert rep["status"] == "VERIFIED" and len(rep["fd_steps"]) == 3
     assert "manifest" in rep
 
 
@@ -117,9 +117,11 @@ def test_verify_invalid_tolerance_exit_65(capsys):
 
 
 def test_verify_region_outside_domain_exit_65(capsys):
-    code, _, err = run_cli(capsys, "verify", "T1?p1=1&p2=2&b=1",
-                           "--x0", "-1", "--x1", "1", "--t0", "-3", "--t1", "0")
-    assert code == 65
+    # T1 with b = 1 has its pole at t = -1: the first point in grid order is (-1, t0).
+    for t0, t1 in (("-3", "0"), ("-2", "1")):
+        assert run_cli(capsys, "verify", "T1?p1=1&p2=2&b=1",
+                       "--x0", "-1", "--x1", "1", "--t0", t0, "--t1", t1) == (
+            65, "", f"error: region point (x=-1.0, t={float(t0)}) is outside the sampler domain\n")
 
 
 def test_verify_grid_flags_resize_the_default_region(capsys, tmp_path):
@@ -320,11 +322,16 @@ _CSV_ICS = {
      "usage error: --surface mode needs a catalog entry IC"),
     ("simulate --ic {tmp}/good.csv --bc dirichlet", 64,
      "usage error: dirichlet bc needs a catalog-entry IC, not a csv field"),
+    ("simulate --ic {tmp}/good.csv --x0 5 --x1 9 --t-end 0.1", 64,
+     "usage error: --x0, --x1 cannot be used with a csv field IC: its cells set the grid\n"),
+    ("simulate --ic {tmp}/good.csv --nx 999", 64,
+     "usage error: --nx cannot be used with a csv field IC: its cells set the grid\n"),
     ("simulate --ic {tmp}/header.csv", 65, "error: IC csv must have header x,rho,u, got 'x,u,rho'"),
     ("simulate --ic {tmp}/uneven.csv", 65, "error: IC csv must hold >= 8 uniformly spaced cells"),
 ], ids=["transform-at", "partial-region", "malformed-query", "bare-key", "duplicate-key",
         "vector-arity", "constants-arity", "not-a-number", "axis-fields", "axis-count",
-        "axis-range", "axis-names", "surface-csv", "dirichlet-csv", "csv-header", "csv-spacing"])
+        "axis-range", "axis-names", "surface-csv", "dirichlet-csv", "csv-bounds", "csv-nx",
+        "csv-header", "csv-spacing"])
 def test_rejections_exit_with_their_code_and_write_nothing(capsys, tmp_path, argv, code, err):
     for name, rows in _CSV_ICS.items():
         (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n")
@@ -455,6 +462,19 @@ def test_simulate_dirichlet_errors_halve_with_resolution(capsys, tmp_path):
     assert l1[100] / l1[200] >= 1.8
 
 
+@pytest.mark.parametrize("D", ["0", "0.5"])
+def test_simulate_dirichlet_errors_stay_within_a_tenth_of_dx(capsys, tmp_path, D):
+    # T1 solves the system for any D, so the viscous run is held to the same bound.
+    out = tmp_path / "t1.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--ic", "T1?p1=1&p2=2&b=1", "--nx", "200",
+                         "--bc", "dirichlet", "--x0", "0", "--x1", "2", "--t0", "1",
+                         "--t-end", "1.2", "--D", D, "--out", str(out))
+    assert code == 0
+    e = json.loads(Path(str(out) + ".diagnostics.json").read_text())["errors"][-1]
+    dx = 2 / 200
+    assert e["rho_L1"] <= 0.1 * dx and e["u_L1"] <= 0.1 * dx, e
+
+
 @pytest.mark.parametrize("spec,D,entry_id,status", [
     ("T1?p1=1&p2=2&b=1", "0.5", "T1?b=1.0&p1=1.0&p2=2.0", "VERIFIED"),
     ("T2?p1=1&b=0", "0.5", "T2?b=0.0&p1=1.0", "REFUTED"),   # T2 solves only the D = 0 model
@@ -544,17 +564,38 @@ def test_simulate_csv_ic_roundtrip(capsys, tmp_path):
     assert out.read_text().startswith("t,x,rho,u\n")
 
 
+@pytest.mark.parametrize("scheme", ["lax_friedrichs", "rusanov"])
+def test_simulate_periodic_csv_ic_keeps_mass_and_momentum(capsys, tmp_path, scheme):
+    ic = tmp_path / "field.csv"
+    xs = [(i + 0.5) / 100 * 2 for i in range(100)]
+    cells = [(x, 1 + 0.2 * math.sin(math.pi * x), 0.3 + 0.1 * math.cos(math.pi * x)) for x in xs]
+    ic.write_text("x,rho,u\n" + "".join(f"{x},{rho},{u}\n" for x, rho, u in cells))
+    out = tmp_path / "run.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--ic", str(ic), "--bc", "periodic",
+                         "--scheme", scheme, "--t-end", "2", "--out", str(out))
+    assert code == 0
+    # f-strings write each float in shortest round-trip form, so cells is what the run read
+    dx = cells[1][0] - cells[0][0]
+    mass = sum(rho for _, rho, _ in cells) * dx
+    momentum = sum(rho * u for _, rho, u in cells) * dx
+    steps = json.loads(Path(str(out) + ".diagnostics.json").read_text())["steps"]
+    last, scale = steps[-1], sum(abs(rho) + abs(rho * u) for _, rho, u in cells) * dx
+    bound = 8 * sys.float_info.epsilon * len(steps) * scale
+    assert len(steps) > 100 and abs(last["t"] - 2) <= 1e-12, last
+    assert abs(last["mass"] - mass) <= bound, (last["mass"], mass, bound)
+    assert abs(last["momentum"] - momentum) <= bound, (last["momentum"], momentum, bound)
+
+
 def test_simulate_csv_ic_manifest_records_the_csv_cell_count(capsys, tmp_path):
     ic = tmp_path / "ic.csv"
     rows = ["x,rho,u"] + [f"{0.05 + 0.1 * i},1.0,0.0" for i in range(16)]
     ic.write_text("\n".join(rows) + "\n")
     out = tmp_path / "run.csv"
-    for extra in ([], ["--nx", "999"]):
-        code, _, _ = run_cli(capsys, "simulate", "--ic", str(ic), "--t-end", "0.1",
-                             "--out", str(out), *extra)
-        assert code == 0
-        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-        assert manifest["parameters"]["nx"] == 16
+    code, _, _ = run_cli(capsys, "simulate", "--ic", str(ic), "--t-end", "0.1",
+                         "--out", str(out))
+    assert code == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["parameters"]["nx"] == 16
 
 
 def test_simulate_csv_ic_short_row_exit_65(capsys, tmp_path):
@@ -686,6 +727,36 @@ def test_conserve_step_that_rounds_away_exit_65(capsys, tmp_path):
         assert (code, stdout) == (65, "")
         assert err == f"error: divergence stencil at (x=-4.0, t=-0.25) with step {h} {failure}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("entry,region,h,point,n_calls", [
+    # The pole of b = -1 is at t = 1, so the stencils of the last rows reach past it.
+    ("T1?p1=1&p2=-2&b=1", ["--x0", "-5", "--x1", "5", "--t0", "-3", "--t1", "-0.9"], "0.2",
+     {5: "(x=-4.0, t=-1.11)", 41: "(x=-4.0, t=-1.1940000000000002)"}, 3),
+    # Every stencil leaves the domain, the first point's included (grid index 0).
+    (_T1, [], "1.0", {5: "(x=-4.0, t=-0.25)", 41: "(x=-4.0, t=-0.25)"}, 2),
+], ids=["last-rows", "first-point"])
+def test_conserve_names_its_failing_point_without_replaying_the_grid(capsys, tmp_path, monkeypatch,
+                                                                    entry, region, h, point,
+                                                                    n_calls):
+    import trafficflow.conservation as conservation
+    real, calls = conservation.divergence_residual, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conservation, "divergence_residual", counted)
+    out = tmp_path / "cons.csv"
+    for n in (5, 41):
+        calls.clear()
+        code, stdout, err = run_cli(capsys, "conserve", "--entry", entry, "--which", "S4",
+                                    "--c", "1,0,0", *region, "--nx", str(n), "--nt", str(n),
+                                    "--h-step", h, "--out", str(out))
+        assert (code, stdout) == (65, "") and not out.exists()
+        assert err == f"error: divergence stencil at {point[n]} with step {h} leaves the domain\n"
+        # the grid, the points before its first failure (if any), and that point alone
+        assert len(calls) == n_calls, [np.shape(c[5]) for c in calls]
 
 
 _T3 = "T3?p1=2&b=1"

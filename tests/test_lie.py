@@ -4,13 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from trafficflow.catalog import make_entry, mesh
+from trafficflow.catalog import VERIFIED, GridRegion, make_entry, mesh, verify_sampler
 from trafficflow.lie import (STRUCTURE_CONSTANTS, AdjointParams, InfinitesimalParams,
                              LieCoeffs, ad_matrix, adjoint_apply, adjoint_composite_matrix,
                              adjoint_exp_matrix, adjoint_series_check, basis,
                              classify_optimal, commutator, group_transform,
                              infinitesimals, invariant_ic, invariant_tuple, killing_form)
-from trafficflow.model import DomainError, ModelParams, pde_residual
+from trafficflow.model import (DomainError, ModelParams, Partials, SolutionSampler, StatePoint,
+                               pde_residual)
 
 # Full commutation table: TABLE[i][j] = coefficients of [S_{i+1}, S_{j+1}].
 COMMUTATION_TABLE = {
@@ -289,24 +290,34 @@ def test_infinitesimals_examples():
     assert infinitesimals(InfinitesimalParams(0, 0, 1, 0), 9, 4, 2, 1) == (4, 0, 0, 1)
 
 
-def _invariance_algebra(kind: str, A: float, params: dict) -> tuple:
-    """(singular values, right singular vectors) of the family's characteristic matrix.
+def _characteristic_svd(s, x, t, per_rho: bool = False, with_r: bool = False) -> tuple:
+    """(singular values, right singular vectors) of the sampler's characteristic matrix.
 
     Column i is S_i's characteristic (phi - xi rho_x - tau rho_t, psi - xi u_x - tau u_t)
-    at D = 0, from the family's analytic partials on its default region's 9x9
-    interior; the generators that leave the closed form invariant are its null space.
+    at D = 0, from the sampler's analytic partials at the points (x, t); the generators
+    that leave the closed form invariant are its null space.  per_rho divides the rho rows
+    by rho, and with_r adds R = rho d/drho, whose characteristic is (rho, 0), as a fifth
+    column.
     """
-    entry, mp = make_entry(kind, **params), ModelParams(A=A)
-    s = entry.sampler(mp)
-    x, t = mesh(*entry.default_region(mp).interior(9, 9))
     st, p = s.eval(x, t), s.partials(x, t)
+    scale = st.rho if per_rho else 1.0
     cols = []
     for e in np.eye(4):
         xi, tau, phi, psi = infinitesimals(InfinitesimalParams(*e), x, t, st.rho, st.u)
-        q = (phi - xi * p.rho_x - tau * p.rho_t, psi - xi * p.u_x - tau * p.u_t)
-        cols.append(np.concatenate([np.broadcast_to(qi, x.shape).ravel() for qi in q]))
-    _, sv, vt = np.linalg.svd(np.column_stack(cols))
+        cols.append(((phi - xi * p.rho_x - tau * p.rho_t) / scale,
+                     psi - xi * p.u_x - tau * p.u_t))
+    if with_r:
+        cols.append((st.rho / scale, 0.0))
+    _, sv, vt = np.linalg.svd(np.column_stack(
+        [np.concatenate([np.broadcast_to(q, x.shape).ravel() for q in col]) for col in cols]))
     return sv, vt
+
+
+def _invariance_algebra(kind: str, A: float, params: dict) -> tuple:
+    """_characteristic_svd of a catalog family on its default region's 9x9 interior."""
+    entry, mp = make_entry(kind, **params), ModelParams(A=A)
+    x, t = mesh(*entry.default_region(mp).interior(9, 9))
+    return _characteristic_svd(entry.sampler(mp), x, t)
 
 
 @pytest.mark.parametrize("kind,A,params,dim,generators,named", [
@@ -332,6 +343,45 @@ def test_the_generators_that_leave_each_closed_form_invariant(kind, A, params, d
     cls, _, _ = classify_optimal(LieCoeffs(*generators[0]))
     assert (cls.family, cls.b, cls.l1, cls.l2) == named[:4]
     assert cls.residue == pytest.approx((0.0, named[4], 0.0, 0.0), abs=1e-15)
+
+
+def test_the_fifth_generators_closed_form_lies_in_an_l4_class():
+    # The S4 + aR closed form at D = 0: rho = exp(a x - a v0 t + A a^2 t^2 / 2),
+    # u = v0 - A a t.  u_xx = 0, so it solves the viscous system too.
+    A, a, v0 = 1.0, 0.7, 0.3
+
+    def rho(x, t):
+        return np.exp(a * x - a * v0 * t + A * a * a * t * t / 2)
+
+    def partials(x, t):
+        r = rho(x, t)
+        zero = 0.0 * r
+        return Partials(r * (A * a * a * t - a * v0), a * r, zero - A * a, zero, zero)
+
+    s = SolutionSampler(eval=lambda x, t: StatePoint(rho(x, t), v0 - A * a * t + 0.0 * x),
+                        partials=partials)
+    region = GridRegion(-2.0, 2.0, 41, -1.0, 1.0, 41)
+    for D in (0.0, 0.5):
+        rep = verify_sampler(ModelParams(A=A, D=D), s, region, tol=1e-8)
+        assert rep.status == VERIFIED and rep.partials_method == "analytic", rep
+        assert max(rep.max_r1, rep.max_r2) <= 1e-15, rep
+    x, t = mesh(*region.interior(9, 9))
+    # S1-S4 alone: a 1-D null space, S2 - A a S3 + v0 S4
+    sv, vt = _characteristic_svd(s, x, t, per_rho=True)
+    assert sv[3] <= 1e-12 * sv[2] and sv[2] > 1.0, sv
+    w = np.array([0.0, 1.0, -A * a, v0])
+    assert np.linalg.norm(w - vt[3] * (vt[3] @ w)) <= 1e-12 * np.linalg.norm(w), vt
+    # with R = rho d/drho: a 2-D null space, which S4 + aR joins
+    sv, vt = _characteristic_svd(s, x, t, per_rho=True, with_r=True)
+    assert sv[3:].max() <= 1e-12 * sv[2] and sv[2] > 1.0, sv
+    null = vt[3:]
+    for w in ([0.0, 1.0, -A * a, v0, 0.0], [0.0, 0.0, 0.0, 1.0, a]):
+        w = np.array(w)
+        assert np.linalg.norm(w - null.T @ (null @ w)) <= 1e-12 * np.linalg.norm(w), null
+    # its S1-S4 generator is P522's class: T1 with an S2 residue, here -10/3
+    cls, _, _ = classify_optimal(LieCoeffs(0.0, 1.0, -A * a, v0))
+    assert (cls.family, cls.b, cls.l1, cls.l2) == ("T1", -1, None, None)
+    assert cls.residue == pytest.approx((0.0, -10.0 / 3.0, 0.0, 0.0), abs=1e-15)
 
 
 MP = ModelParams(A=1.0)

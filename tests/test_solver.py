@@ -303,6 +303,18 @@ def test_step_guard_counts_every_step_of_run_and_step(steps_taken):
     assert len(steps_taken) == len(traj.diagnostics) + 1
 
 
+@pytest.mark.parametrize("dt_max", [math.nan, 0.0, -0.1])
+def test_step_refuses_a_dt_max_that_is_not_positive(steps_taken, dt_max):
+    cfg = SolverConfig(grid=Grid.over(0.0, 1.0, 16), params=MP1, bc="periodic")
+    f = Field(t=0.0, rho=np.full(16, 1.0), u=np.zeros(16))
+    with pytest.raises(ValueError, match=re.escape(f"dt_max must be None or > 0, got {dt_max}")):
+        step(f, cfg, dt_max=dt_max)
+    assert steps_taken == []
+    # a positive dt_max below the CFL floor is still an underflow of the step itself
+    with pytest.raises(SolverError, match=re.escape("CFL underflow: dt=1e-13")):
+        step(f, cfg, dt_max=1e-13)
+
+
 def test_zero_length_run():
     g = Grid.over(0.0, 1.0, 32)
     cfg = SolverConfig(grid=g, params=MP1, scheme="rusanov", bc="periodic")
